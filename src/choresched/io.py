@@ -51,30 +51,39 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
     }
 
 
+def _is_int(value: Any) -> bool:
+    """True for JSON integers; bool is a subclass of int but not one of them."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def instance_from_dict(data: Any) -> Instance:
     if not isinstance(data, dict):
         raise InputError("instance file must contain a JSON object")
     if "agents" not in data:
         raise InputError("missing field 'agents'")
     n = data["agents"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError("field 'agents' must be a positive integer")
     if "valuations" not in data:
         raise InputError("missing field 'valuations'")
     valuations = data["valuations"]
     if not isinstance(valuations, list) or len(valuations) != n:
         raise InputError(f"field 'valuations' must list one row per agent ({n} rows)")
+    if not all(isinstance(row, list) for row in valuations):
+        raise InputError("each valuation row must be a list of chore values")
     if "path" in data:
         if "chores" in data:
             raise InputError("give either 'path' or 'chores', not both")
         m = data["path"]
-        if not isinstance(m, int) or m < 1:
+        if not _is_int(m) or m < 1:
             raise InputError("field 'path' must be a positive integer")
-        if any(not isinstance(row, list) or len(row) != m for row in valuations):
+        if any(len(row) != m for row in valuations):
             raise InputError(f"each valuation row must have 'path' = {m} entries")
         return path_instance(valuations)
     if "chores" not in data:
         raise InputError("missing field 'chores' (or 'path')")
+    if not isinstance(data["chores"], list):
+        raise InputError("field 'chores' must be a list of chore objects")
     chores = []
     for idx, entry in enumerate(data["chores"]):
         if not isinstance(entry, dict):
@@ -82,15 +91,13 @@ def instance_from_dict(data: Any) -> Instance:
         for key in ("id", "start", "finish"):
             if key not in entry:
                 raise InputError(f"chores[{idx}] is missing field '{key}'")
-            if not isinstance(entry[key], int):
+            if not _is_int(entry[key]):
                 raise InputError(f"chores[{idx}].{key} must be an integer")
+        label = entry.get("label")
+        if label is not None and not isinstance(label, str):
+            raise InputError(f"chores[{idx}].label must be a string or null")
         chores.append(
-            Chore(
-                id=entry["id"],
-                start=entry["start"],
-                finish=entry["finish"],
-                label=entry.get("label"),
-            )
+            Chore(id=entry["id"], start=entry["start"], finish=entry["finish"], label=label)
         )
     return Instance(n=n, chores=tuple(chores), valuations=AdditiveValuations(valuations))
 
@@ -125,7 +132,7 @@ def schedule_from_dict(data: Any, instance: Instance) -> Schedule:
             raise InputError(f"assignment key {key!r} is not a chore id") from None
         if not 0 <= chore < instance.m:
             raise InputError(f"assignment references unknown chore {chore}")
-        if value is not None and not isinstance(value, int):
+        if value is not None and not _is_int(value):
             raise InputError(f"assignment[{key}] must be an agent index or null")
         assignment[chore] = value
     return Schedule(instance.n, tuple(assignment))

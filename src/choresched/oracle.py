@@ -125,18 +125,26 @@ def _criterion_holds(schedule: Schedule, instance: Instance, query: ExistenceQue
 
 
 def _exists_ef1_po(instance: Instance, guard: int) -> Optional[Schedule]:
-    """EF1 among maximal schedules not Pareto-dominated by any maximal schedule."""
+    """EF1 among maximal schedules not Pareto-dominated by any maximal schedule.
+
+    The Pareto frontier of the distinct utility vectors is found once: in
+    descending lexicographic order a dominating vector always comes before
+    the vectors it dominates, so a vector is on the frontier iff no frontier
+    vector found before it is componentwise >= it.  The witness is the first
+    schedule, in enumeration order, whose vector is on the frontier and that
+    passes EF1.
+    """
     schedules = list(enumerate_maximal(instance, guard=guard))
     utilities = [
         tuple(instance.value(i, s.bundle(i)) for i in range(instance.n)) for s in schedules
     ]
+    frontier: list[tuple[int, ...]] = []
+    for vector in sorted(set(utilities), reverse=True):
+        if not any(all(f >= v for f, v in zip(better, vector)) for better in frontier):
+            frontier.append(vector)
+    undominated = set(frontier)
     for s, mine in zip(schedules, utilities):
-        dominated = any(
-            all(t >= o for t, o in zip(theirs, mine))
-            and any(t > o for t, o in zip(theirs, mine))
-            for theirs in utilities
-        )
-        if not dominated and check_ef1(s, instance).holds:
+        if mine in undominated and check_ef1(s, instance).holds:
             return s
     return None
 

@@ -15,6 +15,8 @@ trace output; N marks an unassigned chore.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import Optional, Sequence
 
 from .checkers import check_ef1, is_maximal
@@ -72,19 +74,105 @@ def adjacent(x: Schedule, y: Schedule) -> bool:
     return True
 
 
+class _StepChecker:
+    """Bug trap for a two-agent schedule sequence, fed one step at a time.
+
+    The first step is checked in full with is_feasible and is_maximal.  Each
+    later step is checked only through its delta, the chores whose agent
+    differs from the step before, which has already passed:
+
+    - feasible: every changed chore that is assigned is free of overlaps in
+      its new bundle.  Two overlapping chores in one bundle that both kept
+      their agent would have made the previous step infeasible.
+    - maximal (when required): every unassigned chore in the closed
+      neighbourhood of the delta is blocked in both bundles.  Any other
+      unassigned chore was unassigned before and none of its neighbours
+      changed, so the previous, maximal step already blocked it in both.
+    - adjacent: each bundle gains at most one changed chore and loses at most
+      one, which is the adjacent() test itself restricted to the chores
+      where the two steps can differ.
+
+    So a step fails here exactly when the full check of it (and of the pair
+    it forms with the previous step) fails.  A failed step is not recorded;
+    the next step is still checked against the last step that passed.
+    """
+
+    def __init__(self, graph: ConflictGraph, require_maximal: bool):
+        self.graph = graph
+        self.require_maximal = require_maximal
+        self.previous: Optional[Schedule] = None
+        self.masks = (0, 0)
+
+    def failure(self, step: Schedule) -> Optional[str]:
+        """None if the step passes (it then becomes the previous step), else
+        which check it fails: "infeasible", "not maximal" or "not adjacent"."""
+        graph = self.graph
+        if self.previous is None:
+            if not is_feasible(step, graph):
+                return "infeasible"
+            if self.require_maximal and not is_maximal(step, graph):
+                return "not maximal"
+            self.previous = step
+            self.masks = (step.bundle_mask(RED), step.bundle_mask(BLUE))
+            return None
+        if step.m != graph.m:
+            raise InputError(f"schedule covers {step.m} chores, graph has {graph.m}")
+        if step.n_agents != 2 or self.previous.n_agents != 2:
+            raise InputError("adjacency is defined for two-agent schedules")
+        nbr = graph.neighbor_masks
+        old = self.previous.assignment
+        new = step.assignment
+        changed = list(compress(range(graph.m), map(ne, old, new)))
+        masks = list(self.masks)
+        added = [0, 0]
+        removed = [0, 0]
+        for c in changed:
+            if old[c] is not None:
+                masks[old[c]] &= ~(1 << c)
+                removed[old[c]] += 1
+            if new[c] is not None:
+                masks[new[c]] |= 1 << c
+                added[new[c]] += 1
+        for c in changed:
+            if new[c] is not None and nbr[c] & masks[new[c]]:
+                return "infeasible"
+        if self.require_maximal:
+            red, blue = masks
+            region = 0
+            for c in changed:
+                region |= nbr[c] | 1 << c
+            region &= ~(red | blue)
+            while region:
+                low = region & -region
+                u = low.bit_length() - 1
+                if not (nbr[u] & red and nbr[u] & blue):
+                    return "not maximal"
+                region ^= low
+        if max(added) > 1 or max(removed) > 1:
+            return "not adjacent"
+        self.previous = step
+        self.masks = (masks[RED], masks[BLUE])
+        return None
+
+
 def _verify_sequence(
     seq: ScheduleSequence, graph: ConflictGraph, require_maximal: bool, context: str
 ) -> None:
-    """Bug trap: every constructed sequence must satisfy its invariants."""
+    """Bug trap: every constructed sequence must satisfy its invariants.
+
+    The steps go through a fresh _StepChecker (for builder-made sequences,
+    a second pass over what emit checked); the endpoint swap is compared in
+    full.
+    """
+    checker = _StepChecker(graph, require_maximal)
     for t, step in enumerate(seq.steps):
-        if not is_feasible(step, graph):
-            raise InternalInvariantError(f"{context}: step {t} ({seq.tags[t]}) is infeasible")
-        if require_maximal and not is_maximal(step, graph):
-            raise InternalInvariantError(f"{context}: step {t} ({seq.tags[t]}) is not maximal")
-        if t > 0 and not adjacent(seq.steps[t - 1], step):
+        failure = checker.failure(step)
+        if failure == "not adjacent":
             raise InternalInvariantError(
                 f"{context}: steps {t - 1} -> {t} ({seq.tags[t]}) are not adjacent"
             )
+        if failure is not None:
+            raise InternalInvariantError(f"{context}: step {t} ({seq.tags[t]}) is {failure}")
     first, last = seq.steps[0], seq.steps[-1]
     if first.bundle(RED) != last.bundle(BLUE) or first.bundle(BLUE) != last.bundle(RED):
         raise InternalInvariantError(f"{context}: endpoints are not bundle swaps of each other")
@@ -297,21 +385,24 @@ def _overlaps_assigned_later(
 class _SequenceBuilder:
     """Accumulates steps, asserting feasibility/maximality/adjacency as it goes."""
 
+    _MESSAGES = {
+        "infeasible": "produced an infeasible schedule",
+        "not maximal": "produced a non-maximal schedule",
+        "not adjacent": "broke adjacency",
+    }
+
     def __init__(self, graph: ConflictGraph, context: str, require_maximal: bool = True):
         self.graph = graph
         self.context = context
-        self.require_maximal = require_maximal
+        self.checker = _StepChecker(graph, require_maximal)
         self.steps: list[Schedule] = []
         self.tags: list[str] = []
 
     def emit(self, status: dict[int, Optional[int]], tag: str) -> None:
-        step = Schedule(2, tuple(status[c] for c in range(self.graph.m)))
-        if not is_feasible(step, self.graph):
-            raise InternalInvariantError(f"{self.context}: {tag} produced an infeasible schedule")
-        if self.require_maximal and not is_maximal(step, self.graph):
-            raise InternalInvariantError(f"{self.context}: {tag} produced a non-maximal schedule")
-        if self.steps and not adjacent(self.steps[-1], step):
-            raise InternalInvariantError(f"{self.context}: {tag} broke adjacency")
+        step = Schedule(2, tuple(map(status.__getitem__, range(self.graph.m))))
+        failure = self.checker.failure(step)
+        if failure is not None:
+            raise InternalInvariantError(f"{self.context}: {tag} {self._MESSAGES[failure]}")
         self.steps.append(step)
         self.tags.append(tag)
 

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from choresched.core import Instance, Schedule, is_feasible
+from choresched.core import Instance, MonotoneValuations, Schedule, is_feasible
 from choresched.checkers import is_maximal
+from choresched.generate import random_interval_instance, random_path_instance
+
+N_TWO_AGENT_ADDITIVE = 10_000
+N_TWO_AGENT_MONOTONE = 1_000
+N_TWO_AGENT_PATHS = 2_000
 
 
 def naive_enumerate_maximal(instance: Instance) -> list[Schedule]:
@@ -48,3 +54,33 @@ def rng_factory():
         return random.Random(seed)
 
     return make
+
+
+@dataclass(frozen=True)
+class TwoAgentCorpus:
+    intervals: list[Instance]
+    monotone: list[Instance]
+    paths: list[Instance]
+
+
+@pytest.fixture(scope="session")
+def two_agent_corpus() -> TwoAgentCorpus:
+    """The acceptance suite's two-agent corpus, built once per session."""
+    rng = random.Random(20240)
+    intervals = [
+        random_interval_instance(rng, 2, rng.randint(1, 12))
+        for _ in range(N_TWO_AGENT_ADDITIVE)
+    ]
+    monotone = [
+        Instance(
+            2,
+            inst.chores,
+            MonotoneValuations(2, inst.m, lambda i, b: -(len(b) ** 2)),
+        )
+        for inst in intervals[:N_TWO_AGENT_MONOTONE]
+    ]
+    paths = [
+        random_path_instance(rng, 2, rng.randint(1, 12))
+        for _ in range(N_TWO_AGENT_PATHS)
+    ]
+    return TwoAgentCorpus(intervals=intervals, monotone=monotone, paths=paths)

@@ -9,17 +9,15 @@ from __future__ import annotations
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import pytest
 
 from choresched.checkers import check_ef, check_ef1, check_efk, check_efx, is_complete, is_maximal
-from choresched.core import Instance, MonotoneValuations, path_instance
+from choresched.core import path_instance
 from choresched.generate import (
     random_bounded_components_instance,
     random_dichotomous_path_instance,
     random_interval_instance,
-    random_path_instance,
 )
 from choresched.n_agent import (
     bounded_components_solution,
@@ -43,7 +41,7 @@ from choresched.two_agent import (
     solve_two_agents,
 )
 
-from conftest import random_feasible_schedule
+from conftest import N_TWO_AGENT_ADDITIVE, N_TWO_AGENT_MONOTONE, random_feasible_schedule
 
 
 @contextmanager
@@ -57,41 +55,9 @@ def criterion(label: str):
     print(f"PASS {label} ({time.time() - start:.1f}s)")
 
 
-N_TWO_AGENT_ADDITIVE = 10_000
-N_TWO_AGENT_MONOTONE = 1_000
-N_TWO_AGENT_PATHS = 2_000
 N_PER_AGENT_COUNT_DICHOTOMOUS = 1_000
 N_PER_AGENT_COUNT_BOUNDED = 1_000
 N_CHECKER_PAIRS = 10_000
-
-
-@dataclass(frozen=True)
-class TwoAgentCorpus:
-    intervals: list[Instance]
-    monotone: list[Instance]
-    paths: list[Instance]
-
-
-@pytest.fixture(scope="session")
-def two_agent_corpus() -> TwoAgentCorpus:
-    rng = random.Random(20240)
-    intervals = [
-        random_interval_instance(rng, 2, rng.randint(1, 12))
-        for _ in range(N_TWO_AGENT_ADDITIVE)
-    ]
-    monotone = [
-        Instance(
-            2,
-            inst.chores,
-            MonotoneValuations(2, inst.m, lambda i, b: -(len(b) ** 2)),
-        )
-        for inst in intervals[:N_TWO_AGENT_MONOTONE]
-    ]
-    paths = [
-        random_path_instance(rng, 2, rng.randint(1, 12))
-        for _ in range(N_TWO_AGENT_PATHS)
-    ]
-    return TwoAgentCorpus(intervals=intervals, monotone=monotone, paths=paths)
 
 
 def test_criterion_1_golden_nonexistence():

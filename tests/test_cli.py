@@ -45,6 +45,43 @@ class TestSolve:
         assert main(["solve", "no-such-file.json"]) == 2
 
 
+class TestMalformedInput:
+    """Input the file format rejects exits 2 with a diagnostic, never a crash."""
+
+    CHORES = [{"id": 0, "start": 0, "finish": 2}, {"id": 1, "start": 1, "finish": 3}]
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"agents": 2, "chores": 5, "valuations": [[], []]}, "chores"),
+            ({"agents": 2, "chores": CHORES, "valuations": [5, 6]}, "row"),
+            ({"agents": True, "chores": CHORES[:1], "valuations": [[-1]]}, "agents"),
+            (
+                {
+                    "agents": 2,
+                    "chores": [{"id": 0, "start": False, "finish": True}],
+                    "valuations": [[-1], [-1]],
+                },
+                "start",
+            ),
+            (
+                {
+                    "agents": 2,
+                    "chores": [{"id": 0, "start": 0, "finish": 2, "label": 7}],
+                    "valuations": [[-1], [-1]],
+                },
+                "label",
+            ),
+        ],
+        ids=["chores-not-a-list", "rows-not-lists", "bool-agents", "bool-times", "int-label"],
+    )
+    def test_solve_exits_two(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestCheck:
     def test_failing_schedule_exit_one(self, tmp_path, capsys):
         inst_path = write_instance(tmp_path, [[-2, -10, -1, -10, -2]] * 2)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choresched.core import (
@@ -79,6 +79,26 @@ class TestBuildConflictGraph:
                     if i < j:
                         simulated.add((i, j))
         assert graph.edges == frozenset(simulated)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 8), st.integers(1, 8)), min_size=0, max_size=12
+        )
+    )
+    @example([])
+    @example([(3, 2)])
+    @example([(0, 2), (2, 2), (4, 1)])  # touching endpoints
+    @example([(1, 3), (1, 3), (1, 3)])  # identical intervals
+    @example([(0, 9), (2, 1), (4, 4), (5, 1)])  # nested intervals
+    def test_masks_match_pairwise_overlaps(self, raw):
+        # Reference: the pairwise test the prefix-mask build replaced.
+        chores = chores_from_intervals([(s, s + d) for s, d in raw])
+        expected = [
+            sum(1 << j for j, other in enumerate(chores) if j != i and c.overlaps(other))
+            for i, c in enumerate(chores)
+        ]
+        assert list(build_conflict_graph(chores).neighbor_masks) == expected
 
 
 class TestPathInstance:

@@ -60,6 +60,18 @@ class TestInstanceFiles:
                 {"agents": 1, "chores": [{"id": 0, "start": 0}], "valuations": [[-1]]}
             )
 
+    def test_bools_are_not_integers(self):
+        with pytest.raises(InputError, match="path"):
+            instance_from_dict({"agents": 1, "path": True, "valuations": [[-1]]})
+        with pytest.raises(InputError, match=r"chores\[0\]\.id"):
+            instance_from_dict(
+                {
+                    "agents": 1,
+                    "chores": [{"id": False, "start": 0, "finish": 1}],
+                    "valuations": [[-1]],
+                }
+            )
+
     def test_labels_preserved(self, tmp_path):
         inst = sample_instance()
         path = tmp_path / "i.json"
@@ -86,6 +98,11 @@ class TestScheduleFiles:
         inst = sample_instance()
         with pytest.raises(InputError, match="unknown chore"):
             schedule_from_dict({"assignment": {"7": 0}}, inst)
+
+    def test_bool_agent_rejected(self):
+        inst = sample_instance()
+        with pytest.raises(InputError, match=r"assignment\[0\]"):
+            schedule_from_dict({"assignment": {"0": True}}, inst)
 
     def test_dict_shape(self):
         schedule = Schedule(2, (0, None))

@@ -98,6 +98,33 @@ class TestExists:
         assert check_ef1(witness, inst).holds
         assert is_maximal(witness, inst.graph())
 
+    def test_ef1_po_matches_pairwise_dominance(self):
+        # Reference: the first EF1 schedule, in enumeration order, that no
+        # maximal schedule Pareto-dominates, found by comparing every pair.
+        rng = random.Random(11)
+        instances = [path_instance([values] * 2) for _, values in GOLDEN_NONE]
+        for _ in range(300):
+            n = rng.choice([2, 3])
+            instances.append(random_interval_instance(rng, n, rng.randint(1, 8 if n == 2 else 6)))
+        for inst in instances:
+            schedules = list(enumerate_maximal(inst))
+            utilities = [
+                tuple(inst.value(i, s.bundle(i)) for i in range(inst.n)) for s in schedules
+            ]
+            expected = next(
+                (
+                    s
+                    for s, mine in zip(schedules, utilities)
+                    if not any(
+                        theirs != mine and all(t >= o for t, o in zip(theirs, mine))
+                        for theirs in utilities
+                    )
+                    and check_ef1(s, inst).holds
+                ),
+                None,
+            )
+            assert exists(ExistenceQuery(instance=inst, criterion="ef1+po")) == expected
+
     def test_efk_needs_k(self):
         inst = path_instance([[-1]] * 2)
         with pytest.raises(InputError):

@@ -1,6 +1,7 @@
 """Two-agent sequence constructions and the EF1 selection."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from choresched.core import (
     Chore,
     InputError,
     Instance,
+    InternalInvariantError,
     MonotoneValuations,
     Schedule,
     is_feasible,
@@ -19,7 +21,12 @@ from choresched.core import (
 from choresched.generate import random_interval_instance, random_path_instance
 from choresched.oracle import enumerate_maximal
 from choresched.two_agent import (
+    BLUE,
+    RED,
     ScheduleSequence,
+    _SequenceBuilder,
+    _StepChecker,
+    _verify_sequence,
     adjacent,
     classify_chores,
     classify_supported,
@@ -482,3 +489,123 @@ def test_property_sequences_hold_their_invariants(raw):
     for step, hint in zip(seq.steps, hints):
         completed = step if hint is None else step.assign(*hint)
         assert is_maximal(completed, graph)
+
+
+def full_failure(x, y, graph, require_maximal):
+    """The full checks the step checker replaced, in the order it applies them."""
+    if not is_feasible(y, graph):
+        return "infeasible"
+    if require_maximal and not is_maximal(y, graph):
+        return "not maximal"
+    if not adjacent(x, y):
+        return "not adjacent"
+    return None
+
+
+def mutated_successors(rng, step, graph):
+    """One successor per mutation kind; each may or may not break a check."""
+    m, assignment = step.m, step.assignment
+    out = []
+    chore = rng.randrange(m)
+    recolored = {None: rng.choice((RED, BLUE)), RED: BLUE, BLUE: RED}[assignment[chore]]
+    out.append(step.assign(chore, recolored))
+    assigned = [c for c in range(m) if assignment[c] is not None]
+    if assigned:
+        out.append(step.assign(rng.choice(assigned), None))
+    if m >= 2:
+        a, b = rng.sample(range(m), 2)
+        agent = rng.choice((RED, BLUE))
+        out.append(step.assign(a, agent).assign(b, agent))
+    masks = (step.bundle_mask(RED), step.bundle_mask(BLUE))
+    overlapping = [
+        (c, agent)
+        for c in range(m)
+        for agent in (RED, BLUE)
+        if assignment[c] != agent and graph.neighbor_masks[c] & masks[agent]
+    ]
+    if overlapping:
+        out.append(step.assign(*rng.choice(overlapping)))
+    return out
+
+
+def test_step_checker_matches_full_checks_on_the_acceptance_corpus(two_agent_corpus):
+    # Walk every sequence of the acceptance corpus with one checker; at each
+    # step, a probe in the same state judges the real successor and its
+    # mutations, and must flag exactly what is_feasible / is_maximal /
+    # adjacent flag.
+    rng = random.Random(3)
+    runs = [(inst, interval_sequence_ef1(inst), True) for inst in two_agent_corpus.intervals]
+    runs += [(inst, interval_sequence_ef2(inst)[0], False) for inst in two_agent_corpus.intervals]
+    runs += [(inst, path_sequence(inst), True) for inst in two_agent_corpus.paths]
+    verdicts = Counter()
+    for inst, seq, require_maximal in runs:
+        graph = inst.graph()
+        walker = _StepChecker(graph, require_maximal)
+        assert walker.failure(seq.steps[0]) is None
+        for x, y in zip(seq.steps, seq.steps[1:]):
+            for candidate in [y] + mutated_successors(rng, y, graph):
+                expected = full_failure(x, candidate, graph, require_maximal)
+                probe = _StepChecker(graph, require_maximal)
+                probe.previous, probe.masks = walker.previous, walker.masks
+                assert probe.failure(candidate) == expected
+                verdicts[expected] += 1
+            assert walker.failure(y) is None
+    # Every verdict occurs, so no branch of the checker went untested.
+    assert set(verdicts) == {None, "infeasible", "not maximal", "not adjacent"}
+
+
+# A path 0-1-2-3 and step sequences that each break one invariant.
+TRAP_GRAPH = path_instance([[-1] * 4] * 2).graph()
+RBRB, BRBR = (RED, BLUE, RED, BLUE), (BLUE, RED, BLUE, RED)
+BROKEN_SEQUENCES = [
+    ("first step infeasible", [(RED, RED, BLUE, RED), BRBR], "infeasible"),
+    ("later step infeasible", [RBRB, (RED, RED, RED, BLUE), BRBR], "infeasible"),
+    ("first step not maximal", [(RED, None, None, BLUE), BRBR], "not maximal"),
+    ("later step not maximal", [RBRB, (RED, None, RED, BLUE), BRBR], "not maximal"),
+    ("steps not adjacent", [RBRB, BRBR], "not adjacent"),
+    ("endpoints not swapped", [RBRB], "endpoints"),
+]
+
+
+class TestStepTraps:
+    @pytest.mark.parametrize(
+        "steps, failure",
+        [case[1:] for case in BROKEN_SEQUENCES],
+        ids=[c[0] for c in BROKEN_SEQUENCES],
+    )
+    def test_verify_sequence_raises(self, steps, failure):
+        seq = ScheduleSequence(
+            steps=tuple(Schedule(2, s) for s in steps), tags=("test",) * len(steps)
+        )
+        with pytest.raises(InternalInvariantError, match=failure):
+            _verify_sequence(seq, TRAP_GRAPH, require_maximal=True, context="test")
+
+    @pytest.mark.parametrize(
+        "steps, failure",
+        [case[1:] for case in BROKEN_SEQUENCES[:-1]],
+        ids=[c[0] for c in BROKEN_SEQUENCES[:-1]],
+    )
+    def test_builder_raises(self, steps, failure):
+        builder = _SequenceBuilder(TRAP_GRAPH, "test")
+        message = {
+            "infeasible": "infeasible",
+            "not maximal": "non-maximal",
+            "not adjacent": "broke adjacency",
+        }[failure]
+        with pytest.raises(InternalInvariantError, match=message):
+            for s in steps:
+                builder.emit(dict(enumerate(s)), "test")
+
+    def test_maximality_not_required(self):
+        steps = (RBRB, (RED, None, RED, BLUE), (None, None, RED, BLUE))
+        seq = ScheduleSequence(steps=tuple(Schedule(2, s) for s in steps), tags=("t",) * 3)
+        with pytest.raises(InternalInvariantError, match="endpoints"):
+            _verify_sequence(seq, TRAP_GRAPH, require_maximal=False, context="test")
+
+    def test_failed_step_is_not_recorded(self):
+        checker = _StepChecker(TRAP_GRAPH, require_maximal=True)
+        assert checker.failure(Schedule(2, RBRB)) is None
+        assert checker.failure(Schedule(2, BRBR)) == "not adjacent"
+        assert checker.failure(Schedule(2, (RED, BLUE, RED, None))) == "not maximal"
+        # Judged against RBRB: against BRBR, red would lose two chores.
+        assert checker.failure(Schedule(2, (BLUE, None, RED, BLUE))) is None
