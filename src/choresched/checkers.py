@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from .core import (
     ConflictGraph,
@@ -44,12 +45,14 @@ def _require_feasible(schedule: Schedule, instance: Instance) -> None:
         raise InputError("schedule is infeasible for the instance's conflict graph")
 
 
-def _min_removals_additive(own_values: list[int], gap: int) -> tuple[int, tuple[int, ...]]:
+def _min_removals_additive(
+    own_values: list[tuple[int, int]], gap: int
+) -> tuple[int, tuple[int, ...]]:
     """Smallest r (and the removed chores) closing an additive envy gap.
 
-    own_values holds (value, chore) pairs implicitly via the caller; here we
-    get [(value, chore), ...].  Removing the r most negative chores raises the
-    bundle value the most, so scanning prefixes is exact.
+    own_values lists the envious bundle's (value, chore) pairs.  Removing the
+    r most negative chores raises the bundle value the most, so scanning
+    prefixes is exact.
     """
     ordered = sorted(own_values)  # most negative first: (value, chore id)
     removed = 0
@@ -72,10 +75,25 @@ def _min_removals_monotone(
     raise AssertionError("empty bundle has value 0 >= any bundle value")
 
 
-def check_efk(schedule: Schedule, instance: Instance, k: int) -> FairnessVerdict:
-    """Envy-freeness up to k chores, over all ordered agent pairs."""
-    if k < 0:
-        raise InputError("k must be non-negative")
+def _min_removals(
+    instance: Instance, agent: int, bundle: frozenset[int], own: int, other: int
+) -> tuple[int, tuple[int, ...]]:
+    """Smallest removal set lifting the agent's own bundle value to other's."""
+    if instance.valuations.is_additive:
+        values = [(instance.valuations.chore_value(agent, c), c) for c in bundle]
+        return _min_removals_additive(values, other - own)
+    return _min_removals_monotone(instance, agent, bundle, other)
+
+
+def _check_envy_pairs(
+    schedule: Schedule, instance: Instance, judge: Callable[..., tuple[int, Optional[tuple]]]
+) -> FairnessVerdict:
+    """Run judge(i, X_i, v_i(X_i), v_i(X_j)) on every pair where i envies j.
+
+    The judge returns a removal count and the witness chores, or None as the
+    witness of a violation, whose count is then the minimal one.  An empty bundle is worth 0, at least any bundle's
+    value, so an agent holding nothing never envies and is skipped.
+    """
     _require_feasible(schedule, instance)
     bundles = schedule.bundles()
     own = [instance.value(i, bundles[i]) for i in range(schedule.n_agents)]
@@ -83,23 +101,31 @@ def check_efk(schedule: Schedule, instance: Instance, k: int) -> FairnessVerdict
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
     for i in range(schedule.n_agents):
         for j in range(schedule.n_agents):
-            if i == j:
+            if i == j or not bundles[i]:
                 continue
             other = instance.value(i, bundles[j])
             if own[i] >= other:
                 continue
-            if instance.valuations.is_additive:
-                values = [(instance.valuations.chore_value(i, c), c) for c in bundles[i]]
-                r, removed = _min_removals_additive(values, other - own[i])
-            else:
-                r, removed = _min_removals_monotone(instance, i, bundles[i], other)
-            if r <= k:
-                witnesses[(i, j)] = removed
-            else:
+            r, witness = judge(i, bundles[i], own[i], other)
+            if witness is None:
                 violations.append((i, j, r))
+            else:
+                witnesses[(i, j)] = witness
     return FairnessVerdict(
         holds=not violations, violations=tuple(violations), witnesses=witnesses
     )
+
+
+def check_efk(schedule: Schedule, instance: Instance, k: int) -> FairnessVerdict:
+    """Envy-freeness up to k chores, over all ordered agent pairs."""
+    if k < 0:
+        raise InputError("k must be non-negative")
+
+    def judge(i, bundle, own, other):
+        r, removed = _min_removals(instance, i, bundle, own, other)
+        return r, removed if r <= k else None
+
+    return _check_envy_pairs(schedule, instance, judge)
 
 
 def check_ef(schedule: Schedule, instance: Instance) -> FairnessVerdict:
@@ -119,34 +145,14 @@ def check_efx(schedule: Schedule, instance: Instance) -> FairnessVerdict:
     envious pair the witness is the tightest chore, i.e. the one whose removal
     leaves the least slack.
     """
-    _require_feasible(schedule, instance)
-    bundles = schedule.bundles()
-    own = [instance.value(i, bundles[i]) for i in range(schedule.n_agents)]
-    violations: list[tuple[int, int, int]] = []
-    witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i in range(schedule.n_agents):
-        for j in range(schedule.n_agents):
-            if i == j or not bundles[i]:
-                continue
-            other = instance.value(i, bundles[j])
-            if own[i] >= other:
-                continue
-            leftovers = {
-                c: instance.value(i, bundles[i] - {c}) for c in sorted(bundles[i])
-            }
-            if all(v >= other for v in leftovers.values()):
-                tightest = min(leftovers, key=lambda c: (leftovers[c], c))
-                witnesses[(i, j)] = (tightest,)
-            else:
-                if instance.valuations.is_additive:
-                    values = [(instance.valuations.chore_value(i, c), c) for c in bundles[i]]
-                    r, _ = _min_removals_additive(values, other - own[i])
-                else:
-                    r, _ = _min_removals_monotone(instance, i, bundles[i], other)
-                violations.append((i, j, r))
-    return FairnessVerdict(
-        holds=not violations, violations=tuple(violations), witnesses=witnesses
-    )
+
+    def judge(i, bundle, own, other):
+        leftovers = {c: instance.value(i, bundle - {c}) for c in sorted(bundle)}
+        if all(v >= other for v in leftovers.values()):
+            return 1, (min(leftovers, key=lambda c: (leftovers[c], c)),)
+        return _min_removals(instance, i, bundle, own, other)[0], None
+
+    return _check_envy_pairs(schedule, instance, judge)
 
 
 def is_complete(schedule: Schedule) -> bool:
@@ -188,11 +194,18 @@ def is_pareto_optimal(schedule: Schedule, instance: Instance, guard: int = 16) -
         raise InputError("Pareto optimality is only defined for maximal schedules")
     from .oracle import enumerate_maximal  # lazy: oracle imports this module
 
-    own = [instance.value(i, schedule.bundle(i)) for i in range(instance.n)]
-    for other in enumerate_maximal(instance, guard=guard):
-        theirs = [instance.value(i, other.bundle(i)) for i in range(instance.n)]
-        if all(t >= o for t, o in zip(theirs, own)) and any(
-            t > o for t, o in zip(theirs, own)
-        ):
-            return False
-    return True
+    own = _utilities(schedule, instance)
+    return not any(
+        _dominates(_utilities(other, instance), own)
+        for other in enumerate_maximal(instance, guard=guard)
+    )
+
+
+def _utilities(schedule: Schedule, instance: Instance) -> tuple[int, ...]:
+    """Every agent's value of its own bundle."""
+    return tuple(instance.value(i, schedule.bundle(i)) for i in range(instance.n))
+
+
+def _dominates(better: tuple[int, ...], worse: tuple[int, ...]) -> bool:
+    """Pareto dominance of utility vectors: no worse anywhere, better somewhere."""
+    return better != worse and all(b >= w for b, w in zip(better, worse))

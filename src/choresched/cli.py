@@ -16,15 +16,7 @@ import sys
 from typing import Any, Optional
 
 from . import io as fileio
-from .checkers import (
-    check_ef,
-    check_ef1,
-    check_efk,
-    check_efx,
-    is_complete,
-    is_maximal,
-    is_pareto_optimal,
-)
+from .checkers import check_ef1, is_complete, is_maximal, is_pareto_optimal
 from .core import InputError, Instance, InternalInvariantError, Schedule, path_instance
 from .generate import (
     random_bounded_components_instance,
@@ -34,7 +26,9 @@ from .generate import (
 )
 from .n_agent import solve_identical_bounded_components, solve_identical_dichotomous_path
 from .oracle import (
+    CRITERIA,
     ExistenceQuery,
+    _envy_verdict,
     demo_round_robin,
     demo_top_trading_envy_cycle,
     enumerate_maximal,
@@ -137,16 +131,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     elif crit == "po":
         holds = is_pareto_optimal(schedule, instance, guard=args.guard)
     else:
-        if crit == "ef":
-            verdict = check_ef(schedule, instance)
-        elif crit == "ef1":
-            verdict = check_ef1(schedule, instance)
-        elif crit == "efx":
-            verdict = check_efx(schedule, instance)
-        else:  # efk
-            if args.k is None:
-                raise InputError("criterion 'efk' needs --k")
-            verdict = check_efk(schedule, instance, args.k)
+        if crit == "efk" and args.k is None:
+            raise InputError("criterion 'efk' needs --k")
+        verdict = _envy_verdict(schedule, instance, crit, args.k)
         holds = verdict.holds
         violations = list(verdict.violations)
     payload = {"criterion": crit, "holds": holds, "violations": violations}
@@ -198,6 +185,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
         seq = interval_sequence_ef1(instance)
     else:
         raise InputError(f"sequence construction is two-agent only, not {algo!r}")
+    lines = seq.trace_lines()
     payload = {
         "steps": [
             {
@@ -205,10 +193,10 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
                 "colors": line.split(" ")[0],
                 "assignment": fileio.schedule_to_dict(step)["assignment"],
             }
-            for (step, tag, line) in zip(seq.steps, seq.tags, seq.trace_lines())
+            for (step, tag, line) in zip(seq.steps, seq.tags, lines)
         ]
     }
-    _emit(payload, "\n".join(seq.trace_lines()), args.format)
+    _emit(payload, "\n".join(lines), args.format)
     return OK
 
 
@@ -327,11 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exists", help="search all maximal schedules for a criterion")
     p.add_argument("instance")
-    p.add_argument(
-        "--criterion",
-        choices=("ef", "ef1", "efx", "efk", "ef1+po", "ef1+complete"),
-        default="ef1",
-    )
+    p.add_argument("--criterion", choices=CRITERIA, default="ef1")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--guard", type=int, default=16)
     add_common(p)

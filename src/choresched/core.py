@@ -12,8 +12,9 @@ threads; all operations are pure functions.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 
 class InputError(ValueError):
@@ -146,7 +147,6 @@ class ConflictGraph:
     m: int
     neighbor_masks: tuple[int, ...]
     is_path: bool
-    is_interval: bool = True
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.neighbor_masks[i] >> j & 1)
@@ -166,22 +166,26 @@ class ConflictGraph:
                     out.add((i, j))
         return frozenset(out)
 
-    def components(self) -> list[list[int]]:
-        """Connected components, each sorted, ordered by smallest member."""
-        seen = [False] * self.m
+    def components(self, within: Optional[Iterable[int]] = None) -> list[list[int]]:
+        """Connected components, each sorted, ordered by smallest member.
+
+        With within, the components of the subgraph induced by those chores.
+        """
+        members = range(self.m) if within is None else sorted(set(within))
+        allowed = sum(1 << c for c in members)
+        seen = 0
         comps = []
-        for root in range(self.m):
-            if seen[root]:
+        for root in members:
+            if seen >> root & 1:
                 continue
             comp, stack = [], [root]
-            seen[root] = True
+            seen |= 1 << root
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in _mask_bits(self.neighbor_masks[v]):
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
+                fresh = self.neighbor_masks[v] & allowed & ~seen
+                seen |= fresh
+                stack.extend(_mask_bits(fresh))
             comps.append(sorted(comp))
         return comps
 
@@ -234,19 +238,30 @@ def _is_path(m: int, masks: Sequence[int]) -> bool:
     degrees = [mask.bit_count() for mask in masks]
     if any(d > 2 for d in degrees) or sum(degrees) != 2 * (m - 1):
         return False
-    if degrees.count(1) != 2:
-        return False
-    # Connectivity: walk from one endpoint and count what we reach.
-    start = degrees.index(1)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in _mask_bits(masks[v]):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == m
+    return _path_order(masks, range(m), key=int) is not None
+
+
+def _path_order(
+    neighbor_masks: Sequence[int], members: Sequence[int], key: Callable[[int], Any]
+) -> Optional[list[int]]:
+    """The members in order along the simple path they induce, or None.
+
+    The walk starts from the endpoint with the smaller key and must reach
+    every member, each through the one neighbour not yet walked.
+    """
+    allowed = sum(1 << c for c in members)
+    ends = [c for c in members if (neighbor_masks[c] & allowed).bit_count() <= 1]
+    if len(ends) not in (1, 2):
+        return None
+    order = [min(ends, key=key)]
+    left = allowed ^ 1 << order[0]
+    while left:
+        step = neighbor_masks[order[-1]] & left
+        if step.bit_count() != 1:
+            return None
+        order.append(step.bit_length() - 1)
+        left ^= step
+    return order
 
 
 @dataclass(frozen=True)
@@ -341,6 +356,9 @@ class Instance:
             raise InputError("instance needs at least one agent")
         ids = [c.id for c in self.chores]
         if ids != list(range(len(ids))):
+            repeated = [i for i, count in Counter(ids).items() if count > 1]
+            if repeated:
+                raise InputError(f"chore id {repeated[0]} appears more than once")
             raise InputError("chore ids must be dense and sorted: 0..m-1")
         if self.valuations.n_agents != self.n:
             raise InputError(
@@ -402,22 +420,11 @@ def path_component_order(
     the orientation follows the timeline left to right.  Raises if the
     component is not a simple path.
     """
-    comp = list(component)
-    if len(comp) == 1:
-        return comp
-    members = set(comp)
-    ends = [c for c in comp if len(graph.neighbors(c) & members) == 1]
-    if len(ends) != 2:
+    order = _path_order(
+        graph.neighbor_masks, component, key=lambda c: (chores[c].start, chores[c].finish, c)
+    )
+    if order is None:
         raise InputError("component is not a simple path")
-    start = min(ends, key=lambda c: (chores[c].start, chores[c].finish, c))
-    order = [start]
-    prev = None
-    while len(order) < len(comp):
-        nxt = [w for w in graph.neighbors(order[-1]) & members if w != prev]
-        if len(nxt) != 1:
-            raise InputError("component is not a simple path")
-        prev = order[-1]
-        order.append(nxt[0])
     return order
 
 

@@ -14,7 +14,8 @@ Schedule format::
 
     {"assignment": {"0": 1, "1": null, ...}}
 
-where keys are chore ids and null means unassigned.
+where keys are chore ids in plain decimal ("0", "12"; no sign, spaces,
+underscores or leading zeros) and null means unassigned.
 """
 
 from __future__ import annotations
@@ -126,10 +127,11 @@ def schedule_from_dict(data: Any, instance: Instance) -> Schedule:
         raise InputError("field 'assignment' must map chore ids to agents (or null)")
     assignment: list[Any] = [None] * instance.m
     for key, value in raw.items():
-        try:
-            chore = int(key)
-        except ValueError:
-            raise InputError(f"assignment key {key!r} is not a chore id") from None
+        # Only the canonical spelling: int() would also read "01", "+1",
+        # " 2 " and "1_0", and such an alias would override the real key.
+        if not (key.isascii() and key.isdigit() and key == str(int(key))):
+            raise InputError(f"assignment key {key!r} is not a chore id")
+        chore = int(key)
         if not 0 <= chore < instance.m:
             raise InputError(f"assignment references unknown chore {chore}")
         if value is not None and not _is_int(value):

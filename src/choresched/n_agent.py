@@ -33,6 +33,7 @@ from .core import (
     Instance,
     InternalInvariantError,
     Schedule,
+    _path_order,
     is_feasible,
     path_component_order,
 )
@@ -183,11 +184,10 @@ def dichotomous_path_solution(
             raise InputError(
                 "weighted round robin needs a dichotomous profile (exactly two distinct values)"
             )
+    # A uniform profile makes every chore heavy.
     heavy_ids = {
         c for c in range(instance.m) if vals.chore_value(0, c) == heavy_value
     }
-    if heavy_value == light_value:
-        heavy_ids = set(range(instance.m))
 
     # Phase 2: deal heavies then lights along the path to the picking pattern.
     path = path_component_order(graph, instance.chores, list(range(instance.m)))
@@ -202,7 +202,7 @@ def dichotomous_path_solution(
 
     # Dummy padding: every pair reaches the same even heavy and light counts,
     # the triple 1.5 times as many of each.
-    heavy_counts = {s.index: sum(1 for c in s.picks if c in heavy_ids) for s in metas}
+    heavy_counts = {s.index: _kind_counts(s.picks, heavy_ids)[0] for s in metas}
     light_counts = {s.index: len(s.picks) - heavy_counts[s.index] for s in metas}
     pair_target_h = max(
         [heavy_counts[s.index] for s in metas if not s.is_triple], default=0
@@ -251,8 +251,6 @@ def dichotomous_path_solution(
     padded_heavy = set(heavy_ids) | {
         c for c in dummy_ids if padded_values[c] == heavy_value
     }
-    if heavy_value == light_value:
-        padded_heavy = set(range(len(padded_chores)))
 
     # Phase 3: conflict-free equal splits inside each meta agent.
     bundles: list[frozenset[int]] = [frozenset()] * n
@@ -267,13 +265,7 @@ def dichotomous_path_solution(
     padded_schedule = Schedule.from_bundles(n, len(padded_chores), bundles)
     if not is_complete(padded_schedule) or not is_feasible(padded_schedule, padded_graph):
         raise InternalInvariantError("padded schedule is not a complete feasible schedule")
-    per_agent = [
-        (
-            sum(1 for c in b if c in padded_heavy),
-            sum(1 for c in b if c not in padded_heavy),
-        )
-        for b in padded_schedule.bundles()
-    ]
+    per_agent = [_kind_counts(b, padded_heavy) for b in padded_schedule.bundles()]
     if len(set(per_agent)) != 1:
         raise InternalInvariantError(
             f"padded schedule is not envy-free: per-agent (heavy, light) counts {per_agent}"
@@ -282,13 +274,7 @@ def dichotomous_path_solution(
     schedule = Schedule(n, padded_schedule.assignment[: instance.m])
     if not is_complete(schedule) or not is_feasible(schedule, graph):
         raise InternalInvariantError("stripped schedule is not a complete feasible schedule")
-    real_counts = [
-        (
-            sum(1 for c in b if c in heavy_ids),
-            sum(1 for c in b if c not in heavy_ids),
-        )
-        for b in schedule.bundles()
-    ]
+    real_counts = [_kind_counts(b, heavy_ids) for b in schedule.bundles()]
     for kind in (0, 1):
         spread = max(rc[kind] for rc in real_counts) - min(rc[kind] for rc in real_counts)
         if spread > 1:
@@ -329,24 +315,11 @@ def _picking_pattern(metas: Sequence[MetaAgent]) -> list[int]:
     return pattern
 
 
-def _induced_components(picked: Sequence[int], graph: ConflictGraph) -> list[list[int]]:
-    members = set(picked)
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for root in sorted(members):
-        if root in seen:
-            continue
-        comp, stack = [], [root]
-        seen.add(root)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in graph.neighbors(v) & members:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+def _kind_counts(chores: Iterable[int], heavy_ids: set[int]) -> tuple[int, int]:
+    """(heavy, light) counts of a chore collection."""
+    chores = list(chores)
+    heavy = sum(1 for c in chores if c in heavy_ids)
+    return heavy, len(chores) - heavy
 
 
 def _dummy_split_quota(
@@ -374,7 +347,7 @@ def split_pair_bundle(
     halves so no agent collects both).
     """
     picked = sorted(set(picked))
-    comps = _induced_components(picked, graph)
+    comps = graph.components(within=picked)
     edges: list[tuple[int, int]] = []
     isolated: list[int] = []
     for comp in comps:
@@ -391,8 +364,7 @@ def split_pair_bundle(
             raise InternalInvariantError(
                 f"pair bundle edge ({u}, {v}) joins two chores of the same kind"
             )
-    total_h = sum(1 for c in picked if c in heavy_ids)
-    total_l = len(picked) - total_h
+    total_h, total_l = _kind_counts(picked, heavy_ids)
     if total_h % 2 or total_l % 2:
         raise InternalInvariantError("pair bundle needs even heavy and light counts")
 
@@ -410,10 +382,10 @@ def split_pair_bundle(
 
     iso_h = [c for c in isolated if c in heavy_ids]
     iso_l = [c for c in isolated if c not in heavy_ids]
-    quota_a_h = total_h // 2 - sum(1 for c in side_a if c in heavy_ids)
-    quota_b_h = total_h // 2 - sum(1 for c in side_b if c in heavy_ids)
-    quota_a_l = total_l // 2 - sum(1 for c in side_a if c not in heavy_ids)
-    quota_b_l = total_l // 2 - sum(1 for c in side_b if c not in heavy_ids)
+    side_a_h, side_a_l = _kind_counts(side_a, heavy_ids)
+    side_b_h, side_b_l = _kind_counts(side_b, heavy_ids)
+    quota_a_h, quota_a_l = total_h // 2 - side_a_h, total_l // 2 - side_a_l
+    quota_b_h, quota_b_l = total_h // 2 - side_b_h, total_l // 2 - side_b_l
     if min(quota_a_h, quota_b_h, quota_a_l, quota_b_l) < 0:
         raise InternalInvariantError("edge split overshot the per-side quotas")
 
@@ -471,9 +443,8 @@ def split_triple_bundle(
     dummies filling whatever deficits remain.
     """
     picked = sorted(set(picked))
-    comps = _induced_components(picked, graph)
-    total_h = sum(1 for c in picked if c in heavy_ids)
-    total_l = len(picked) - total_h
+    comps = graph.components(within=picked)
+    total_h, total_l = _kind_counts(picked, heavy_ids)
     if total_h % 3 or total_l % 3:
         raise InternalInvariantError("triple bundle needs heavy and light counts divisible by 3")
     target_h, target_l = total_h // 3, total_l // 3
@@ -489,7 +460,9 @@ def split_triple_bundle(
     real_l_iso = sorted(c for c in singles if c not in heavy_ids and c not in dummy_ids)
     dummy_h = sorted(c for c in singles if c in heavy_ids and c in dummy_ids)
     dummy_l = sorted(c for c in singles if c not in heavy_ids and c in dummy_ids)
-    orders = [_induced_path_order(comp, graph) for comp in paths]
+    orders = [_path_order(graph.neighbor_masks, comp, key=int) for comp in paths]
+    if None in orders:
+        raise InternalInvariantError("triple bundle component is not a simple path")
     combos_per_path = [
         [
             combo
@@ -585,22 +558,6 @@ def split_triple_bundle(
     if dummy_h or dummy_l or any(tuple(c) != (target_h, target_l) for c in counts):
         raise InternalInvariantError("triple split missed the equal-count targets")
     return frozenset(parts[0]), frozenset(parts[1]), frozenset(parts[2])
-
-
-def _induced_path_order(comp: list[int], graph: ConflictGraph) -> list[int]:
-    members = set(comp)
-    ends = [c for c in comp if len(graph.neighbors(c) & members) == 1]
-    if len(ends) != 2:
-        raise InternalInvariantError("triple bundle component is not a simple path")
-    order = [min(ends)]
-    prev = None
-    while len(order) < len(comp):
-        nxt = [w for w in graph.neighbors(order[-1]) & members if w != prev]
-        if len(nxt) != 1:
-            raise InternalInvariantError("triple bundle component is not a simple path")
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .checkers import check_ef, check_ef1, check_efk, check_efx, is_complete
+from .checkers import (
+    FairnessVerdict,
+    _dominates,
+    _utilities,
+    check_ef1,
+    check_efk,
+    check_efx,
+    is_complete,
+)
 from .core import (
     InputError,
     Instance,
@@ -110,18 +118,18 @@ def exists(query: ExistenceQuery) -> Optional[Schedule]:
 
 
 def _criterion_holds(schedule: Schedule, instance: Instance, query: ExistenceQuery) -> bool:
-    crit = query.criterion
-    if crit == "ef":
-        return check_ef(schedule, instance).holds
-    if crit == "ef1":
-        return check_ef1(schedule, instance).holds
-    if crit == "efx":
-        return check_efx(schedule, instance).holds
-    if crit == "efk":
-        return check_efk(schedule, instance, query.k).holds
-    if crit == "ef1+complete":
+    if query.criterion == "ef1+complete":
         return is_complete(schedule) and check_ef1(schedule, instance).holds
-    raise AssertionError(f"unhandled criterion {crit}")
+    return _envy_verdict(schedule, instance, query.criterion, query.k).holds
+
+
+def _envy_verdict(
+    schedule: Schedule, instance: Instance, criterion: str, k: Optional[int] = None
+) -> FairnessVerdict:
+    """The verdict of the envy criterion "ef", "ef1", "efx" or "efk" (with k)."""
+    if criterion == "efx":
+        return check_efx(schedule, instance)
+    return check_efk(schedule, instance, {"ef": 0, "ef1": 1, "efk": k}[criterion])
 
 
 def _exists_ef1_po(instance: Instance, guard: int) -> Optional[Schedule]:
@@ -130,17 +138,15 @@ def _exists_ef1_po(instance: Instance, guard: int) -> Optional[Schedule]:
     The Pareto frontier of the distinct utility vectors is found once: in
     descending lexicographic order a dominating vector always comes before
     the vectors it dominates, so a vector is on the frontier iff no frontier
-    vector found before it is componentwise >= it.  The witness is the first
-    schedule, in enumeration order, whose vector is on the frontier and that
-    passes EF1.
+    vector found before it dominates it.  The witness is the first schedule,
+    in enumeration order, whose vector is on the frontier and that passes
+    EF1.
     """
     schedules = list(enumerate_maximal(instance, guard=guard))
-    utilities = [
-        tuple(instance.value(i, s.bundle(i)) for i in range(instance.n)) for s in schedules
-    ]
+    utilities = [_utilities(s, instance) for s in schedules]
     frontier: list[tuple[int, ...]] = []
     for vector in sorted(set(utilities), reverse=True):
-        if not any(all(f >= v for f, v in zip(better, vector)) for better in frontier):
+        if not any(_dominates(better, vector) for better in frontier):
             frontier.append(vector)
     undominated = set(frontier)
     for s, mine in zip(schedules, utilities):
@@ -158,9 +164,7 @@ def max_utilitarian_maximal(instance: Instance, guard: int = 16) -> Schedule:
     best: Optional[Schedule] = None
     best_total: Optional[int] = None
     for schedule in enumerate_maximal(instance, guard=guard):
-        total = sum(
-            instance.value(i, schedule.bundle(i)) for i in range(instance.n)
-        )
+        total = sum(_utilities(schedule, instance))
         if best_total is None or total > best_total:
             best, best_total = schedule, total
     if best is None:
@@ -184,23 +188,14 @@ def demo_round_robin(
     order = tuple(agent_order) if agent_order is not None else tuple(range(instance.n))
     if sorted(order) != list(range(instance.n)):
         raise InputError("agent_order must be a permutation of all agents")
-    graph = instance.graph()
     assignment: list[Optional[int]] = [None] * instance.m
     bundle_masks = [0] * instance.n
     while True:
         picked_any = False
         for agent in order:
-            feasible = [
-                c
-                for c in range(instance.m)
-                if assignment[c] is None
-                and not graph.neighbor_masks[c] & bundle_masks[agent]
-            ]
-            if not feasible:
+            choice = _favourite_feasible(instance, agent, assignment, bundle_masks[agent])
+            if choice is None:
                 continue
-            choice = min(
-                feasible, key=lambda c: (-instance.valuations.chore_value(agent, c), c)
-            )
             assignment[choice] = agent
             bundle_masks[agent] |= 1 << choice
             picked_any = True
@@ -223,29 +218,35 @@ def demo_top_trading_envy_cycle(instance: Instance):
         raise InputError(
             "envy-cycle demo needs identical additive valuations (cycle resolution is out of scope)"
         )
-    graph = instance.graph()
     assignment: list[Optional[int]] = [None] * instance.m
     bundle_masks = [0] * instance.n
     values = [0] * instance.n
     while True:
-        candidates = []
-        for agent in range(instance.n):
-            feasible = [
-                c
-                for c in range(instance.m)
-                if assignment[c] is None
-                and not graph.neighbor_masks[c] & bundle_masks[agent]
-            ]
-            if feasible:
-                candidates.append((agent, feasible))
-        if not candidates:
+        picks = {
+            agent: _favourite_feasible(instance, agent, assignment, bundle_masks[agent])
+            for agent in range(instance.n)
+        }
+        ready = [agent for agent, choice in picks.items() if choice is not None]
+        if not ready:
             break
-        agent, feasible = max(candidates, key=lambda af: (values[af[0]], -af[0]))
-        choice = min(
-            feasible, key=lambda c: (-instance.valuations.chore_value(agent, c), c)
-        )
+        agent = max(ready, key=lambda a: (values[a], -a))
+        choice = picks[agent]
         assignment[choice] = agent
         bundle_masks[agent] |= 1 << choice
         values[agent] += instance.valuations.chore_value(agent, choice)
     schedule = Schedule(instance.n, tuple(assignment))
     return schedule, check_ef1(schedule, instance)
+
+
+def _favourite_feasible(
+    instance: Instance, agent: int, assignment: Sequence[Optional[int]], bundle_mask: int
+) -> Optional[int]:
+    """The agent's highest-valued unassigned chore that fits its bundle, ties
+    to the lowest id; None if no unassigned chore fits."""
+    nbr = instance.graph().neighbor_masks
+    feasible = [
+        c for c in range(instance.m) if assignment[c] is None and not nbr[c] & bundle_mask
+    ]
+    return min(
+        feasible, key=lambda c: (-instance.valuations.chore_value(agent, c), c), default=None
+    )

@@ -155,29 +155,6 @@ class _StepChecker:
         return None
 
 
-def _verify_sequence(
-    seq: ScheduleSequence, graph: ConflictGraph, require_maximal: bool, context: str
-) -> None:
-    """Bug trap: every constructed sequence must satisfy its invariants.
-
-    The steps go through a fresh _StepChecker (for builder-made sequences,
-    a second pass over what emit checked); the endpoint swap is compared in
-    full.
-    """
-    checker = _StepChecker(graph, require_maximal)
-    for t, step in enumerate(seq.steps):
-        failure = checker.failure(step)
-        if failure == "not adjacent":
-            raise InternalInvariantError(
-                f"{context}: steps {t - 1} -> {t} ({seq.tags[t]}) are not adjacent"
-            )
-        if failure is not None:
-            raise InternalInvariantError(f"{context}: step {t} ({seq.tags[t]}) is {failure}")
-    first, last = seq.steps[0], seq.steps[-1]
-    if first.bundle(RED) != last.bundle(BLUE) or first.bundle(BLUE) != last.bundle(RED):
-        raise InternalInvariantError(f"{context}: endpoints are not bundle swaps of each other")
-
-
 def _require_two_agents(instance: Instance) -> None:
     if instance.n != 2:
         raise InputError(f"this construction needs exactly two agents, got {instance.n}")
@@ -197,23 +174,16 @@ def _component_path_steps(path: list[int]) -> list[dict[int, Optional[int]]]:
     the last step is the full color swap.  A single chore degenerates to
     [ {c: R}, {c: B} ].
     """
-    m = len(path)
-    if m == 1:
-        return [{path[0]: RED}, {path[0]: BLUE}]
-    steps = []
-    steps.append({c: (RED if h % 2 == 0 else BLUE) for h, c in enumerate(path)})
-    for i in range(1, m - 1):  # 0-based position left unassigned
-        step: dict[int, Optional[int]] = {}
+
+    def step(gap: int) -> dict[int, Optional[int]]:
+        # The chore at position gap is unassigned; those before it are swapped.
+        status: dict[int, Optional[int]] = {}
         for h, c in enumerate(path):
-            if h < i:
-                step[c] = BLUE if h % 2 == 0 else RED
-            elif h == i:
-                step[c] = None
-            else:
-                step[c] = RED if h % 2 == 0 else BLUE
-        steps.append(step)
-    steps.append({c: (BLUE if h % 2 == 0 else RED) for h, c in enumerate(path)})
-    return steps
+            color = RED if h % 2 == 0 else BLUE
+            status[c] = None if h == gap else (1 - color if h < gap else color)
+        return status
+
+    return [step(gap) for gap in [-1, *range(1, len(path) - 1), len(path)]]
 
 
 def path_sequence(instance: Instance) -> ScheduleSequence:
@@ -224,36 +194,30 @@ def path_sequence(instance: Instance) -> ScheduleSequence:
     handled by running the per-component sequences one after another inside a
     single global sequence, so the swap property still holds globally.
     Non-path graphs are rejected.
+
+    It is a construction of its own, not a call to interval_sequence_ef1:
+    on a connected path the two sequences agree step for step, but on a
+    disjoint union of paths this one finishes each component's run before
+    starting the next, so its steps and trace differ there.
     """
     _require_two_agents(instance)
     graph = instance.graph()
     chores = instance.chores
-    comps = graph.components()
-    for comp in comps:
-        degs = [len(graph.neighbors(c) & set(comp)) for c in comp]
-        if any(d > 2 for d in degs) or sum(degs) != 2 * (len(comp) - 1):
-            raise InputError("conflict graph has a non-path component")
-    if graph.m == 0:
-        empty = Schedule.empty(2, 0)
-        return ScheduleSequence(steps=(empty,), tags=("initial",))
     rank = {c: pos for pos, c in enumerate(order_by_finish(chores))}
-    comps.sort(key=lambda comp: min(rank[c] for c in comp))
+    comps = sorted(graph.components(), key=lambda comp: min(rank[c] for c in comp))
     paths = [path_component_order(graph, chores, comp) for comp in comps]
     per_comp = [_component_path_steps(path) for path in paths]
 
+    builder = _SequenceBuilder(graph, "path_sequence")
     status: dict[int, Optional[int]] = {}
     for comp_steps in per_comp:
         status.update(comp_steps[0])
-    steps = [Schedule(2, tuple(status[c] for c in range(graph.m)))]
-    tags = ["initial"]
+    builder.emit(status, "initial")
     for comp_steps in per_comp:
         for local in comp_steps[1:]:
             status.update(local)
-            steps.append(Schedule(2, tuple(status[c] for c in range(graph.m))))
-            tags.append("path-shift")
-    seq = ScheduleSequence(steps=tuple(steps), tags=tuple(tags))
-    _verify_sequence(seq, graph, require_maximal=True, context="path_sequence")
-    return seq
+            builder.emit(status, "path-shift")
+    return builder.sequence()
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +347,8 @@ def _overlaps_assigned_later(
 
 
 class _SequenceBuilder:
-    """Accumulates steps, asserting feasibility/maximality/adjacency as it goes."""
+    """Accumulates steps, asserting feasibility/maximality/adjacency as it
+    goes, and that the endpoints are bundle swaps when the sequence is taken."""
 
     _MESSAGES = {
         "infeasible": "produced an infeasible schedule",
@@ -407,6 +372,10 @@ class _SequenceBuilder:
         self.tags.append(tag)
 
     def sequence(self) -> ScheduleSequence:
+        if self.steps[0] != self.steps[-1].swap_agents():
+            raise InternalInvariantError(
+                f"{self.context}: endpoints are not bundle swaps of each other"
+            )
         return ScheduleSequence(steps=tuple(self.steps), tags=tuple(self.tags))
 
 
@@ -436,12 +405,6 @@ def interval_sequence_ef2(
 
     if k == 0:
         builder.emit({c: None for c in range(graph.m)}, "initial")
-    elif k == 1:
-        only = marked[0]
-        status = base(flip_below=1)
-        builder.emit(status, "initial")
-        status[only] = BLUE
-        builder.emit(status, "shift")
     else:
         builder.emit(base(flip_below=1), "initial")
         for i in range(2, k):
@@ -459,7 +422,6 @@ def interval_sequence_ef2(
         builder.emit(base(flip_below=k + 1), "shift")
 
     seq = builder.sequence()
-    _verify_sequence(seq, graph, require_maximal=False, context="interval_sequence_ef2")
     hints = tuple(_completion_hint(step, graph, cls.rank) for step in seq.steps)
     return seq, hints
 
@@ -555,13 +517,7 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
                 status[c_prev] = status[c_i]
                 builder.emit(status, "phase2-case-ii")
             else:
-                loose = [
-                    u
-                    for u in bucket
-                    if status[u] is None
-                    and not _is_supported(u, status, cls)
-                    and not _overlaps_assigned_later(u, status, cls)
-                ]
+                loose = [u for u in unsupported if not _overlaps_assigned_later(u, status, cls)]
                 if loose:
                     # (iii a): a fully loose unsupported chore swaps roles with c_i.
                     u_prime = max(loose, key=lambda u: cls.rank[u])
@@ -624,9 +580,7 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
             status[second] = chosen
         builder.emit(status, "phase3")
 
-    seq = builder.sequence()
-    _verify_sequence(seq, graph, require_maximal=True, context="interval_sequence_ef1")
-    return seq
+    return builder.sequence()
 
 
 def _assert_phase2_postconditions(

@@ -72,8 +72,26 @@ class TestMalformedInput:
                 },
                 "label",
             ),
+            (
+                {
+                    "agents": 2,
+                    "chores": [
+                        {"id": 0, "start": 0, "finish": 1},
+                        {"id": 0, "start": 2, "finish": 3},
+                    ],
+                    "valuations": [[-1, -1], [-1, -1]],
+                },
+                "chore id 0 appears more than once",
+            ),
         ],
-        ids=["chores-not-a-list", "rows-not-lists", "bool-agents", "bool-times", "int-label"],
+        ids=[
+            "chores-not-a-list",
+            "rows-not-lists",
+            "bool-agents",
+            "bool-times",
+            "int-label",
+            "duplicate-ids",
+        ],
     )
     def test_solve_exits_two(self, tmp_path, capsys, data, message):
         path = tmp_path / "bad.json"
@@ -102,6 +120,20 @@ class TestCheck:
         assert main(["check", inst_path, str(sched_path), "--criterion", "complete"]) == 0
         assert main(["check", inst_path, str(sched_path), "--criterion", "po"]) == 0
         assert main(["check", inst_path, str(sched_path), "--criterion", "efk", "--k", "0"]) == 0
+
+    @pytest.mark.parametrize("alias, chore", [("01", 1), ("+1", 1), (" 2 ", 2), ("1_0", 10)])
+    def test_aliased_chore_key_exits_two(self, tmp_path, capsys, alias, chore):
+        # int() reads each alias as a chore id; accepted, it would fill the
+        # chore left unassigned under its real key and the check would hold.
+        inst_path = write_instance(tmp_path, [[-1] * 11] * 2)
+        assignment = {str(c): c % 2 for c in range(11)}
+        assignment[str(chore)] = None
+        assignment[alias] = chore % 2
+        sched_path = tmp_path / "s.json"
+        sched_path.write_text(json.dumps({"assignment": assignment}))
+        args = ["check", inst_path, str(sched_path), "--criterion", "complete", "--format", "json"]
+        assert main(args) == 2
+        assert f"assignment key {alias!r} is not a chore id" in capsys.readouterr().err
 
     def test_efk_without_k(self, tmp_path, capsys):
         inst_path = write_instance(tmp_path, [[-1, -1]] * 2)

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from choresched.core import (
     AdditiveValuations,
     Chore,
+    ConflictGraph,
     InputError,
     Instance,
     MonotoneValuations,
     Schedule,
+    _path_order,
     build_conflict_graph,
     is_feasible,
     order_by_finish,
@@ -251,10 +253,126 @@ class TestInstanceValidation:
         with pytest.raises(InputError):
             Instance(1, chores_from_intervals([(0, 1), (2, 3)]), AdditiveValuations([[-1]]))
 
+    def test_duplicate_id_named(self):
+        chores = (Chore(id=0, start=0, finish=1), Chore(id=0, start=2, finish=3))
+        with pytest.raises(InputError, match="chore id 0 appears more than once"):
+            Instance(1, chores, AdditiveValuations([[-1, -1]]))
+
     def test_sparse_ids_rejected(self):
         chores = (Chore(id=0, start=0, finish=1), Chore(id=2, start=2, finish=3))
         with pytest.raises(InputError):
             Instance(1, chores, AdditiveValuations([[-1, -1]]))
+
+
+def reference_components(graph, members):
+    """Reference: components of the induced subgraph by a depth-first walk
+    over neighbour sets."""
+    members = set(members)
+    seen = set()
+    comps = []
+    for root in sorted(members):
+        if root in seen:
+            continue
+        comp, stack = [], [root]
+        seen.add(root)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in graph.neighbors(v) & members:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def reference_path_order(graph, comp, key):
+    """Reference: walk the path from the endpoint with the smaller key, each
+    time to the one neighbour other than the chore just left; None if the
+    chores do not induce a simple path."""
+    comp = list(comp)
+    if len(comp) == 1:
+        return comp
+    members = set(comp)
+    ends = [c for c in comp if len(graph.neighbors(c) & members) == 1]
+    if len(ends) != 2:
+        return None
+    order = [min(ends, key=key)]
+    prev = None
+    while len(order) < len(comp):
+        nxt = [w for w in graph.neighbors(order[-1]) & members if w != prev]
+        if len(nxt) != 1:
+            return None
+        prev = order[-1]
+        order.append(nxt[0])
+    return order
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    """Any undirected graph on up to 9 vertices, a vertex subset and a
+    vertex ranking (an endpoint rule)."""
+    m = draw(st.integers(0, 9))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    within = draw(st.lists(st.integers(0, m - 1), unique=True)) if m else []
+    ranking = draw(st.permutations(range(m)))
+    return m, edges, within, list(ranking)
+
+
+def graph_from_edges(m, edges):
+    masks = [0] * m
+    for i, j in edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return ConflictGraph(m=m, neighbor_masks=tuple(masks), is_path=False)
+
+
+class TestGraphWalks:
+    @settings(max_examples=400, deadline=None)
+    @given(graphs_with_subsets())
+    @example((1, [], [0], [0]))  # singleton
+    @example((4, [(0, 1), (1, 2), (2, 3)], [0, 1, 2, 3], [3, 2, 1, 0]))  # path, reversed rule
+    @example((4, [(0, 1), (1, 2), (2, 3), (0, 2)], [0, 1, 2, 3], [0, 1, 2, 3]))  # chord
+    @example((4, [(0, 1), (0, 2), (0, 3)], [0, 1, 2, 3], [0, 1, 2, 3]))  # degree-3 vertex
+    @example((4, [(0, 1), (1, 2), (0, 2)], [0, 1, 2, 3], [0, 1, 2, 3]))  # triangle + singleton
+    @example((5, [(0, 1), (1, 2), (3, 4)], [0, 2, 4, 1, 3], [4, 3, 2, 1, 0]))  # two paths
+    def test_components_and_path_order_match_reference_walkers(self, case):
+        m, edges, within, ranking = case
+        graph = graph_from_edges(m, edges)
+        assert graph.components() == reference_components(graph, range(m))
+        comps = graph.components(within=within)
+        assert comps == reference_components(graph, within)
+        for key in (int, ranking.__getitem__):
+            for members in comps + [within]:
+                if members:
+                    expected = reference_path_order(graph, members, key)
+                    assert _path_order(graph.neighbor_masks, members, key) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 8), st.integers(1, 8)), min_size=0, max_size=10
+        )
+    )
+    def test_timeline_endpoint_rule_and_is_path_match_reference(self, raw):
+        chores = chores_from_intervals([(s, s + d) for s, d in raw])
+        graph = build_conflict_graph(chores)
+        comps = reference_components(graph, range(len(chores)))
+        assert graph.is_path == (len(comps) <= 1 and all(
+            reference_path_order(graph, comp, int) is not None for comp in comps
+        ))
+
+        def timeline(c):
+            return chores[c].start, chores[c].finish, c
+
+        for comp in comps:
+            expected = reference_path_order(graph, comp, timeline)
+            if expected is None:
+                with pytest.raises(InputError):
+                    path_component_order(graph, chores, comp)
+            else:
+                assert path_component_order(graph, chores, comp) == expected
 
 
 class TestPathComponentOrder:

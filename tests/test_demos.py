@@ -1,0 +1,14 @@
+"""Every script under demos/ runs to completion and prints its story."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(script, capsys):
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out.strip()

@@ -169,6 +169,23 @@ class TestSplitTripleBundle:
         with pytest.raises(InternalInvariantError):
             split_triple_bundle(range(6), graph, heavy, dummies)
 
+    @pytest.mark.parametrize(
+        "intervals",
+        [
+            [(0, 3), (1, 4), (2, 5)],
+            [(0, 9), (0, 1), (3, 4), (6, 7), (20, 21), (23, 24)],
+        ],
+        ids=["triangle", "star"],
+    )
+    def test_non_path_component_rejected(self, intervals):
+        # Heavy and light counts are multiples of three and no component has
+        # more than four chores, so only the path test can reject.
+        graph, heavy, dummies = self.build(intervals, heavy=[0, 1, 2])
+        from choresched.core import InternalInvariantError
+
+        with pytest.raises(InternalInvariantError, match="not a simple path"):
+            split_triple_bundle(range(len(intervals)), graph, heavy, dummies)
+
 
 class TestDichotomousPath:
     def test_eight_heavy_chores_two_each(self):

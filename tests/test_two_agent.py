@@ -26,7 +26,6 @@ from choresched.two_agent import (
     ScheduleSequence,
     _SequenceBuilder,
     _StepChecker,
-    _verify_sequence,
     adjacent,
     classify_chores,
     classify_supported,
@@ -567,6 +566,22 @@ BROKEN_SEQUENCES = [
 ]
 
 
+# What _SequenceBuilder reports for each failure kind.
+BUILDER_MESSAGES = {
+    "infeasible": "infeasible",
+    "not maximal": "non-maximal",
+    "not adjacent": "broke adjacency",
+    "endpoints": "endpoints",
+}
+
+
+def build_sequence(steps, require_maximal=True):
+    builder = _SequenceBuilder(TRAP_GRAPH, "test", require_maximal)
+    for s in steps:
+        builder.emit(dict(enumerate(s)), "test")
+    return builder.sequence()
+
+
 class TestStepTraps:
     @pytest.mark.parametrize(
         "steps, failure",
@@ -574,11 +589,10 @@ class TestStepTraps:
         ids=[c[0] for c in BROKEN_SEQUENCES],
     )
     def test_verify_sequence_raises(self, steps, failure):
-        seq = ScheduleSequence(
-            steps=tuple(Schedule(2, s) for s in steps), tags=("test",) * len(steps)
-        )
-        with pytest.raises(InternalInvariantError, match=failure):
-            _verify_sequence(seq, TRAP_GRAPH, require_maximal=True, context="test")
+        # The builder verifies every step as it is emitted and the endpoint
+        # swap when the sequence is taken.
+        with pytest.raises(InternalInvariantError, match=BUILDER_MESSAGES[failure]):
+            build_sequence(steps)
 
     @pytest.mark.parametrize(
         "steps, failure",
@@ -586,21 +600,16 @@ class TestStepTraps:
         ids=[c[0] for c in BROKEN_SEQUENCES[:-1]],
     )
     def test_builder_raises(self, steps, failure):
+        # The failing step raises from emit, before the sequence is taken.
         builder = _SequenceBuilder(TRAP_GRAPH, "test")
-        message = {
-            "infeasible": "infeasible",
-            "not maximal": "non-maximal",
-            "not adjacent": "broke adjacency",
-        }[failure]
-        with pytest.raises(InternalInvariantError, match=message):
+        with pytest.raises(InternalInvariantError, match=BUILDER_MESSAGES[failure]):
             for s in steps:
                 builder.emit(dict(enumerate(s)), "test")
 
     def test_maximality_not_required(self):
         steps = (RBRB, (RED, None, RED, BLUE), (None, None, RED, BLUE))
-        seq = ScheduleSequence(steps=tuple(Schedule(2, s) for s in steps), tags=("t",) * 3)
         with pytest.raises(InternalInvariantError, match="endpoints"):
-            _verify_sequence(seq, TRAP_GRAPH, require_maximal=False, context="test")
+            build_sequence(steps, require_maximal=False)
 
     def test_failed_step_is_not_recorded(self):
         checker = _StepChecker(TRAP_GRAPH, require_maximal=True)
