@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
@@ -278,6 +279,11 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.n_agents < 1:
             raise InputError("schedule needs at least one agent")
+        # One pass in C when every entry is None or a valid agent; the loop
+        # judges anything else (an unhashable entry too) and names the chore.
+        with suppress(TypeError):
+            if set(self.assignment) <= {None, *range(self.n_agents)}:
+                return
         for c, a in enumerate(self.assignment):
             if a is not None and not 0 <= a < self.n_agents:
                 raise InputError(f"chore {c} assigned to unknown agent {a}")

@@ -103,10 +103,23 @@ def instance_from_dict(data: Any) -> Instance:
     return Instance(n=n, chores=tuple(chores), valuations=AdditiveValuations(valuations))
 
 
-def load_instance(path: PathLike) -> Instance:
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """json object_pairs_hook: a repeated key is an error, not a silent override."""
+    data: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise InputError(f"key {key!r} appears more than once in one JSON object")
+        data[key] = value
+    return data
+
+
+def _load_json(path: PathLike) -> Any:
     with open(path) as fh:
-        data = json.load(fh)
-    return instance_from_dict(data)
+        return json.load(fh, object_pairs_hook=_unique_keys)
+
+
+def load_instance(path: PathLike) -> Instance:
+    return instance_from_dict(_load_json(path))
 
 
 def save_instance(instance: Instance, path: PathLike) -> None:
@@ -141,9 +154,7 @@ def schedule_from_dict(data: Any, instance: Instance) -> Schedule:
 
 
 def load_schedule(path: PathLike, instance: Instance) -> Schedule:
-    with open(path) as fh:
-        data = json.load(fh)
-    return schedule_from_dict(data, instance)
+    return schedule_from_dict(_load_json(path), instance)
 
 
 def save_schedule(schedule: Schedule, path: PathLike) -> None:

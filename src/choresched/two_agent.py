@@ -165,25 +165,18 @@ def _require_two_agents(instance: Instance) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _component_path_steps(path: list[int]) -> list[dict[int, Optional[int]]]:
-    """The shift sequence for one path component, as chore->color maps.
+def _color_path(status: list[Optional[int]], path: list[int], gap: int) -> None:
+    """Color one path component for one step of its shift sequence.
 
-    Step 1 colors the path alternately starting with red; step i (for
-    2 <= i <= m-1) swaps the colors of everything before position i, keeps
-    the alternation after it, and leaves the chore at position i unassigned;
-    the last step is the full color swap.  A single chore degenerates to
-    [ {c: R}, {c: B} ].
+    Step 1 (gap -1) colors the path alternately starting with red; step i
+    (gap i, for 1 <= i <= m-2) swaps the colors of everything before
+    position i, keeps the alternation after it, and leaves the chore at
+    position i unassigned; the last step (gap m) is the full color swap.  A
+    single chore degenerates to red, then blue.
     """
-
-    def step(gap: int) -> dict[int, Optional[int]]:
-        # The chore at position gap is unassigned; those before it are swapped.
-        status: dict[int, Optional[int]] = {}
-        for h, c in enumerate(path):
-            color = RED if h % 2 == 0 else BLUE
-            status[c] = None if h == gap else (1 - color if h < gap else color)
-        return status
-
-    return [step(gap) for gap in [-1, *range(1, len(path) - 1), len(path)]]
+    for h, c in enumerate(path):
+        color = RED if h % 2 == 0 else BLUE
+        status[c] = None if h == gap else (1 - color if h < gap else color)
 
 
 def path_sequence(instance: Instance) -> ScheduleSequence:
@@ -206,16 +199,15 @@ def path_sequence(instance: Instance) -> ScheduleSequence:
     rank = {c: pos for pos, c in enumerate(order_by_finish(chores))}
     comps = sorted(graph.components(), key=lambda comp: min(rank[c] for c in comp))
     paths = [path_component_order(graph, chores, comp) for comp in comps]
-    per_comp = [_component_path_steps(path) for path in paths]
 
     builder = _SequenceBuilder(graph, "path_sequence")
-    status: dict[int, Optional[int]] = {}
-    for comp_steps in per_comp:
-        status.update(comp_steps[0])
+    status: list[Optional[int]] = [None] * graph.m
+    for path in paths:
+        _color_path(status, path, -1)
     builder.emit(status, "initial")
-    for comp_steps in per_comp:
-        for local in comp_steps[1:]:
-            status.update(local)
+    for path in paths:
+        for gap in [*range(1, len(path) - 1), len(path)]:
+            _color_path(status, path, gap)
             builder.emit(status, "path-shift")
     return builder.sequence()
 
@@ -234,7 +226,9 @@ class ChoreClassification:
     unmarked iff it overlaps two or more earlier-finishing marked chores;
     bucket i collects the unmarked chores whose finish falls between marked
     chores number i and i+1 (1-based).  Marked chores alternate red/blue in
-    the source coloring; the target coloring is the swap.
+    the source coloring; the target coloring is the swap.  earlier[c] and
+    later[c] split chore c's neighbour mask into the chores before and after
+    it in that finish order.
     """
 
     order: tuple[int, ...]
@@ -245,6 +239,8 @@ class ChoreClassification:
     buckets: dict[int, tuple[int, ...]]
     source_color: dict[int, int]
     graph: ConflictGraph
+    earlier: tuple[int, ...]
+    later: tuple[int, ...]
 
     def target_color(self, chore: int) -> Optional[int]:
         """The chore's color in the swapped endpoint (None for unmarked chores)."""
@@ -259,38 +255,62 @@ def classify_chores(
     if graph is None:
         graph = build_conflict_graph(chores)
     order = order_by_finish(chores)
-    rank = {c: pos for pos, c in enumerate(order)}
+    nbr = graph.neighbor_masks
+    earlier = [0] * graph.m
+    later = [0] * graph.m
+    seen = 0
     marked: list[int] = []
     marked_mask = 0
-    unmarked: set[int] = set()
     bucket_of: dict[int, int] = {}
+    buckets: dict[int, list[int]] = {}
     for c in order:
-        if (graph.neighbor_masks[c] & marked_mask).bit_count() >= 2:
-            unmarked.add(c)
+        earlier[c] = nbr[c] & seen
+        later[c] = nbr[c] ^ earlier[c]
+        seen |= 1 << c
+        if (earlier[c] & marked_mask).bit_count() >= 2:
             bucket_of[c] = len(marked)
+            buckets.setdefault(len(marked), []).append(c)
         else:
             marked.append(c)
             marked_mask |= 1 << c
-    buckets: dict[int, list[int]] = {}
-    for c in order:
-        if c in bucket_of:
-            buckets.setdefault(bucket_of[c], []).append(c)
     source = {c: (RED if h % 2 == 0 else BLUE) for h, c in enumerate(marked)}
     return ChoreClassification(
         order=order,
-        rank=rank,
+        rank={c: pos for pos, c in enumerate(order)},
         marked=tuple(marked),
-        unmarked=frozenset(unmarked),
+        unmarked=frozenset(bucket_of),
         bucket_of=bucket_of,
         buckets={i: tuple(v) for i, v in buckets.items()},
         source_color=source,
         graph=graph,
+        earlier=tuple(earlier),
+        later=tuple(later),
     )
 
 
-def _is_supported(
-    chore: int, status: dict[int, Optional[int]], cls: ChoreClassification
-) -> bool:
+class _Coloring(list[Optional[int]]):
+    """Chore colors (RED, BLUE or None) by chore id, with one bitmask per color.
+
+    Each single-item write updates masks, so masks[RED] and masks[BLUE] are
+    always the two bundles."""
+
+    def __init__(self, colors: Sequence[Optional[int]]):
+        super().__init__(colors)
+        self.masks = [sum(1 << c for c, a in enumerate(colors) if a == agent) for agent in (RED, BLUE)]
+
+    def __setitem__(self, chore: int, color: Optional[int]) -> None:
+        old = self[chore]
+        if old is not None:
+            self.masks[old] &= ~(1 << chore)
+        if color is not None:
+            self.masks[color] |= 1 << chore
+        super().__setitem__(chore, color)
+
+    def assigned(self) -> int:
+        return self.masks[RED] | self.masks[BLUE]
+
+
+def _is_supported(chore: int, status: _Coloring, cls: ChoreClassification) -> bool:
     """Supported-ness of an unassigned chore under the current schedule.
 
     Condition 1: three or more assigned overlaps with earlier finish.
@@ -300,50 +320,27 @@ def _is_supported(
     outside every bucket.)
     Condition 3: two or more assigned overlaps with later finish.
     """
-    rank = cls.rank
-    earlier = later = 0
-    later_by_color = [0, 0]
-    for x in cls.graph.neighbors(chore):
-        color = status[x]
-        if color is None:
-            continue
-        if rank[x] < rank[chore]:
-            earlier += 1
-        else:
-            later += 1
-            later_by_color[color] += 1
-    if earlier >= 3:
-        return True
-    if later >= 2:
+    assigned = status.assigned()
+    later = cls.later[chore]
+    if (cls.earlier[chore] & assigned).bit_count() >= 3 or (later & assigned).bit_count() >= 2:
         return True
     i = cls.bucket_of.get(chore)
-    if i is not None:
-        anchor = cls.marked[i - 1]
-        anchor_color = status[anchor]
-        if anchor_color is not None and later_by_color[1 - anchor_color] > 0:
-            return True
-    return False
+    if i is None:
+        return False
+    anchor_color = status[cls.marked[i - 1]]
+    return anchor_color is not None and bool(later & status.masks[1 - anchor_color])
 
 
 def classify_supported(
     schedule: Schedule, classification: ChoreClassification
 ) -> dict[int, bool]:
     """Supported flags for every unassigned chore of the schedule."""
-    status = {c: schedule.assignment[c] for c in range(schedule.m)}
+    status = _Coloring(schedule.assignment)
     return {
         c: _is_supported(c, status, classification)
-        for c in range(schedule.m)
-        if status[c] is None
+        for c, color in enumerate(status)
+        if color is None
     }
-
-
-def _overlaps_assigned_later(
-    chore: int, status: dict[int, Optional[int]], cls: ChoreClassification
-) -> bool:
-    return any(
-        status[x] is not None and cls.rank[x] > cls.rank[chore]
-        for x in cls.graph.neighbors(chore)
-    )
 
 
 class _SequenceBuilder:
@@ -363,8 +360,8 @@ class _SequenceBuilder:
         self.steps: list[Schedule] = []
         self.tags: list[str] = []
 
-    def emit(self, status: dict[int, Optional[int]], tag: str) -> None:
-        step = Schedule(2, tuple(map(status.__getitem__, range(self.graph.m))))
+    def emit(self, status: Sequence[Optional[int]], tag: str) -> None:
+        step = Schedule(2, tuple(status))
         failure = self.checker.failure(step)
         if failure is not None:
             raise InternalInvariantError(f"{self.context}: {tag} {self._MESSAGES[failure]}")
@@ -396,29 +393,27 @@ def interval_sequence_ef2(
     k = len(marked)
     builder = _SequenceBuilder(graph, "interval_sequence_ef2", require_maximal=False)
 
-    def base(flip_below: int) -> dict[int, Optional[int]]:
-        status: dict[int, Optional[int]] = {c: None for c in range(graph.m)}
+    def base(flip_below: int) -> list[Optional[int]]:
+        status: list[Optional[int]] = [None] * graph.m
         for h, c in enumerate(marked, start=1):
             src = cls.source_color[c]
             status[c] = (1 - src) if h < flip_below else src
         return status
 
-    if k == 0:
-        builder.emit({c: None for c in range(graph.m)}, "initial")
-    else:
-        builder.emit(base(flip_below=1), "initial")
-        for i in range(2, k):
-            status = base(flip_below=i)
-            c_i, c_prev, c_next = marked[i - 1], marked[i - 2], marked[i]
-            hits_prev = graph.has_edge(c_i, c_prev)
-            hits_next = graph.has_edge(c_i, c_next)
-            if hits_prev and hits_next:
-                status[c_i] = None
-            elif hits_next:
-                status[c_i] = status[c_prev]
-            else:
-                status[c_i] = status[c_next]
-            builder.emit(status, "shift")
+    builder.emit(base(flip_below=1), "initial")
+    for i in range(2, k):
+        status = base(flip_below=i)
+        c_i, c_prev, c_next = marked[i - 1], marked[i - 2], marked[i]
+        hits_prev = graph.has_edge(c_i, c_prev)
+        hits_next = graph.has_edge(c_i, c_next)
+        if hits_prev and hits_next:
+            status[c_i] = None
+        elif hits_next:
+            status[c_i] = status[c_prev]
+        else:
+            status[c_i] = status[c_next]
+        builder.emit(status, "shift")
+    if k:
         builder.emit(base(flip_below=k + 1), "shift")
 
     seq = builder.sequence()
@@ -474,9 +469,8 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
     marked = cls.marked
     builder = _SequenceBuilder(graph, "interval_sequence_ef1")
 
-    status: dict[int, Optional[int]] = {c: None for c in range(graph.m)}
-    for c in marked:
-        status[c] = cls.source_color[c]
+    nbr = graph.neighbor_masks
+    status = _Coloring([cls.source_color.get(c) for c in range(graph.m)])
     builder.emit(status, "initial")
     if not marked:
         return builder.sequence()
@@ -484,8 +478,6 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
     # Phase 2: support every unassigned chore, bucket by bucket, right to left.
     for i in range(len(marked), 1, -1):
         bucket = cls.buckets.get(i, ())
-        if not bucket:
-            continue
         rounds = 0
         while True:
             unsupported = [
@@ -517,7 +509,7 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
                 status[c_prev] = status[c_i]
                 builder.emit(status, "phase2-case-ii")
             else:
-                loose = [u for u in unsupported if not _overlaps_assigned_later(u, status, cls)]
+                loose = [u for u in unsupported if not cls.later[u] & status.assigned()]
                 if loose:
                     # (iii a): a fully loose unsupported chore swaps roles with c_i.
                     u_prime = max(loose, key=lambda u: cls.rank[u])
@@ -530,18 +522,13 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
                     builder.emit(status, "phase2-case-iiib")
                     # Chores blocked solely by the same-color triple that (iii b)
                     # just created would come loose mid-way through phase 3.
-                    anchors = {c_prev2, c_prev, c_i}
+                    anchors = 1 << c_prev2 | 1 << c_prev | 1 << c_i
                     stranded = [
                         u
                         for u in bucket
                         if status[u] is None
+                        and nbr[u] & status.assigned() == anchors
                         and _is_supported(u, status, cls)
-                        and {
-                            x
-                            for x in graph.neighbors(u)
-                            if status[x] is not None
-                        }
-                        == anchors
                     ]
                     if stranded:
                         # (iii c): break the same-color triple those chores see.
@@ -550,90 +537,87 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
                         status[c_prev2] = None
                         builder.emit(status, "phase2-case-iiic")
 
-    target = {c: cls.target_color(c) for c in range(graph.m)}
-    _assert_phase2_postconditions(status, target, cls)
+    target = [cls.target_color(c) for c in range(graph.m)]
+    untargeted = [c for c in cls.order if status[c] != target[c]]
+    _assert_phase2_postconditions(status, untargeted, cls)
 
-    # Phase 3: march every untargeted chore to its target, left to right.
+    # Phase 3: march every untargeted chore to its target, left to right.  Rounds
+    # write only the first two untargeted chores, which leave the list on target.
     rounds = 0
-    while True:
-        untargeted = [c for c in cls.order if status[c] != target[c]]
-        if not untargeted:
-            break
+    head = 0
+    while head < len(untargeted):
         rounds += 1
         if rounds > graph.m + 1:
             raise InternalInvariantError("interval_sequence_ef1: phase 3 did not terminate")
-        first = untargeted[0]
+        first = untargeted[head]
+        head += 1
         status[first] = target[first]
-        if len(untargeted) > 1:
-            second = untargeted[1]
-            prefs: list[Optional[int]] = []
-            for option in (target[second], status[second], RED, BLUE):
-                if option is not None and option not in prefs:
-                    prefs.append(option)
-            chosen: Optional[int] = None
-            for option in prefs:
-                if not any(
-                    status[x] == option for x in graph.neighbors(second)
-                ):
-                    chosen = option
-                    break
-            status[second] = chosen
+        if head < len(untargeted):
+            # second takes the first of these colors no neighbour holds, or none.
+            second = untargeted[head]
+            options = (target[second], status[second], RED, BLUE)
+            status[second] = next(
+                (o for o in options if o is not None and not nbr[second] & status.masks[o]),
+                None,
+            )
+            if status[second] == target[second]:
+                head += 1
         builder.emit(status, "phase3")
 
     return builder.sequence()
 
 
 def _assert_phase2_postconditions(
-    status: dict[int, Optional[int]],
-    target: dict[int, Optional[int]],
-    cls: ChoreClassification,
+    status: _Coloring, untargeted: list[int], cls: ChoreClassification
 ) -> None:
     """Bug trap for the guarantees phase 3 relies on.
 
     After phase 2, (a) every unassigned chore is supported, and (b) an
     untargeted assigned chore may overlap, among later-finishing chores
-    currently holding its target color, only the immediately next untargeted
-    chore.
+    currently holding its target color, only the next chore of untargeted
+    (the chores off target, in finish order).
     """
-    for c, color in status.items():
+    for c, color in enumerate(status):
         if color is None and not _is_supported(c, status, cls):
             raise InternalInvariantError(
                 f"phase 2 ended with unsupported unassigned chore {c}"
             )
-    untargeted = [c for c in cls.order if status[c] != target[c]]
-    next_untargeted: dict[int, Optional[int]] = {}
-    for pos, c in enumerate(untargeted):
-        next_untargeted[c] = untargeted[pos + 1] if pos + 1 < len(untargeted) else None
-    for c in untargeted:
-        if status[c] is None or target[c] is None:
+    following = [*(1 << u for u in untargeted[1:]), 0]
+    for c, next_bit in zip(untargeted, following):
+        target = cls.target_color(c)
+        if status[c] is None or target is None:
             continue
-        for x in cls.graph.neighbors(c):
-            if cls.rank[x] > cls.rank[c] and status[x] == target[c]:
-                if x != next_untargeted[c]:
-                    raise InternalInvariantError(
-                        f"phase 2 left chore {c} overlapping {x} of its target color"
-                    )
+        clash = cls.later[c] & status.masks[target] & ~next_bit
+        if clash:
+            x = (clash & -clash).bit_length() - 1
+            raise InternalInvariantError(
+                f"phase 2 left chore {c} overlapping {x} of its target color"
+            )
 
 
 def select_ef1(sequence: ScheduleSequence, instance: Instance) -> Schedule:
     """Pick an EF1+maximal schedule out of a swap-ended adjacent sequence.
 
-    Scans for a consecutive pair where agent 0's envy flips and tests the
-    four candidates (the two steps and their bundle swaps); the first one
-    passing EF1 wins.  If agent 0 never envies, it is exactly indifferent at
-    the endpoints and whichever endpoint agent 1 does not envy is envy-free.
+    Scans up to the first consecutive pair where agent 0's envy flips and
+    tests the four candidates (the two steps and their bundle swaps); the
+    first one passing EF1 wins.  If agent 0 never envies, it is exactly
+    indifferent at the endpoints and whichever endpoint agent 1 does not envy
+    is envy-free.
     """
     _require_two_agents(instance)
     graph = instance.graph()
     steps = sequence.steps
-    envy0 = [
-        instance.value(0, s.bundle(0)) < instance.value(0, s.bundle(1)) for s in steps
-    ]
-    flip = next((t for t in range(len(steps) - 1) if envy0[t] != envy0[t + 1]), None)
+
+    def envies(step: Schedule) -> bool:
+        own, other = step.bundles()
+        return instance.value(0, own) < instance.value(0, other)
+
+    initial = envies(steps[0])
+    flip = next((t for t in range(1, len(steps)) if envies(steps[t]) != initial), None)
     if flip is not None:
-        x, y = steps[flip], steps[flip + 1]
+        x, y = steps[flip - 1], steps[flip]
         candidates = [x, y, x.swap_agents(), y.swap_agents()]
-    elif any(envy0):
+    elif initial:
         raise InternalInvariantError(
             "agent 0 envies in every step of a bundle-swapped sequence"
         )
@@ -655,5 +639,4 @@ def solve_two_agents(instance: Instance) -> Schedule:
     valuation-free and only the selection step queries values (polynomially
     many times).
     """
-    _require_two_agents(instance)
     return select_ef1(interval_sequence_ef1(instance), instance)

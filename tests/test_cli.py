@@ -99,6 +99,22 @@ class TestMalformedInput:
         assert main(["solve", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_repeated_instance_key_exits_two(self, tmp_path, capsys):
+        # Read as its last value, the key would make a valid two-agent instance.
+        path = tmp_path / "bad.json"
+        path.write_text('{"agents": 3, "agents": 2, "path": 2, "valuations": [[-1, -1], [-1, -1]]}')
+        assert main(["solve", str(path)]) == 2
+        assert "key 'agents' appears more than once" in capsys.readouterr().err
+
+    def test_repeated_schedule_key_exits_two(self, tmp_path, capsys):
+        # Read as its last value, chore 1 would be assigned and the check hold.
+        inst_path = write_instance(tmp_path, [[-1] * 3] * 2)
+        sched_path = tmp_path / "s.json"
+        sched_path.write_text('{"assignment": {"0": 0, "1": null, "2": 0, "1": 1}}')
+        args = ["check", inst_path, str(sched_path), "--criterion", "complete", "--format", "json"]
+        assert main(args) == 2
+        assert "key '1' appears more than once" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_failing_schedule_exit_one(self, tmp_path, capsys):

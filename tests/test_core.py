@@ -187,6 +187,11 @@ class TestSchedule:
         with pytest.raises(InputError):
             Schedule(2, (0, 5))
 
+    @pytest.mark.parametrize("agent", [-1, 3])
+    def test_first_unknown_agent_named(self, agent):
+        with pytest.raises(InputError, match=f"^chore 2 assigned to unknown agent {agent}$"):
+            Schedule(3, (0, None, agent, 2, agent))
+
     def test_duplicate_chore_rejected(self):
         with pytest.raises(InputError):
             Schedule.from_bundles(2, 3, [{0, 1}, {1}])

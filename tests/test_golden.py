@@ -1,0 +1,94 @@
+"""Golden output: one digest of the two-agent CLI's stdout on a fixed corpus.
+
+Any change to what `solve` or `sequence` prints for two agents (a different
+schedule, step, tag, trace letter or JSON layout) changes the digest.  A
+refactor that keeps the output byte-identical leaves it alone.  If the output
+is meant to change, the change must say so and record the new digest.
+"""
+
+import hashlib
+import random
+
+from choresched.cli import main
+from choresched.core import AdditiveValuations, Chore, Instance
+from choresched.generate import random_interval_instance
+from choresched.io import save_instance
+
+GOLDEN_SHA256 = "1c318f6e517c9e48111d17d4effab97df1a83e4bce5d216bf147bddbfeafc94e"
+
+
+def disjoint_paths_instance(rng: random.Random, m: int) -> Instance:
+    """Path components of random lengths, apart on the timeline, ids shuffled."""
+    spans = []
+    base = 0
+    while len(spans) < m:
+        length = min(rng.randint(1, 8), m - len(spans))
+        spans += [(base + j, base + j + 2) for j in range(length)]
+        base += length + 3
+    rng.shuffle(spans)
+    chores = tuple(Chore(id=i, start=s, finish=f) for i, (s, f) in enumerate(spans))
+    table = [[rng.randint(-10, 0) for _ in range(m)] for _ in range(2)]
+    return Instance(2, chores, AdditiveValuations(table))
+
+
+# The phase-2 cases (iii b) and (iii c) are rare in random instances; these
+# two drive them (see TestRarePhase2Cases in test_two_agent.py).
+RARE_CASE_INTERVALS = [
+    [(1, 5), (5, 9), (0, 1), (0, 2), (4, 9), (2, 4)],
+    [(4, 7), (5, 6), (1, 4), (7, 9), (2, 6), (6, 10), (1, 5)],
+]
+PHASE_TAGS = {
+    "initial",
+    "phase2-case-i",
+    "phase2-case-ii",
+    "phase2-case-iiia",
+    "phase2-case-iiib",
+    "phase2-case-iiic",
+    "phase3",
+    "path-shift",
+}
+
+
+def golden_corpus() -> list[tuple[Instance, tuple[str, ...]]]:
+    """(instance, algorithms) pairs; path runs only where the graph allows them."""
+    rng = random.Random(5150)
+    corpus = []
+    for intervals in RARE_CASE_INTERVALS:
+        chores = tuple(Chore(id=i, start=s, finish=f) for i, (s, f) in enumerate(intervals))
+        table = [[rng.randint(-10, 0) for _ in chores] for _ in range(2)]
+        corpus.append((Instance(2, chores, AdditiveValuations(table)), ("two-agent-interval",)))
+    for _ in range(60):
+        inst = random_interval_instance(rng, 2, rng.randint(1, 40))
+        corpus.append((inst, ("two-agent-interval",)))
+    for _ in range(30):
+        # Long chores in a short window: nested, unmarked-rich shapes.
+        m = rng.randint(1, 40)
+        inst = random_interval_instance(rng, 2, m, max_len=8, window=m)
+        corpus.append((inst, ("two-agent-interval",)))
+    for _ in range(30):
+        inst = disjoint_paths_instance(rng, rng.randint(1, 40))
+        corpus.append((inst, ("two-agent-interval", "two-agent-path")))
+    return corpus
+
+
+def test_two_agent_cli_output_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    tags = set()
+    for index, (inst, algorithms) in enumerate(golden_corpus()):
+        path = tmp_path / f"instance{index}.json"
+        save_instance(inst, path)
+        for algo in algorithms:
+            for argv in (
+                ["solve", str(path), "--algo", algo, "--format", "json"],
+                ["sequence", str(path), "--algo", algo, "--format", "json"],
+                ["sequence", str(path), "--algo", algo],
+            ):
+                code = main(argv)
+                label = " ".join([argv[0], *argv[2:]])
+                digest.update(f"{index} {label} exit {code}\n".encode())
+                out = capsys.readouterr().out
+                digest.update(out.encode())
+                if argv[-1] == algo:
+                    tags.update(line.split(" ")[1] for line in out.splitlines())
+    assert tags == PHASE_TAGS
+    assert digest.hexdigest() == GOLDEN_SHA256

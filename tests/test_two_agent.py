@@ -19,6 +19,7 @@ from choresched.core import (
     path_instance,
 )
 from choresched.generate import random_interval_instance, random_path_instance
+from conftest import random_feasible_schedule
 from choresched.oracle import enumerate_maximal
 from choresched.two_agent import (
     BLUE,
@@ -176,6 +177,65 @@ class TestClassification:
         assert seq.tags[1] == "phase2-case-i"
         assert seq.steps[1].assignment == (None, 1, 0)
         assert classify_supported(seq.steps[1], cls) == {0: True}
+
+
+def reference_support(chore, assignment, cls):
+    """The neighbour walk that classify_supported replaced, kept as its reference.
+
+    Returns which condition supports the chore (1, 2 or 3), or 0 for none.
+    """
+    earlier = later = 0
+    later_by_color = [0, 0]
+    for x in cls.graph.neighbors(chore):
+        color = assignment[x]
+        if color is None:
+            continue
+        if cls.rank[x] < cls.rank[chore]:
+            earlier += 1
+        else:
+            later += 1
+            later_by_color[color] += 1
+    if earlier >= 3:
+        return 1
+    if later >= 2:
+        return 3
+    i = cls.bucket_of.get(chore)
+    if i is not None:
+        anchor_color = assignment[cls.marked[i - 1]]
+        if anchor_color is not None and later_by_color[1 - anchor_color] > 0:
+            return 2
+    return 0
+
+
+def test_classify_supported_matches_the_neighbour_walk():
+    rng = random.Random(89)
+    conditions = Counter()
+    for k in range(2400):
+        m = rng.randint(1, 30)
+        if k % 3 == 0:
+            inst = random_interval_instance(rng, 2, m)
+        elif k % 3 == 1:  # nested
+            inst = random_interval_instance(rng, 2, m, max_len=8, window=m)
+        else:  # unmarked-rich: long chores packed into a short window
+            inst = random_interval_instance(rng, 2, m, max_len=2 * m, window=max(1, m // 2))
+        graph = inst.graph()
+        cls = classify_chores(inst.chores, graph)
+        for c in range(m):
+            earlier = {x for x in graph.neighbors(c) if cls.rank[x] < cls.rank[c]}
+            assert cls.earlier[c] == sum(1 << x for x in earlier)
+            assert cls.later[c] == sum(1 << x for x in graph.neighbors(c) - earlier)
+        schedules = [random_feasible_schedule(rng, inst) for _ in range(3)]
+        schedules += interval_sequence_ef1(inst).steps
+        for schedule in schedules:
+            expected = {
+                c: reference_support(c, schedule.assignment, cls)
+                for c in range(m)
+                if schedule.assignment[c] is None
+            }
+            conditions.update(expected.values())
+            assert classify_supported(schedule, cls) == {c: v > 0 for c, v in expected.items()}
+    # Each condition decides some chore, and some chores are unsupported.
+    assert set(conditions) == {0, 1, 2, 3}
 
 
 class TestIntervalSequenceEf2:
@@ -578,7 +638,7 @@ BUILDER_MESSAGES = {
 def build_sequence(steps, require_maximal=True):
     builder = _SequenceBuilder(TRAP_GRAPH, "test", require_maximal)
     for s in steps:
-        builder.emit(dict(enumerate(s)), "test")
+        builder.emit(list(s), "test")
     return builder.sequence()
 
 
@@ -604,7 +664,7 @@ class TestStepTraps:
         builder = _SequenceBuilder(TRAP_GRAPH, "test")
         with pytest.raises(InternalInvariantError, match=BUILDER_MESSAGES[failure]):
             for s in steps:
-                builder.emit(dict(enumerate(s)), "test")
+                builder.emit(list(s), "test")
 
     def test_maximality_not_required(self):
         steps = (RBRB, (RED, None, RED, BLUE), (None, None, RED, BLUE))
