@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
@@ -43,6 +42,11 @@ class Chore:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for name in ("id", "start", "finish"):
+            if type(getattr(self, name)) is not int:
+                raise InputError(f"chore {self.id}: {name} must be an integer")
+        if self.label is not None and not isinstance(self.label, str):
+            raise InputError(f"chore {self.id}: label must be a string or None")
         if self.start < 0:
             raise InputError(f"chore {self.id}: start must be non-negative")
         if self.finish <= self.start:
@@ -279,13 +283,14 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.n_agents < 1:
             raise InputError("schedule needs at least one agent")
-        # One pass in C when every entry is None or a valid agent; the loop
-        # judges anything else (an unhashable entry too) and names the chore.
-        with suppress(TypeError):
-            if set(self.assignment) <= {None, *range(self.n_agents)}:
-                return
+        # Two passes in C when every entry is None or a valid agent; the loop
+        # judges anything else and names the chore.  The type pass comes
+        # first: True and 1.0 hash like 1, and an unhashable entry fails it.
+        agents = {None, *range(self.n_agents)}
+        if set(map(type, self.assignment)) <= {int, type(None)} and set(self.assignment) <= agents:
+            return
         for c, a in enumerate(self.assignment):
-            if a is not None and not 0 <= a < self.n_agents:
+            if a is not None and not (type(a) is int and 0 <= a < self.n_agents):
                 raise InputError(f"chore {c} assigned to unknown agent {a}")
 
     @classmethod

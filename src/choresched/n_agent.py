@@ -603,8 +603,7 @@ def bounded_components_solution(
     burdens = [0] * n
     intermediates = [Schedule.empty(n, instance.m)]
     for comp in comps:
-        partial = Schedule(n, tuple(assignment))
-        graph_now = envy_graph(partial, instance)
+        graph_now = envy_graph(intermediates[-1], instance)
         if not graph_now.is_acyclic():
             raise InternalInvariantError("envy graph grew a cycle under identical valuations")
         # Reverse topological order: envy edges point from lower to higher
@@ -627,7 +626,7 @@ def bounded_components_solution(
                 f"component left chores {sorted(remaining)} unassigned despite fitting agents"
             )
         intermediates.append(Schedule(n, tuple(assignment)))
-    schedule = Schedule(n, tuple(assignment))
+    schedule = intermediates[-1]
     if not is_complete(schedule) or not is_feasible(schedule, graph):
         raise InternalInvariantError("component round robin lost completeness or feasibility")
     if not check_ef1(schedule, instance).holds:

@@ -15,9 +15,7 @@ trace output; N marks an unassigned chore.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import ne
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .checkers import check_ef1, is_maximal
 from .core import (
@@ -74,87 +72,6 @@ def adjacent(x: Schedule, y: Schedule) -> bool:
     return True
 
 
-class _StepChecker:
-    """Bug trap for a two-agent schedule sequence, fed one step at a time.
-
-    The first step is checked in full with is_feasible and is_maximal.  Each
-    later step is checked only through its delta, the chores whose agent
-    differs from the step before, which has already passed:
-
-    - feasible: every changed chore that is assigned is free of overlaps in
-      its new bundle.  Two overlapping chores in one bundle that both kept
-      their agent would have made the previous step infeasible.
-    - maximal (when required): every unassigned chore in the closed
-      neighbourhood of the delta is blocked in both bundles.  Any other
-      unassigned chore was unassigned before and none of its neighbours
-      changed, so the previous, maximal step already blocked it in both.
-    - adjacent: each bundle gains at most one changed chore and loses at most
-      one, which is the adjacent() test itself restricted to the chores
-      where the two steps can differ.
-
-    So a step fails here exactly when the full check of it (and of the pair
-    it forms with the previous step) fails.  A failed step is not recorded;
-    the next step is still checked against the last step that passed.
-    """
-
-    def __init__(self, graph: ConflictGraph, require_maximal: bool):
-        self.graph = graph
-        self.require_maximal = require_maximal
-        self.previous: Optional[Schedule] = None
-        self.masks = (0, 0)
-
-    def failure(self, step: Schedule) -> Optional[str]:
-        """None if the step passes (it then becomes the previous step), else
-        which check it fails: "infeasible", "not maximal" or "not adjacent"."""
-        graph = self.graph
-        if self.previous is None:
-            if not is_feasible(step, graph):
-                return "infeasible"
-            if self.require_maximal and not is_maximal(step, graph):
-                return "not maximal"
-            self.previous = step
-            self.masks = (step.bundle_mask(RED), step.bundle_mask(BLUE))
-            return None
-        if step.m != graph.m:
-            raise InputError(f"schedule covers {step.m} chores, graph has {graph.m}")
-        if step.n_agents != 2 or self.previous.n_agents != 2:
-            raise InputError("adjacency is defined for two-agent schedules")
-        nbr = graph.neighbor_masks
-        old = self.previous.assignment
-        new = step.assignment
-        changed = list(compress(range(graph.m), map(ne, old, new)))
-        masks = list(self.masks)
-        added = [0, 0]
-        removed = [0, 0]
-        for c in changed:
-            if old[c] is not None:
-                masks[old[c]] &= ~(1 << c)
-                removed[old[c]] += 1
-            if new[c] is not None:
-                masks[new[c]] |= 1 << c
-                added[new[c]] += 1
-        for c in changed:
-            if new[c] is not None and nbr[c] & masks[new[c]]:
-                return "infeasible"
-        if self.require_maximal:
-            red, blue = masks
-            region = 0
-            for c in changed:
-                region |= nbr[c] | 1 << c
-            region &= ~(red | blue)
-            while region:
-                low = region & -region
-                u = low.bit_length() - 1
-                if not (nbr[u] & red and nbr[u] & blue):
-                    return "not maximal"
-                region ^= low
-        if max(added) > 1 or max(removed) > 1:
-            return "not adjacent"
-        self.previous = step
-        self.masks = (masks[RED], masks[BLUE])
-        return None
-
-
 def _require_two_agents(instance: Instance) -> None:
     if instance.n != 2:
         raise InputError(f"this construction needs exactly two agents, got {instance.n}")
@@ -165,20 +82,6 @@ def _require_two_agents(instance: Instance) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _color_path(status: list[Optional[int]], path: list[int], gap: int) -> None:
-    """Color one path component for one step of its shift sequence.
-
-    Step 1 (gap -1) colors the path alternately starting with red; step i
-    (gap i, for 1 <= i <= m-2) swaps the colors of everything before
-    position i, keeps the alternation after it, and leaves the chore at
-    position i unassigned; the last step (gap m) is the full color swap.  A
-    single chore degenerates to red, then blue.
-    """
-    for h, c in enumerate(path):
-        color = RED if h % 2 == 0 else BLUE
-        status[c] = None if h == gap else (1 - color if h < gap else color)
-
-
 def path_sequence(instance: Instance) -> ScheduleSequence:
     """The maximal-schedule sequence for a path-shaped conflict graph.
 
@@ -187,6 +90,10 @@ def path_sequence(instance: Instance) -> ScheduleSequence:
     handled by running the per-component sequences one after another inside a
     single global sequence, so the swap property still holds globally.
     Non-path graphs are rejected.
+
+    Each path starts colored alternately, red first.  Step i (1 <= i <= len-2)
+    swaps the chore at position i-1 and leaves position i unassigned; the last
+    step swaps the final two.  A single chore degenerates to red, then blue.
 
     It is a construction of its own, not a call to interval_sequence_ef1:
     on a connected path the two sequences agree step for step, but on a
@@ -200,15 +107,19 @@ def path_sequence(instance: Instance) -> ScheduleSequence:
     comps = sorted(graph.components(), key=lambda comp: min(rank[c] for c in comp))
     paths = [path_component_order(graph, chores, comp) for comp in comps]
 
-    builder = _SequenceBuilder(graph, "path_sequence")
-    status: list[Optional[int]] = [None] * graph.m
+    status = _Coloring([None] * graph.m)
     for path in paths:
-        _color_path(status, path, -1)
-    builder.emit(status, "initial")
+        for h, c in enumerate(path):
+            status[c] = h % 2
+    builder = _SequenceBuilder(graph, "path_sequence", status)
     for path in paths:
-        for gap in [*range(1, len(path) - 1), len(path)]:
-            _color_path(status, path, gap)
-            builder.emit(status, "path-shift")
+        for i in range(1, len(path) - 1):
+            status[path[i - 1]] = i % 2
+            status[path[i]] = None
+            builder.emit("path-shift")
+        for h in range(len(path))[-2:]:
+            status[path[h]] = 1 - h % 2
+        builder.emit("path-shift")
     return builder.sequence()
 
 
@@ -291,20 +202,25 @@ def classify_chores(
 class _Coloring(list[Optional[int]]):
     """Chore colors (RED, BLUE or None) by chore id, with one bitmask per color.
 
-    Each single-item write updates masks, so masks[RED] and masks[BLUE] are
-    always the two bundles."""
+    Each single-item write that changes a chore's color updates masks, so
+    masks[RED] and masks[BLUE] are always the two bundles, and appends the
+    chore to log, which _SequenceBuilder.emit takes as the step's delta."""
 
     def __init__(self, colors: Sequence[Optional[int]]):
         super().__init__(colors)
         self.masks = [sum(1 << c for c, a in enumerate(colors) if a == agent) for agent in (RED, BLUE)]
+        self.log: list[int] = []
 
     def __setitem__(self, chore: int, color: Optional[int]) -> None:
         old = self[chore]
+        if old == color:
+            return
         if old is not None:
             self.masks[old] &= ~(1 << chore)
         if color is not None:
             self.masks[color] |= 1 << chore
         super().__setitem__(chore, color)
+        self.log.append(chore)
 
     def assigned(self) -> int:
         return self.masks[RED] | self.masks[BLUE]
@@ -344,35 +260,95 @@ def classify_supported(
 
 
 class _SequenceBuilder:
-    """Accumulates steps, asserting feasibility/maximality/adjacency as it
-    goes, and that the endpoints are bundle swaps when the sequence is taken."""
+    """Records the states of one _Coloring as steps, and is the bug trap for a
+    two-agent sequence: each step is feasible, maximal (when required) and
+    adjacent to the one before, and the endpoints are bundle swaps.
 
-    _MESSAGES = {
-        "infeasible": "produced an infeasible schedule",
-        "not maximal": "produced a non-maximal schedule",
-        "not adjacent": "broke adjacency",
-    }
+    The constructor records the coloring as the "initial" step and checks it
+    in full.  emit replays the coloring's log onto the builder's own
+    assignment and bundle masks, and checks the new step only through its
+    delta, the chores whose color changed:
 
-    def __init__(self, graph: ConflictGraph, context: str, require_maximal: bool = True):
+    - feasible: every changed chore that is assigned is free of overlaps in
+      its new bundle.  Two overlapping chores in one bundle that both kept
+      their agent would have made the previous step infeasible.
+    - maximal (when required): every unassigned chore in the closed
+      neighbourhood of the delta is blocked in both bundles.  Any other
+      unassigned chore was unassigned before and none of its neighbours
+      changed, so the previous, maximal step already blocked it in both.
+    - adjacent: each bundle gains at most one changed chore and loses at most
+      one, which is the adjacent() test itself restricted to the chores
+      where the two steps can differ.
+
+    So a step fails here exactly when the full check of it (and of the pair
+    it forms with the previous step) fails.  sequence() requires the last
+    step to equal the coloring, which proves that no write escaped the log.
+    """
+
+    def __init__(
+        self, graph: ConflictGraph, context: str, status: _Coloring, require_maximal: bool = True
+    ):
         self.graph = graph
         self.context = context
-        self.checker = _StepChecker(graph, require_maximal)
-        self.steps: list[Schedule] = []
-        self.tags: list[str] = []
-
-    def emit(self, status: Sequence[Optional[int]], tag: str) -> None:
+        self.status = status
+        self.require_maximal = require_maximal
         step = Schedule(2, tuple(status))
-        failure = self.checker.failure(step)
-        if failure is not None:
-            raise InternalInvariantError(f"{self.context}: {tag} {self._MESSAGES[failure]}")
-        self.steps.append(step)
+        if not is_feasible(step, graph):
+            self._fail("initial produced an infeasible schedule")
+        if require_maximal and not is_maximal(step, graph):
+            self._fail("initial produced a non-maximal schedule")
+        status.log.clear()
+        self.assignment = list(status)
+        self.masks = [step.bundle_mask(RED), step.bundle_mask(BLUE)]
+        self.steps = [step]
+        self.tags = ["initial"]
+
+    def _fail(self, what: str) -> NoReturn:
+        raise InternalInvariantError(f"{self.context}: {what}")
+
+    def emit(self, tag: str) -> None:
+        """Take the coloring's log and record the coloring as the next step."""
+        nbr = self.graph.neighbor_masks
+        assignment, masks = self.assignment, self.masks
+        changed = []
+        added, removed = [0, 0], [0, 0]
+        for c in set(self.status.log):
+            old, new = assignment[c], self.status[c]
+            if old == new:
+                continue  # written back within the step
+            changed.append(c)
+            assignment[c] = new
+            if old is not None:
+                masks[old] &= ~(1 << c)
+                removed[old] += 1
+            if new is not None:
+                masks[new] |= 1 << c
+                added[new] += 1
+        self.status.log.clear()
+        if any(assignment[c] is not None and nbr[c] & masks[assignment[c]] for c in changed):
+            self._fail(f"{tag} produced an infeasible schedule")
+        if self.require_maximal:
+            red, blue = masks
+            region = 0
+            for c in changed:
+                region |= nbr[c] | 1 << c
+            region &= ~(red | blue)
+            while region:
+                low = region & -region
+                u = low.bit_length() - 1
+                if not (nbr[u] & red and nbr[u] & blue):
+                    self._fail(f"{tag} produced a non-maximal schedule")
+                region ^= low
+        if max(added) > 1 or max(removed) > 1:
+            self._fail(f"{tag} broke adjacency")
+        self.steps.append(Schedule(2, tuple(assignment)))
         self.tags.append(tag)
 
     def sequence(self) -> ScheduleSequence:
+        if self.assignment != self.status:
+            self._fail("last step differs from the coloring; a write escaped the step log")
         if self.steps[0] != self.steps[-1].swap_agents():
-            raise InternalInvariantError(
-                f"{self.context}: endpoints are not bundle swaps of each other"
-            )
+            self._fail("endpoints are not bundle swaps of each other")
         return ScheduleSequence(steps=tuple(self.steps), tags=tuple(self.tags))
 
 
@@ -385,25 +361,21 @@ def interval_sequence_ef2(
     may be one insertion short of maximal.  Each step comes with a completion
     hint: None if the step is already maximal, else the single (chore, agent)
     insertion after which it is.  Unmarked chores are never assigned.
+
+    Step i (for 2 <= i < k, with k marked chores) gives marked chore i-1 its
+    target color and gives marked chore i no color if it overlaps both marked
+    neighbours, else the color of one it does not overlap.  The last step
+    gives the final two marked chores their target colors.
     """
     _require_two_agents(instance)
     graph = instance.graph()
     cls = classify_chores(instance.chores, graph)
     marked = cls.marked
-    k = len(marked)
-    builder = _SequenceBuilder(graph, "interval_sequence_ef2", require_maximal=False)
-
-    def base(flip_below: int) -> list[Optional[int]]:
-        status: list[Optional[int]] = [None] * graph.m
-        for h, c in enumerate(marked, start=1):
-            src = cls.source_color[c]
-            status[c] = (1 - src) if h < flip_below else src
-        return status
-
-    builder.emit(base(flip_below=1), "initial")
-    for i in range(2, k):
-        status = base(flip_below=i)
+    status = _Coloring([cls.source_color.get(c) for c in range(graph.m)])
+    builder = _SequenceBuilder(graph, "interval_sequence_ef2", status, require_maximal=False)
+    for i in range(2, len(marked)):
         c_i, c_prev, c_next = marked[i - 1], marked[i - 2], marked[i]
+        status[c_prev] = cls.target_color(c_prev)
         hits_prev = graph.has_edge(c_i, c_prev)
         hits_next = graph.has_edge(c_i, c_next)
         if hits_prev and hits_next:
@@ -412,9 +384,11 @@ def interval_sequence_ef2(
             status[c_i] = status[c_prev]
         else:
             status[c_i] = status[c_next]
-        builder.emit(status, "shift")
-    if k:
-        builder.emit(base(flip_below=k + 1), "shift")
+        builder.emit("shift")
+    if marked:
+        for c in marked[-2:]:
+            status[c] = cls.target_color(c)
+        builder.emit("shift")
 
     seq = builder.sequence()
     hints = tuple(_completion_hint(step, graph, cls.rank) for step in seq.steps)
@@ -467,13 +441,9 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
     graph = instance.graph()
     cls = classify_chores(instance.chores, graph)
     marked = cls.marked
-    builder = _SequenceBuilder(graph, "interval_sequence_ef1")
-
     nbr = graph.neighbor_masks
     status = _Coloring([cls.source_color.get(c) for c in range(graph.m)])
-    builder.emit(status, "initial")
-    if not marked:
-        return builder.sequence()
+    builder = _SequenceBuilder(graph, "interval_sequence_ef1", status)
 
     # Phase 2: support every unassigned chore, bucket by bucket, right to left.
     for i in range(len(marked), 1, -1):
@@ -502,12 +472,12 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
                 # and that anchor goes unassigned.
                 status[u_star] = status[c_prev]
                 status[c_prev] = None
-                builder.emit(status, "phase2-case-i")
+                builder.emit("phase2-case-i")
             elif c_prev2 is None or not graph.has_edge(c_prev2, c_prev):
                 # (ii): anchors are isolated from each other; shift colors along.
                 status[u_star] = status[c_prev]
                 status[c_prev] = status[c_i]
-                builder.emit(status, "phase2-case-ii")
+                builder.emit("phase2-case-ii")
             else:
                 loose = [u for u in unsupported if not cls.later[u] & status.assigned()]
                 if loose:
@@ -515,11 +485,11 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
                     u_prime = max(loose, key=lambda u: cls.rank[u])
                     status[u_prime] = status[c_i]
                     status[c_i] = status[c_prev]
-                    builder.emit(status, "phase2-case-iiia")
+                    builder.emit("phase2-case-iiia")
                 else:
                     # (iii b): recolor c_i next to its predecessor.
                     status[c_i] = status[c_prev]
-                    builder.emit(status, "phase2-case-iiib")
+                    builder.emit("phase2-case-iiib")
                     # Chores blocked solely by the same-color triple that (iii b)
                     # just created would come loose mid-way through phase 3.
                     anchors = 1 << c_prev2 | 1 << c_prev | 1 << c_i
@@ -535,7 +505,7 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
                         u_prime = max(stranded, key=lambda u: cls.rank[u])
                         status[u_prime] = status[c_prev2]
                         status[c_prev2] = None
-                        builder.emit(status, "phase2-case-iiic")
+                        builder.emit("phase2-case-iiic")
 
     target = [cls.target_color(c) for c in range(graph.m)]
     untargeted = [c for c in cls.order if status[c] != target[c]]
@@ -562,7 +532,7 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
             )
             if status[second] == target[second]:
                 head += 1
-        builder.emit(status, "phase3")
+        builder.emit("phase3")
 
     return builder.sequence()
 

@@ -192,6 +192,13 @@ class TestSchedule:
         with pytest.raises(InputError, match=f"^chore 2 assigned to unknown agent {agent}$"):
             Schedule(3, (0, None, agent, 2, agent))
 
+    @pytest.mark.parametrize("agent", [True, 1.0, False, 0.0])
+    def test_bool_and_float_agents_rejected(self, agent):
+        # They hash like 1 and 0, so a set test alone would let them through
+        # and bundles() would then index a list with them.
+        with pytest.raises(InputError, match=f"^chore 1 assigned to unknown agent {agent}$"):
+            Schedule(2, (None, agent))
+
     def test_duplicate_chore_rejected(self):
         with pytest.raises(InputError):
             Schedule.from_bundles(2, 3, [{0, 1}, {1}])
@@ -217,6 +224,19 @@ class TestChore:
     def test_negative_start_rejected(self):
         with pytest.raises(InputError):
             Chore(id=0, start=-1, finish=2)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"id": 1.0, "start": 0, "finish": 2}, "chore 1.0: id must be an integer"),
+            ({"id": 1, "start": False, "finish": 2}, "chore 1: start must be an integer"),
+            ({"id": 1, "start": 0, "finish": 2.5}, "chore 1: finish must be an integer"),
+            ({"id": 1, "start": 0, "finish": 2, "label": 5}, "chore 1: label must be a string"),
+        ],
+    )
+    def test_field_types_checked(self, fields, message):
+        with pytest.raises(InputError, match=f"^{message}"):
+            Chore(**fields)
 
 
 class TestValuations:

@@ -78,6 +78,19 @@ class TestInstanceFiles:
         save_instance(inst, path)
         assert load_instance(path).chores[0].label == "wash"
 
+    def test_every_constructible_chore_round_trips(self, tmp_path):
+        # A chore the file format would reject on load cannot be built, so
+        # save_instance never writes a file that load_instance refuses.
+        with pytest.raises(InputError, match="chore 1: label"):
+            Chore(id=1, start=1, finish=3, label=5)
+        with pytest.raises(InputError, match="chore 1: start"):
+            Chore(id=1, start=True, finish=3)
+        chores = (Chore(id=0, start=0, finish=2, label=""), Chore(id=1, start=1, finish=3, label="5"))
+        inst = Instance(2, chores, AdditiveValuations([[-1, -2], [-3, -1]]))
+        path = tmp_path / "i.json"
+        save_instance(inst, path)
+        assert load_instance(path).chores == chores
+
 
 class TestScheduleFiles:
     def test_round_trip(self, tmp_path):

@@ -25,8 +25,8 @@ from choresched.two_agent import (
     BLUE,
     RED,
     ScheduleSequence,
+    _Coloring,
     _SequenceBuilder,
-    _StepChecker,
     adjacent,
     classify_chores,
     classify_supported,
@@ -551,7 +551,7 @@ def test_property_sequences_hold_their_invariants(raw):
 
 
 def full_failure(x, y, graph, require_maximal):
-    """The full checks the step checker replaced, in the order it applies them."""
+    """The full checks the builder's delta checks replace, in the order it applies them."""
     if not is_feasible(y, graph):
         return "infeasible"
     if require_maximal and not is_maximal(y, graph):
@@ -587,30 +587,73 @@ def mutated_successors(rng, step, graph):
     return out
 
 
+# The builder's failure texts, each with the verdict full_failure gives.
+VERDICTS = {
+    "produced an infeasible schedule": "infeasible",
+    "produced a non-maximal schedule": "not maximal",
+    "broke adjacency": "not adjacent",
+}
+
+
+OTHER_COLOR = {None: RED, RED: BLUE, BLUE: None}
+
+
+def write(status, assignment):
+    """Write an assignment into a coloring through its logged item writes."""
+    for c, color in enumerate(assignment):
+        status[c] = color
+
+
+def probe_verdict(builder):
+    """Emit one step and read the verdict from the failure text, if any."""
+    try:
+        builder.emit("step")
+    except InternalInvariantError as exc:
+        return next(v for text, v in VERDICTS.items() if str(exc) == f"probe: step {text}")
+    return None
+
+
 def test_step_checker_matches_full_checks_on_the_acceptance_corpus(two_agent_corpus):
-    # Walk every sequence of the acceptance corpus with one checker; at each
-    # step, a probe in the same state judges the real successor and its
-    # mutations, and must flag exactly what is_feasible / is_maximal /
-    # adjacent flag.
+    # At every step x of every sequence of the acceptance corpus, a probe
+    # builder starts at x, gets the real successor y or one of its mutations
+    # written into its coloring, and must flag exactly what is_feasible /
+    # is_maximal / adjacent flag.  The probe for y also writes one chore away
+    # and back within the step, which must count as no change, and then
+    # writes one chore that y leaves alone past the log, which sequence()
+    # must reject.
     rng = random.Random(3)
     runs = [(inst, interval_sequence_ef1(inst), True) for inst in two_agent_corpus.intervals]
     runs += [(inst, interval_sequence_ef2(inst)[0], False) for inst in two_agent_corpus.intervals]
     runs += [(inst, path_sequence(inst), True) for inst in two_agent_corpus.paths]
     verdicts = Counter()
+    bypasses = 0
     for inst, seq, require_maximal in runs:
         graph = inst.graph()
-        walker = _StepChecker(graph, require_maximal)
-        assert walker.failure(seq.steps[0]) is None
         for x, y in zip(seq.steps, seq.steps[1:]):
             for candidate in [y] + mutated_successors(rng, y, graph):
                 expected = full_failure(x, candidate, graph, require_maximal)
-                probe = _StepChecker(graph, require_maximal)
-                probe.previous, probe.masks = walker.previous, walker.masks
-                assert probe.failure(candidate) == expected
+                status = _Coloring(x.assignment)
+                builder = _SequenceBuilder(graph, "probe", status, require_maximal)
+                write(status, candidate.assignment)
+                if candidate is y:
+                    c = rng.randrange(inst.m)
+                    status[c] = OTHER_COLOR[y.assignment[c]]
+                    status[c] = y.assignment[c]
+                    y_probe = status, builder
+                assert probe_verdict(builder) == expected
                 verdicts[expected] += 1
-            assert walker.failure(y) is None
-    # Every verdict occurs, so no branch of the checker went untested.
+            status, builder = y_probe
+            assert builder.steps[-1] == y
+            kept = [c for c in range(inst.m) if x.assignment[c] == y.assignment[c]]
+            if kept:
+                c = rng.choice(kept)
+                list.__setitem__(status, c, OTHER_COLOR[y.assignment[c]])
+                with pytest.raises(InternalInvariantError, match="escaped the step log"):
+                    builder.sequence()
+                bypasses += 1
+    # Every verdict occurs, so no branch of the trap went untested.
     assert set(verdicts) == {None, "infeasible", "not maximal", "not adjacent"}
+    assert bypasses > 0
 
 
 # A path 0-1-2-3 and step sequences that each break one invariant.
@@ -635,11 +678,14 @@ BUILDER_MESSAGES = {
 }
 
 
-def build_sequence(steps, require_maximal=True):
-    builder = _SequenceBuilder(TRAP_GRAPH, "test", require_maximal)
-    for s in steps:
-        builder.emit(list(s), "test")
-    return builder.sequence()
+def build_steps(steps, require_maximal=True):
+    """A builder that started at the first step and emitted the others."""
+    status = _Coloring(steps[0])
+    builder = _SequenceBuilder(TRAP_GRAPH, "test", status, require_maximal)
+    for s in steps[1:]:
+        write(status, s)
+        builder.emit("test")
+    return builder
 
 
 class TestStepTraps:
@@ -652,7 +698,7 @@ class TestStepTraps:
         # The builder verifies every step as it is emitted and the endpoint
         # swap when the sequence is taken.
         with pytest.raises(InternalInvariantError, match=BUILDER_MESSAGES[failure]):
-            build_sequence(steps)
+            build_steps(steps).sequence()
 
     @pytest.mark.parametrize(
         "steps, failure",
@@ -660,21 +706,12 @@ class TestStepTraps:
         ids=[c[0] for c in BROKEN_SEQUENCES[:-1]],
     )
     def test_builder_raises(self, steps, failure):
-        # The failing step raises from emit, before the sequence is taken.
-        builder = _SequenceBuilder(TRAP_GRAPH, "test")
+        # The failing step raises from the constructor or emit, before the
+        # sequence is taken.
         with pytest.raises(InternalInvariantError, match=BUILDER_MESSAGES[failure]):
-            for s in steps:
-                builder.emit(list(s), "test")
+            build_steps(steps)
 
     def test_maximality_not_required(self):
         steps = (RBRB, (RED, None, RED, BLUE), (None, None, RED, BLUE))
         with pytest.raises(InternalInvariantError, match="endpoints"):
-            build_sequence(steps, require_maximal=False)
-
-    def test_failed_step_is_not_recorded(self):
-        checker = _StepChecker(TRAP_GRAPH, require_maximal=True)
-        assert checker.failure(Schedule(2, RBRB)) is None
-        assert checker.failure(Schedule(2, BRBR)) == "not adjacent"
-        assert checker.failure(Schedule(2, (RED, BLUE, RED, None))) == "not maximal"
-        # Judged against RBRB: against BRBR, red would lose two chores.
-        assert checker.failure(Schedule(2, (BLUE, None, RED, BLUE))) is None
+            build_steps(steps, require_maximal=False).sequence()
