@@ -7,7 +7,7 @@ Two settings admit EF1 + maximal schedules for any number of agents:
 * identical dichotomous values (every chore "heavy" or "light") on a path,
   for four or more agents, via a weighted round robin over meta agents;
 * identical values on any graph whose components have at most n chores,
-  via a component-wise round robin ordered by the envy graph.
+  via a component-wise round robin ordered by the agents' burdens.
 """
 
 import random
@@ -50,9 +50,10 @@ print()
 # --- Component-wise round robin under identical values ----------------------
 #
 # Each component hands at most one chore to each agent.  Before a component
-# is dealt, the envy graph of the partial schedule (acyclic, because values
-# are identical) decides who picks first: the least burdened agents, each
-# grabbing the most disliked chore still available.
+# is dealt, the burdens so far decide who picks first: the least burdened
+# agents, each grabbing the most disliked chore still available.  Because
+# values are identical, that is a reverse topological order of the envy
+# graph, which stays acyclic; the solver checks the graph once, at the end.
 
 rng = random.Random(11)
 inst = random_bounded_components_instance(rng, n=3, m=10)

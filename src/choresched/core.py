@@ -304,7 +304,7 @@ class Schedule:
         assignment: list[Optional[int]] = [None] * m
         for agent, bundle in enumerate(bundles):
             for c in bundle:
-                if not 0 <= c < m:
+                if type(c) is not int or not 0 <= c < m:
                     raise InputError(f"bundle of agent {agent} references unknown chore {c}")
                 if assignment[c] is not None:
                     raise InputError(f"chore {c} appears in two bundles")

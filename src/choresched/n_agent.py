@@ -12,10 +12,11 @@ Two constructions live here:
 
 * A component-wise round robin for identical additive valuations on any
   graph whose connected components have at most n vertices.  For each
-  component the envy graph of the partial schedule (always acyclic under
-  identical valuations) fixes the turn order: the least burdened agents go
-  first and each takes the most disliked remaining chore, so every chore of
-  the component lands on a distinct agent.
+  component the burdens so far fix the turn order: the least burdened
+  agents go first and each takes the most disliked remaining chore, so
+  every chore of the component lands on a distinct agent.  That order is a
+  reverse topological order of the envy graph, which identical valuations
+  keep acyclic; the graph is checked once, on the final schedule.
 """
 
 from __future__ import annotations
@@ -330,6 +331,16 @@ def _dummy_split_quota(
     return range(lo, hi + 1)
 
 
+def _split_isolated(
+    isolated: Iterable[int], heavy_ids: set[int], dummy_ids: frozenset[int] | set[int]
+) -> tuple[list[int], ...]:
+    """(real heavy, real light, dummy heavy, dummy light) isolated chores, in input order."""
+    kinds: list[list[int]] = [[], [], [], []]
+    for c in isolated:
+        kinds[(c not in heavy_ids) + 2 * (c in dummy_ids)].append(c)
+    return tuple(kinds)
+
+
 def split_pair_bundle(
     picked: Iterable[int],
     graph: ConflictGraph,
@@ -380,19 +391,13 @@ def split_pair_bundle(
             side_b.add(heavy_end)
             side_a.add(light_end)
 
-    iso_h = [c for c in isolated if c in heavy_ids]
-    iso_l = [c for c in isolated if c not in heavy_ids]
+    real_h, real_l, dummy_h, dummy_l = _split_isolated(isolated, heavy_ids, dummy_ids)
     side_a_h, side_a_l = _kind_counts(side_a, heavy_ids)
     side_b_h, side_b_l = _kind_counts(side_b, heavy_ids)
     quota_a_h, quota_a_l = total_h // 2 - side_a_h, total_l // 2 - side_a_l
     quota_b_h, quota_b_l = total_h // 2 - side_b_h, total_l // 2 - side_b_l
     if min(quota_a_h, quota_b_h, quota_a_l, quota_b_l) < 0:
         raise InternalInvariantError("edge split overshot the per-side quotas")
-
-    dummy_h = [c for c in iso_h if c in dummy_ids]
-    real_h = [c for c in iso_h if c not in dummy_ids]
-    dummy_l = [c for c in iso_l if c in dummy_ids]
-    real_l = [c for c in iso_l if c not in dummy_ids]
 
     # Distribute dummies evenly per kind first (so per-agent heavy and light
     # dummy counts never differ by more than one), then balance the totals:
@@ -456,10 +461,7 @@ def split_triple_bundle(
                 f"triple bundle induces a path of {len(comp)} chores; at most 4 expected"
             )
     singles = [c[0] for c in comps if len(c) == 1]
-    real_h_iso = sorted(c for c in singles if c in heavy_ids and c not in dummy_ids)
-    real_l_iso = sorted(c for c in singles if c not in heavy_ids and c not in dummy_ids)
-    dummy_h = sorted(c for c in singles if c in heavy_ids and c in dummy_ids)
-    dummy_l = sorted(c for c in singles if c not in heavy_ids and c in dummy_ids)
+    real_h_iso, real_l_iso, dummy_h, dummy_l = _split_isolated(singles, heavy_ids, dummy_ids)
     orders = [_path_order(graph.neighbor_masks, comp, key=int) for comp in paths]
     if None in orders:
         raise InternalInvariantError("triple bundle component is not a simple path")
@@ -567,21 +569,14 @@ def split_triple_bundle(
 
 def solve_identical_bounded_components(instance: Instance) -> Schedule:
     """An EF1 and maximal schedule for identical additive valuations when every
-    conflict-graph component has at most n vertices."""
-    schedule, _ = bounded_components_solution(instance)
-    return schedule
+    conflict-graph component has at most n vertices.
 
-
-def bounded_components_solution(
-    instance: Instance,
-) -> tuple[Schedule, list[Schedule]]:
-    """solve_identical_bounded_components plus every intermediate schedule.
-
-    Components are processed in order of their smallest chore id.  Before
-    each component the envy graph of the partial schedule is computed (and
-    asserted acyclic, which identical valuations guarantee); the agents then
-    pick in reverse topological order, i.e. the currently least burdened
-    first, each taking its most disliked remaining chore of the component.
+    Components are processed in order of their smallest chore id.  For each,
+    the agents pick in order of their burdens so far, the least burdened
+    first (ties by id), each taking its most disliked remaining chore of the
+    component.  Under identical valuations agent i envies agent k exactly
+    when v(X_i) < v(X_k), so this is a reverse topological order of the
+    always-acyclic envy graph; that graph is checked once, at the end.
     Since a component has at most n chores, every chore lands on a distinct
     agent and all bundles stay independent.
     """
@@ -601,13 +596,7 @@ def bounded_components_solution(
     assignment: list[Optional[int]] = [None] * instance.m
     bundle_masks = [0] * n
     burdens = [0] * n
-    intermediates = [Schedule.empty(n, instance.m)]
     for comp in comps:
-        graph_now = envy_graph(intermediates[-1], instance)
-        if not graph_now.is_acyclic():
-            raise InternalInvariantError("envy graph grew a cycle under identical valuations")
-        # Reverse topological order: envy edges point from lower to higher
-        # bundle value, so descending value (ties by id) is consistent.
         order = sorted(range(n), key=lambda i: (-burdens[i], i))
         remaining = set(comp)
         for agent in order:
@@ -625,10 +614,13 @@ def bounded_components_solution(
             raise InternalInvariantError(
                 f"component left chores {sorted(remaining)} unassigned despite fitting agents"
             )
-        intermediates.append(Schedule(n, tuple(assignment)))
-    schedule = intermediates[-1]
+    schedule = Schedule(n, tuple(assignment))
     if not is_complete(schedule) or not is_feasible(schedule, graph):
         raise InternalInvariantError("component round robin lost completeness or feasibility")
+    if burdens != [instance.value(i, b) for i, b in enumerate(schedule.bundles())]:
+        raise InternalInvariantError("burdens that ordered the turns differ from the bundle values")
+    if not envy_graph(schedule, instance).is_acyclic():
+        raise InternalInvariantError("envy graph has a cycle under identical valuations")
     if not check_ef1(schedule, instance).holds:
         raise InternalInvariantError("component round robin produced a non-EF1 schedule")
-    return schedule, intermediates
+    return schedule

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from choresched.core import Instance, MonotoneValuations, Schedule, is_feasible
+from choresched.core import ConflictGraph, Instance, MonotoneValuations, Schedule, is_feasible
 from choresched.checkers import is_maximal
 from choresched.generate import random_interval_instance, random_path_instance
 
@@ -46,6 +46,52 @@ def random_feasible_schedule(rng: random.Random, instance: Instance) -> Schedule
         if pick is not None:
             masks[pick] |= 1 << c
     return Schedule(instance.n, tuple(assignment))
+
+
+def component_prefixes(schedule: Schedule, graph: ConflictGraph) -> list[Schedule]:
+    """The schedule restricted to the first j components, for j = 0..#components.
+
+    Components come in graph.components() order, the order in which the
+    bounded-components solver deals them, so these are its partial schedules.
+    """
+    assignment: list[int | None] = [None] * schedule.m
+    prefixes = [Schedule(schedule.n_agents, tuple(assignment))]
+    for comp in graph.components():
+        for c in comp:
+            assignment[c] = schedule.assignment[c]
+        prefixes.append(Schedule(schedule.n_agents, tuple(assignment)))
+    return prefixes
+
+
+def independent_additive_failures(instance: Instance, schedule: Schedule) -> list[str]:
+    """Why the schedule is not complete, conflict-free and EF1, from first principles.
+
+    Reads only the chores' intervals and the additive value table: no
+    choresched checker, graph or solver is used.  Two chores of one bundle
+    conflict when their half-open intervals intersect.  Agent i is EF1
+    towards k when dropping i's worst chore leaves v_i(X_i) >= v_i(X_k).
+    Returns an empty list when every property holds.
+    """
+    failures = []
+    bundles: list[list[int]] = [[] for _ in range(instance.n)]
+    for c, a in enumerate(schedule.assignment):
+        if a is None:
+            failures.append(f"chore {c} unassigned")
+        else:
+            bundles[a].append(c)
+    spans = [(ch.start, ch.finish) for ch in instance.chores]
+    for a, bundle in enumerate(bundles):
+        for c, d in itertools.combinations(bundle, 2):
+            if max(spans[c][0], spans[d][0]) < min(spans[c][1], spans[d][1]):
+                failures.append(f"agent {a} holds overlapping chores {c} and {d}")
+    table = instance.valuations.table
+    for i, row in enumerate(table):
+        own = sum(row[c] for c in bundles[i])
+        relief = -min((row[c] for c in bundles[i]), default=0)
+        for k, other in enumerate(bundles):
+            if k != i and own + relief < sum(row[c] for c in other):
+                failures.append(f"agent {i} envies agent {k} beyond one chore")
+    return failures
 
 
 @pytest.fixture(scope="session")

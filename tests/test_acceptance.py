@@ -20,9 +20,9 @@ from choresched.generate import (
     random_interval_instance,
 )
 from choresched.n_agent import (
-    bounded_components_solution,
     dichotomous_path_solution,
     envy_graph,
+    solve_identical_bounded_components,
 )
 from choresched.oracle import (
     ExistenceQuery,
@@ -41,7 +41,12 @@ from choresched.two_agent import (
     solve_two_agents,
 )
 
-from conftest import N_TWO_AGENT_ADDITIVE, N_TWO_AGENT_MONOTONE, random_feasible_schedule
+from conftest import (
+    N_TWO_AGENT_ADDITIVE,
+    N_TWO_AGENT_MONOTONE,
+    component_prefixes,
+    random_feasible_schedule,
+)
 
 
 @contextmanager
@@ -203,10 +208,10 @@ def test_criterion_7_bounded_components():
             rng = random.Random(7771 + n)
             for _ in range(N_PER_AGENT_COUNT_BOUNDED):
                 inst = random_bounded_components_instance(rng, n, rng.randint(1, 12))
-                schedule, intermediates = bounded_components_solution(inst)
+                schedule = solve_identical_bounded_components(inst)
                 assert check_ef1(schedule, inst).holds
                 assert is_maximal(schedule, inst.graph())
-                for partial in intermediates:
+                for partial in component_prefixes(schedule, inst.graph()):
                     assert envy_graph(partial, inst).is_acyclic()
 
 

@@ -203,6 +203,15 @@ class TestSchedule:
         with pytest.raises(InputError):
             Schedule.from_bundles(2, 3, [{0, 1}, {1}])
 
+    @pytest.mark.parametrize("chore", [True, 1.0, False, 0.0])
+    def test_bool_and_float_chore_ids_rejected(self, chore):
+        # True == 1 passes a range test and would be taken as chore 1; a
+        # float would reach list indexing and raise TypeError.
+        with pytest.raises(
+            InputError, match=f"^bundle of agent 0 references unknown chore {chore}$"
+        ):
+            Schedule.from_bundles(2, 2, [{chore}, set()])
+
     def test_swap_agents(self):
         schedule = Schedule(2, (0, None, 1))
         swapped = schedule.swap_agents()

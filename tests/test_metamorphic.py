@@ -2,8 +2,10 @@
 
 The sequence constructions read only the conflict graph and the finish
 order, and translating or positively scaling every time preserves both, so
-the traces must not change.  Which agent holds which valuation row must not
-matter to the solver's guarantee.
+the traces must not change.  When no two chores finish together, the finish
+order does not depend on chore ids either, so relabelling the chores must
+relabel every step the same way.  Which agent holds which valuation row must
+not matter to the solver's guarantee.
 """
 
 import random
@@ -61,6 +63,33 @@ def path_corpus(rng):
     return out + [path_union(rng, 500)]
 
 
+def distinct_finish_corpus(rng):
+    """Interval instances whose finish times are pairwise distinct by construction."""
+    out = []
+    for k in range(200):
+        m = rng.randint(1, 40) if k < 198 else 300
+        max_len = rng.choice((3, m, 2 * m))
+        finishes = rng.sample(range(1, 3 * m + 1), m)
+        chores = tuple(
+            Chore(id=j, start=max(0, f - rng.randint(1, max_len)), finish=f)
+            for j, f in enumerate(finishes)
+        )
+        table = [[rng.randint(-10, 0) for _ in range(m)] for _ in range(2)]
+        out.append(Instance(2, chores, AdditiveValuations(table)))
+    return out
+
+
+def relabelled(inst, perm):
+    """The instance with chore c renamed perm[c], values moving along."""
+    source = sorted(range(inst.m), key=perm.__getitem__)  # source[perm[c]] == c
+    chores = tuple(
+        Chore(id=new, start=inst.chores[c].start, finish=inst.chores[c].finish)
+        for new, c in enumerate(source)
+    )
+    table = [[row[c] for c in source] for row in inst.valuations.table]
+    return Instance(inst.n, chores, AdditiveValuations(table))
+
+
 TRANSFORMS = [
     pytest.param({"offset": 1}, id="offset-1"),
     pytest.param({"offset": 997}, id="offset-997"),
@@ -81,6 +110,18 @@ def test_retiming_leaves_path_traces_unchanged(transform):
     for inst in path_corpus(random.Random(7)):
         expected = path_sequence(inst).trace_lines()
         assert path_sequence(retimed(inst, **transform)).trace_lines() == expected
+
+
+def test_relabelling_chores_permutes_every_interval_step():
+    rng = random.Random(13)
+    for inst in distinct_finish_corpus(rng):
+        perm = list(range(inst.m))
+        rng.shuffle(perm)
+        expected = interval_sequence_ef1(inst)
+        got = interval_sequence_ef1(relabelled(inst, perm))
+        assert got.tags == expected.tags
+        for old, new in zip(expected.steps, got.steps):
+            assert tuple(new.assignment[perm[c]] for c in range(inst.m)) == old.assignment
 
 
 def test_swapped_valuation_rows_still_get_ef1_and_maximal():

@@ -19,7 +19,6 @@ from choresched.generate import (
     random_dichotomous_path_instance,
 )
 from choresched.n_agent import (
-    bounded_components_solution,
     dichotomous_path_solution,
     envy_graph,
     solve_identical_bounded_components,
@@ -28,6 +27,7 @@ from choresched.n_agent import (
     split_triple_bundle,
 )
 from choresched.oracle import exists, ExistenceQuery
+from conftest import component_prefixes, independent_additive_failures
 
 
 def real_counts(schedule, heavy_ids):
@@ -308,10 +308,10 @@ class TestBoundedComponents:
             rng = random.Random(2000 + n)
             for _ in range(300):
                 inst = random_bounded_components_instance(rng, n, rng.randint(1, 12))
-                schedule, intermediates = bounded_components_solution(inst)
+                schedule = solve_identical_bounded_components(inst)
                 assert check_ef1(schedule, inst).holds
                 assert is_maximal(schedule, inst.graph())
-                for partial in intermediates:
+                for partial in component_prefixes(schedule, inst.graph()):
                     assert envy_graph(partial, inst).is_acyclic()
 
     def test_oversized_component_rejected(self):
@@ -327,3 +327,46 @@ class TestBoundedComponents:
         )
         with pytest.raises(InputError, match="identical"):
             solve_identical_bounded_components(inst)
+
+
+class TestLargeInstancesIndependently:
+    """Both n-agent solvers at m = 2000, judged by a check that shares no code with them."""
+
+    @pytest.mark.parametrize("n", [6, 50])
+    @pytest.mark.parametrize(
+        "generate, solve",
+        [
+            (random_bounded_components_instance, solve_identical_bounded_components),
+            (random_dichotomous_path_instance, solve_identical_dichotomous_path),
+        ],
+        ids=["bounded-components", "dichotomous-path"],
+    )
+    def test_complete_conflict_free_ef1(self, generate, solve, n):
+        inst = generate(random.Random(1000 + n), n, 2000)
+        assert independent_additive_failures(inst, solve(inst)) == []
+
+    def test_check_catches_each_fault(self):
+        inst = Instance(
+            2,
+            (
+                Chore(id=0, start=0, finish=2),
+                Chore(id=1, start=1, finish=3),
+                Chore(id=2, start=5, finish=6),
+            ),
+            AdditiveValuations([[-1, -1, -1]] * 2),
+        )
+        assert independent_additive_failures(inst, Schedule(2, (0, 1, 0))) == []
+        assert independent_additive_failures(inst, Schedule(2, (0, 1, None))) == [
+            "chore 2 unassigned"
+        ]
+        assert independent_additive_failures(inst, Schedule(2, (0, 0, 1))) == [
+            "agent 0 holds overlapping chores 0 and 1"
+        ]
+        envious = Instance(
+            2,
+            tuple(Chore(id=i, start=3 * i, finish=3 * i + 1) for i in range(3)),
+            AdditiveValuations([[-1, -1, -1]] * 2),
+        )
+        assert independent_additive_failures(envious, Schedule(2, (0, 0, 0))) == [
+            "agent 0 envies agent 1 beyond one chore"
+        ]
