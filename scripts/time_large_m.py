@@ -1,0 +1,97 @@
+"""Time the two-agent solver at a size far above the benchmark's m = 250.
+
+    python3 scripts/time_large_m.py [--m 10000] [--seed 1] [--repeats 3]
+
+Imports choresched from this checkout's src/ and prints one JSON object with
+the best of --repeats wall-clock times, in seconds, of:
+
+- sequence_s: interval_sequence_ef1 on a fresh copy of
+  random_interval_instance(Random(seed), 2, m), conflict-graph build included;
+- select_s: select_ef1 on that sequence;
+- cli_solve_s: cli.main(["solve", FILE, "--format", "json"]) in-process;
+- cli_process_s: the same command in a new interpreter, start-up included.
+
+It also prints the step count and the SHA-256 of the solve output, so runs on
+two checkouts can be compared for byte identity.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from choresched import cli  # noqa: E402
+from choresched.core import Instance  # noqa: E402
+from choresched.generate import random_interval_instance  # noqa: E402
+from choresched.io import save_instance  # noqa: E402
+from choresched.two_agent import interval_sequence_ef1, select_ef1  # noqa: E402
+
+
+def best_time(repeats: int, fn):
+    """The fastest of `repeats` calls of fn, and the last call's result."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--m", type=int, default=10_000)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args()
+
+    inst = random_interval_instance(random.Random(args.seed), 2, args.m)
+    sequence_s, seq = best_time(
+        args.repeats,
+        lambda: interval_sequence_ef1(Instance(2, inst.chores, inst.valuations)),
+    )
+    select_s, _ = best_time(args.repeats, lambda: select_ef1(seq, inst))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        save_instance(inst, path)
+
+        def solve_in_process() -> str:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli.main(["solve", path, "--format", "json"])
+            return out.getvalue()
+
+        cli_solve_s, output = best_time(args.repeats, solve_in_process)
+        command = [sys.executable, "-m", "choresched.cli", "solve", path, "--format", "json"]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        cli_process_s, _ = best_time(
+            args.repeats, lambda: subprocess.run(command, env=env, check=True, capture_output=True)
+        )
+
+    print(json.dumps({
+        "m": args.m,
+        "seed": args.seed,
+        "steps": len(seq),
+        "sequence_s": round(sequence_s, 4),
+        "select_s": round(select_s, 4),
+        "cli_solve_s": round(cli_solve_s, 4),
+        "cli_process_s": round(cli_process_s, 4),
+        "solve_sha256": hashlib.sha256(output.encode()).hexdigest(),
+    }))
+
+
+if __name__ == "__main__":
+    main()

@@ -15,6 +15,7 @@ trace output; N marks an unassigned chore.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NoReturn, Optional, Sequence
 
 from .checkers import check_ef1, is_maximal
@@ -32,30 +33,74 @@ from .core import (
 )
 
 RED, BLUE = 0, 1
+# A chore's sign in agent 0's gap v_0(R) - v_0(B), by its holder.
+_SIGN = {RED: 1, BLUE: -1, None: 0}
+# One step of a sequence: (chore, new agent) for each chore whose agent changed.
+Delta = tuple[tuple[int, Optional[int]], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScheduleSequence:
-    """An ordered list of schedules over one instance, with per-step phase tags."""
+    """An ordered list of schedules over one instance, with per-step phase tags.
 
-    steps: tuple[Schedule, ...]
+    It is stored as its initial schedule plus one delta per later step: the
+    (chore, new agent) pairs of the chores whose agent changed, in chore id
+    order.  Adjacent steps change at most four chores, so a sequence costs
+    O(m + steps) to keep.  steps materializes every schedule on first use.
+    ScheduleSequence(steps, tags) derives the deltas from explicit steps and
+    keeps those steps.
+    """
+
+    initial: Schedule
+    deltas: tuple[Delta, ...]
     tags: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.steps) != len(self.tags):
+    def __init__(self, steps: Sequence[Schedule], tags: Sequence[str]):
+        steps = tuple(steps)
+        if len(steps) != len(tags):
             raise InputError("one tag per step required")
-        if not self.steps:
+        if not steps:
             raise InputError("a sequence has at least one step")
+        first = steps[0]
+        if any(s.m != first.m or s.n_agents != first.n_agents for s in steps):
+            raise InputError("the steps of a sequence cover different chores or agents")
+        deltas = tuple(
+            tuple((c, b) for c, (a, b) in enumerate(zip(x.assignment, y.assignment)) if a != b)
+            for x, y in zip(steps, steps[1:])
+        )
+        self.__dict__.update(initial=first, deltas=deltas, tags=tuple(tags), steps=steps)
+
+    @classmethod
+    def _from_deltas(
+        cls, initial: Schedule, deltas: Sequence[Delta], tags: Sequence[str]
+    ) -> "ScheduleSequence":
+        """A sequence whose step t+1 is step t with deltas[t] applied."""
+        seq = cls.__new__(cls)
+        seq.__dict__.update(initial=initial, deltas=tuple(deltas), tags=tuple(tags))
+        return seq
+
+    def _assignments(self):
+        """Each step's assignment in turn, as one list updated in place."""
+        assignment = list(self.initial.assignment)
+        yield assignment
+        for delta in self.deltas:
+            for c, agent in delta:
+                assignment[c] = agent
+            yield assignment
+
+    @cached_property
+    def steps(self) -> tuple[Schedule, ...]:
+        return tuple(Schedule(self.initial.n_agents, tuple(a)) for a in self._assignments())
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.tags)
 
     def trace_lines(self) -> list[str]:
         """One line per step: chore colors (R/B/N, in chore id order) plus the tag."""
         letters = {RED: "R", BLUE: "B", None: "N"}
         return [
-            "".join(letters[a] for a in step.assignment) + " " + tag
-            for step, tag in zip(self.steps, self.tags)
+            "".join([letters[a] for a in assignment]) + " " + tag
+            for assignment, tag in zip(self._assignments(), self.tags)
         ]
 
 
@@ -260,14 +305,15 @@ def classify_supported(
 
 
 class _SequenceBuilder:
-    """Records the states of one _Coloring as steps, and is the bug trap for a
-    two-agent sequence: each step is feasible, maximal (when required) and
-    adjacent to the one before, and the endpoints are bundle swaps.
+    """Records the states of one _Coloring as step deltas, and is the bug trap
+    for a two-agent sequence: each step is feasible, maximal (when required)
+    and adjacent to the one before, and the endpoints are bundle swaps.
 
     The constructor records the coloring as the "initial" step and checks it
     in full.  emit replays the coloring's log onto the builder's own
-    assignment and bundle masks, and checks the new step only through its
-    delta, the chores whose color changed:
+    assignment and bundle masks, records the chores whose color changed with
+    their new colors as the step's delta, and checks the new step only
+    through that delta:
 
     - feasible: every changed chore that is assigned is free of overlaps in
       its new bundle.  Two overlapping chores in one bundle that both kept
@@ -282,7 +328,9 @@ class _SequenceBuilder:
 
     So a step fails here exactly when the full check of it (and of the pair
     it forms with the previous step) fails.  sequence() requires the last
-    step to equal the coloring, which proves that no write escaped the log.
+    step to equal the coloring, which proves that no write escaped the log,
+    and the first and last steps to be bundle swaps.  No step but the
+    initial one is built as a Schedule here.
     """
 
     def __init__(
@@ -300,7 +348,8 @@ class _SequenceBuilder:
         status.log.clear()
         self.assignment = list(status)
         self.masks = [step.bundle_mask(RED), step.bundle_mask(BLUE)]
-        self.steps = [step]
+        self.initial = step
+        self.deltas: list[Delta] = []
         self.tags = ["initial"]
 
     def _fail(self, what: str) -> NoReturn:
@@ -312,7 +361,7 @@ class _SequenceBuilder:
         assignment, masks = self.assignment, self.masks
         changed = []
         added, removed = [0, 0], [0, 0]
-        for c in set(self.status.log):
+        for c in sorted(set(self.status.log)):
             old, new = assignment[c], self.status[c]
             if old == new:
                 continue  # written back within the step
@@ -341,15 +390,15 @@ class _SequenceBuilder:
                 region ^= low
         if max(added) > 1 or max(removed) > 1:
             self._fail(f"{tag} broke adjacency")
-        self.steps.append(Schedule(2, tuple(assignment)))
+        self.deltas.append(tuple((c, assignment[c]) for c in changed))
         self.tags.append(tag)
 
     def sequence(self) -> ScheduleSequence:
         if self.assignment != self.status:
             self._fail("last step differs from the coloring; a write escaped the step log")
-        if self.steps[0] != self.steps[-1].swap_agents():
+        if self.initial.swap_agents().assignment != tuple(self.assignment):
             self._fail("endpoints are not bundle swaps of each other")
-        return ScheduleSequence(steps=tuple(self.steps), tags=tuple(self.tags))
+        return ScheduleSequence._from_deltas(self.initial, self.deltas, self.tags)
 
 
 def interval_sequence_ef2(
@@ -568,31 +617,57 @@ def _assert_phase2_postconditions(
 def select_ef1(sequence: ScheduleSequence, instance: Instance) -> Schedule:
     """Pick an EF1+maximal schedule out of a swap-ended adjacent sequence.
 
-    Scans up to the first consecutive pair where agent 0's envy flips and
-    tests the four candidates (the two steps and their bundle swaps); the
-    first one passing EF1 wins.  If agent 0 never envies, it is exactly
-    indifferent at the endpoints and whichever endpoint agent 1 does not envy
-    is envy-free.
+    Walks the sequence's deltas up to the first consecutive pair where agent
+    0's envy flips and tests the four candidates (the two steps and their
+    bundle swaps); the first one passing EF1 wins.  If agent 0 never envies,
+    it is exactly indifferent at the endpoints and whichever endpoint agent 1
+    does not envy is envy-free.
+
+    The walk keeps the assignment and agent 0's gap v_0(R) - v_0(B) current
+    along the deltas.  An additive profile updates the gap with one
+    chore_value query per changed chore, so a step costs O(1); any other
+    profile keeps both bundles as sets and makes two value queries per step.
+    Only the flip pair, or the endpoints when there is no flip, are built as
+    Schedules.
     """
     _require_two_agents(instance)
     graph = instance.graph()
-    steps = sequence.steps
-
-    def envies(step: Schedule) -> bool:
-        own, other = step.bundles()
-        return instance.value(0, own) < instance.value(0, other)
-
-    initial = envies(steps[0])
-    flip = next((t for t in range(1, len(steps)) if envies(steps[t]) != initial), None)
-    if flip is not None:
-        x, y = steps[flip - 1], steps[flip]
+    additive = instance.valuations.is_additive
+    first = sequence.initial
+    assignment = list(first.assignment)
+    red, blue = map(set, first.bundles())
+    held = {RED: red, BLUE: blue, None: set()}
+    gap = instance.value(0, red) - instance.value(0, blue)
+    initial = gap < 0
+    undo = None
+    for delta in sequence.deltas:
+        overwritten = [(c, assignment[c]) for c, _ in delta]
+        for c, agent in delta:
+            old = assignment[c]
+            assignment[c] = agent
+            if additive:
+                gap += (_SIGN[agent] - _SIGN[old]) * instance.valuations.chore_value(0, c)
+            else:
+                held[old].discard(c)
+                held[agent].add(c)
+        if not additive:
+            gap = instance.value(0, red) - instance.value(0, blue)
+        if (gap < 0) != initial:
+            undo = overwritten
+            break
+    n = first.n_agents
+    if undo is not None:
+        y = Schedule(n, tuple(assignment))
+        for c, agent in undo:
+            assignment[c] = agent
+        x = Schedule(n, tuple(assignment))
         candidates = [x, y, x.swap_agents(), y.swap_agents()]
     elif initial:
         raise InternalInvariantError(
             "agent 0 envies in every step of a bundle-swapped sequence"
         )
     else:
-        first, last = steps[0], steps[-1]
+        last = Schedule(n, tuple(assignment))
         candidates = [first, first.swap_agents(), last, last.swap_agents()]
     for candidate in candidates:
         if check_ef1(candidate, instance).holds:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -63,20 +64,27 @@ def component_prefixes(schedule: Schedule, graph: ConflictGraph) -> list[Schedul
     return prefixes
 
 
-def independent_additive_failures(instance: Instance, schedule: Schedule) -> list[str]:
-    """Why the schedule is not complete, conflict-free and EF1, from first principles.
+def independent_additive_failures(
+    instance: Instance, schedule: Schedule, complete: bool = True
+) -> list[str]:
+    """Why the schedule is not complete (or, with complete=False, maximal),
+    conflict-free and EF1, from first principles.
 
     Reads only the chores' intervals and the additive value table: no
-    choresched checker, graph or solver is used.  Two chores of one bundle
-    conflict when their half-open intervals intersect.  Agent i is EF1
-    towards k when dropping i's worst chore leaves v_i(X_i) >= v_i(X_k).
+    choresched checker, graph or solver is used.  Two chores conflict when
+    their half-open intervals intersect.  A schedule is maximal when every
+    unassigned chore conflicts with some chore of every bundle.  Agent i is
+    EF1 towards k when dropping i's worst chore leaves v_i(X_i) >= v_i(X_k).
     Returns an empty list when every property holds.
     """
     failures = []
     bundles: list[list[int]] = [[] for _ in range(instance.n)]
+    unassigned = []
     for c, a in enumerate(schedule.assignment):
         if a is None:
-            failures.append(f"chore {c} unassigned")
+            unassigned.append(c)
+            if complete:
+                failures.append(f"chore {c} unassigned")
         else:
             bundles[a].append(c)
     spans = [(ch.start, ch.finish) for ch in instance.chores]
@@ -84,6 +92,19 @@ def independent_additive_failures(instance: Instance, schedule: Schedule) -> lis
         for c, d in itertools.combinations(bundle, 2):
             if max(spans[c][0], spans[d][0]) < min(spans[c][1], spans[d][1]):
                 failures.append(f"agent {a} holds overlapping chores {c} and {d}")
+    if not complete:
+        for a, bundle in enumerate(bundles):
+            # A chore [s, f) conflicts with the bundle iff some member starting
+            # before f finishes after s: compare s with the latest finish among
+            # the members that start before f.
+            by_start = sorted(spans[c] for c in bundle)
+            starts = [start for start, _ in by_start]
+            latest = list(itertools.accumulate((finish for _, finish in by_start), max))
+            for c in unassigned:
+                start, finish = spans[c]
+                before = bisect.bisect_left(starts, finish)
+                if before == 0 or latest[before - 1] <= start:
+                    failures.append(f"chore {c} unassigned but fits agent {a}'s bundle")
     table = instance.valuations.table
     for i, row in enumerate(table):
         own = sum(row[c] for c in bundles[i])

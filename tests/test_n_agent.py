@@ -370,3 +370,37 @@ class TestLargeInstancesIndependently:
         assert independent_additive_failures(envious, Schedule(2, (0, 0, 0))) == [
             "agent 0 envies agent 1 beyond one chore"
         ]
+        # Chore 1 overlaps chores 0 and 2, which do not overlap each other.
+        chain = Instance(
+            2,
+            (
+                Chore(id=0, start=0, finish=2),
+                Chore(id=1, start=1, finish=4),
+                Chore(id=2, start=3, finish=5),
+            ),
+            AdditiveValuations([[-1, -1, -1]] * 2),
+        )
+        maximal = Schedule(2, (0, None, 1))
+        assert independent_additive_failures(chain, maximal, complete=False) == []
+        assert independent_additive_failures(chain, maximal) == ["chore 1 unassigned"]
+        assert independent_additive_failures(chain, Schedule(2, (0, None, None)), complete=False) == [
+            "chore 2 unassigned but fits agent 0's bundle",
+            "chore 1 unassigned but fits agent 1's bundle",
+            "chore 2 unassigned but fits agent 1's bundle",
+        ]
+        # A chore that finishes as a member starts, or starts as one finishes, fits.
+        touching = Instance(
+            2,
+            (
+                Chore(id=0, start=2, finish=4),
+                Chore(id=1, start=0, finish=2),
+                Chore(id=2, start=4, finish=6),
+            ),
+            AdditiveValuations([[0, 0, 0]] * 2),
+        )
+        assert independent_additive_failures(touching, Schedule(2, (0, None, None)), complete=False) == [
+            "chore 1 unassigned but fits agent 0's bundle",
+            "chore 2 unassigned but fits agent 0's bundle",
+            "chore 1 unassigned but fits agent 1's bundle",
+            "chore 2 unassigned but fits agent 1's bundle",
+        ]

@@ -19,7 +19,7 @@ from choresched.core import (
     path_instance,
 )
 from choresched.generate import random_interval_instance, random_path_instance
-from conftest import random_feasible_schedule
+from conftest import N_TWO_AGENT_ADDITIVE, independent_additive_failures, random_feasible_schedule
 from choresched.oracle import enumerate_maximal
 from choresched.two_agent import (
     BLUE,
@@ -404,6 +404,152 @@ class TestSelectEf1:
             assert is_maximal(chosen, inst.graph())
 
 
+def reference_select_ef1(sequence, instance):
+    """select_ef1 as it was before the delta walk: agent 0's envy is read off
+    every fully materialized step, each bundle valued as a whole."""
+    steps = sequence.steps
+
+    def envies(step):
+        own, other = step.bundles()
+        return instance.value(0, own) < instance.value(0, other)
+
+    initial = envies(steps[0])
+    flip = next((t for t in range(1, len(steps)) if envies(steps[t]) != initial), None)
+    if flip is not None:
+        x, y = steps[flip - 1], steps[flip]
+        candidates = [x, y, x.swap_agents(), y.swap_agents()]
+    elif initial:
+        raise InternalInvariantError("agent 0 envies in every step of a bundle-swapped sequence")
+    else:
+        first, last = steps[0], steps[-1]
+        candidates = [first, first.swap_agents(), last, last.swap_agents()]
+    for candidate in candidates:
+        if check_ef1(candidate, instance).holds:
+            if not is_maximal(candidate, instance.graph()):
+                raise InternalInvariantError("selected EF1 schedule is not maximal")
+            return candidate
+    raise InternalInvariantError("none of the four flip candidates is EF1")
+
+
+class QueryCounter:
+    """Monotone valuation functions that count every value query they answer."""
+
+    def __init__(self):
+        self.queries = 0
+
+    def wrap(self, fn):
+        def counted(agent, bundle):
+            self.queries += 1
+            return fn(agent, bundle)
+
+        return counted
+
+
+def compare_selections(sequence, instance, counter):
+    """select_ef1 and the reference on one sequence: the outcome (the chosen
+    schedule or the trap's text) and, for monotone profiles, the query count."""
+    outcomes = []
+    for select in (select_ef1, reference_select_ef1):
+        counter.queries = 0
+        try:
+            outcomes.append(select(sequence, instance))
+        except InternalInvariantError as exc:
+            outcomes.append(str(exc))
+        outcomes.append(counter.queries)
+    got, got_queries, want, want_queries = outcomes
+    assert got == want
+    if not instance.valuations.is_additive:
+        assert got_queries == want_queries
+    return want
+
+
+def test_flip_search_matches_the_materialized_reference(two_agent_corpus, monkeypatch):
+    # Every _SequenceBuilder also snapshots each state as a Schedule when it
+    # records it, the eager build the delta log replaced.
+    eager = []
+    init, emit = _SequenceBuilder.__init__, _SequenceBuilder.emit
+
+    def snapshot_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        eager.append([Schedule(2, tuple(self.status))])
+
+    def snapshot_emit(self, tag):
+        emit(self, tag)
+        eager[-1].append(Schedule(2, tuple(self.status)))
+
+    monkeypatch.setattr(_SequenceBuilder, "__init__", snapshot_init)
+    monkeypatch.setattr(_SequenceBuilder, "emit", snapshot_emit)
+
+    counter = QueryCounter()
+    square = counter.wrap(lambda i, b: -(len(b) ** 2))
+    monotone = []
+    for inst in two_agent_corpus.intervals[: len(two_agent_corpus.monotone)]:
+        table = inst.valuations.table
+        summed = counter.wrap(lambda i, b, table=table: sum(table[i][c] for c in b))
+        monotone += [Instance(2, inst.chores, MonotoneValuations(2, inst.m, fn)) for fn in (square, summed)]
+    runs = [(inst, interval_sequence_ef1) for inst in two_agent_corpus.intervals + monotone]
+    runs += [(inst, path_sequence) for inst in two_agent_corpus.paths]
+    monotone_queries = 0
+    for k, (inst, construct) in enumerate(runs):
+        eager.clear()
+        seq = construct(inst)
+        (steps,) = eager
+        assert seq.steps == tuple(steps)
+        assert ScheduleSequence(steps=steps, tags=seq.tags) == seq
+        sequences = [seq]
+        # Reversed and swapped steps are hand-built swap-ended adjacent
+        # sequences with other flips; the first 2,000 additive instances and
+        # every later run get them, which bounds the test's time.
+        if k < 2000 or k >= N_TWO_AGENT_ADDITIVE:
+            sequences.append(ScheduleSequence(steps=steps[::-1], tags=seq.tags))
+            sequences.append(ScheduleSequence(steps=[s.swap_agents() for s in steps], tags=seq.tags))
+        for sequence in sequences:
+            assert isinstance(compare_selections(sequence, inst, counter), Schedule)
+            if not inst.valuations.is_additive:
+                monotone_queries += counter.queries
+    assert monotone_queries > 0
+
+
+def test_flip_search_matches_the_reference_on_arbitrary_hand_built_sequences():
+    # Random feasible schedules strung together are neither adjacent nor
+    # swap-ended, so every trap of the selection fires somewhere.
+    rng = random.Random(41)
+    counter = QueryCounter()
+    outcomes = Counter()
+    for _ in range(3000):
+        m = rng.randint(1, 7)
+        inst = random_interval_instance(rng, 2, m, vmin=-4)
+        if rng.random() < 0.5:
+            table = inst.valuations.table
+            fn = counter.wrap(lambda i, b, table=table: sum(table[i][c] for c in b) - len(b) // 2)
+            inst = Instance(2, inst.chores, MonotoneValuations(2, m, fn))
+        steps = [random_feasible_schedule(rng, inst) for _ in range(rng.randint(1, 5))]
+        sequence = ScheduleSequence(steps=steps, tags=["step"] * len(steps))
+        result = compare_selections(sequence, inst, counter)
+        outcomes[result if isinstance(result, str) else "chosen"] += 1
+    assert set(outcomes) == {
+        "chosen",
+        "agent 0 envies in every step of a bundle-swapped sequence",
+        "selected EF1 schedule is not maximal",
+        "none of the four flip candidates is EF1",
+    }
+
+
+class TestLargeInstancesIndependently:
+    """solve_two_agents at m = 2000, judged by a check that shares no code with it."""
+
+    @pytest.mark.parametrize(
+        "max_len, window",
+        [(4, None), (40, 1000)],
+        ids=["short-chores", "long-chores-in-a-short-window"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_maximal_conflict_free_ef1(self, seed, max_len, window):
+        inst = random_interval_instance(random.Random(seed), 2, 2000, max_len=max_len, window=window)
+        schedule = solve_two_agents(inst)
+        assert independent_additive_failures(inst, schedule, complete=False) == []
+
+
 class TestSolveTwoAgents:
     def test_single_chore(self):
         inst = path_instance([[-2]] * 2)
@@ -461,6 +607,30 @@ class TestTraceFormat:
             steps=(Schedule(2, (0, 1, None)),), tags=("initial",)
         )
         assert seq.trace_lines() == ["RBN initial"]
+
+
+class TestScheduleSequence:
+    def test_deltas_hold_the_changed_chores_in_id_order(self):
+        seq = path_sequence(path_instance([[-1] * 4] * 2))
+        assert seq.initial == Schedule(2, (0, 1, 0, 1))
+        assert seq.deltas == (((0, 1), (1, None)), ((1, 0), (2, None)), ((2, 1), (3, 0)))
+        assert len(seq) == 4 and "steps" not in vars(seq)
+        assert seq.steps[-1] == Schedule(2, (1, 0, 1, 0))
+
+    def test_selection_never_materializes_the_steps(self):
+        inst = random_interval_instance(random.Random(5), 2, 300)
+        seq = interval_sequence_ef1(inst)
+        select_ef1(seq, inst)
+        seq.trace_lines()
+        assert "steps" not in vars(seq)
+
+    def test_hand_built_steps_are_kept_and_must_match_in_size(self):
+        steps = (Schedule(2, (0, None)), Schedule(2, (0, 1)))
+        seq = ScheduleSequence(steps=steps, tags=("initial", "add"))
+        assert seq.steps is steps
+        assert seq.deltas == (((1, 1),),)
+        with pytest.raises(InputError, match="different chores"):
+            ScheduleSequence(steps=(Schedule(2, (0, 1)), Schedule(2, (0,))), tags=("a", "b"))
 
 
 class TestExhaustiveSmallStructures:
@@ -643,7 +813,10 @@ def test_step_checker_matches_full_checks_on_the_acceptance_corpus(two_agent_cor
                 assert probe_verdict(builder) == expected
                 verdicts[expected] += 1
             status, builder = y_probe
-            assert builder.steps[-1] == y
+            assert builder.assignment == list(y.assignment)
+            assert builder.deltas[-1] == tuple(
+                (c, b) for c, (a, b) in enumerate(zip(x.assignment, y.assignment)) if a != b
+            )
             kept = [c for c in range(inst.m) if x.assignment[c] == y.assignment[c]]
             if kept:
                 c = rng.choice(kept)
