@@ -8,6 +8,8 @@ the best of --repeats wall-clock times, in seconds, of:
 - sequence_s: interval_sequence_ef1 on a fresh copy of
   random_interval_instance(Random(seed), 2, m), conflict-graph build included;
 - select_s: select_ef1 on that sequence;
+- ef2_s: interval_sequence_ef2 with its completion hints on another fresh
+  copy;
 - cli_solve_s: cli.main(["solve", FILE, "--format", "json"]) in-process;
 - cli_process_s: the same command in a new interpreter, start-up included.
 
@@ -37,7 +39,7 @@ from choresched import cli  # noqa: E402
 from choresched.core import Instance  # noqa: E402
 from choresched.generate import random_interval_instance  # noqa: E402
 from choresched.io import save_instance  # noqa: E402
-from choresched.two_agent import interval_sequence_ef1, select_ef1  # noqa: E402
+from choresched.two_agent import interval_sequence_ef1, interval_sequence_ef2, select_ef1  # noqa: E402
 
 
 def best_time(repeats: int, fn):
@@ -63,6 +65,10 @@ def main() -> None:
         lambda: interval_sequence_ef1(Instance(2, inst.chores, inst.valuations)),
     )
     select_s, _ = best_time(args.repeats, lambda: select_ef1(seq, inst))
+    ef2_s, _ = best_time(
+        args.repeats,
+        lambda: interval_sequence_ef2(Instance(2, inst.chores, inst.valuations)),
+    )
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "instance.json")
@@ -87,6 +93,7 @@ def main() -> None:
         "steps": len(seq),
         "sequence_s": round(sequence_s, 4),
         "select_s": round(select_s, 4),
+        "ef2_s": round(ef2_s, 4),
         "cli_solve_s": round(cli_solve_s, 4),
         "cli_process_s": round(cli_process_s, 4),
         "solve_sha256": hashlib.sha256(output.encode()).hexdigest(),

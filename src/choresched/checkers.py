@@ -91,8 +91,9 @@ def _check_envy_pairs(
     """Run judge(i, X_i, v_i(X_i), v_i(X_j)) on every pair where i envies j.
 
     The judge returns a removal count and the witness chores, or None as the
-    witness of a violation, whose count is then the minimal one.  An empty bundle is worth 0, at least any bundle's
-    value, so an agent holding nothing never envies and is skipped.
+    witness of a violation, whose count is then the minimal one.  An empty
+    bundle is worth 0, at least any bundle's value, so an agent holding
+    nothing never envies and is skipped.
     """
     _require_feasible(schedule, instance)
     bundles = schedule.bundles()

@@ -176,9 +176,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
     instance = fileio.load_instance(args.instance)
-    algo = args.algo
-    if algo == "auto":
-        algo = "two-agent-interval"
+    algo = "two-agent-interval" if args.algo == "auto" else args.algo
     if algo == "two-agent-path":
         seq = path_sequence(instance)
     elif algo == "two-agent-interval":
@@ -191,9 +189,9 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
             {
                 "phase": tag,
                 "colors": line.split(" ")[0],
-                "assignment": fileio.schedule_to_dict(step)["assignment"],
+                "assignment": {str(c): a for c, a in enumerate(assignment)},
             }
-            for (step, tag, line) in zip(seq.steps, seq.tags, lines)
+            for (assignment, tag, line) in zip(seq._assignments(), seq.tags, lines)
         ]
     }
     _emit(payload, "\n".join(lines), args.format)

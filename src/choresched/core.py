@@ -325,13 +325,6 @@ class Schedule:
                 out[a].add(c)
         return tuple(frozenset(b) for b in out)
 
-    def bundle_mask(self, agent: int) -> int:
-        mask = 0
-        for c, a in enumerate(self.assignment):
-            if a == agent:
-                mask |= 1 << c
-        return mask
-
     def assigned(self) -> frozenset[int]:
         return frozenset(c for c, a in enumerate(self.assignment) if a is not None)
 

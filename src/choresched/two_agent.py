@@ -26,6 +26,7 @@ from .core import (
     Instance,
     InternalInvariantError,
     Schedule,
+    _mask_bits,
     build_conflict_graph,
     is_feasible,
     order_by_finish,
@@ -41,7 +42,7 @@ Delta = tuple[tuple[int, Optional[int]], ...]
 
 @dataclass(frozen=True, init=False)
 class ScheduleSequence:
-    """An ordered list of schedules over one instance, with per-step phase tags.
+    """An ordered list of two-agent schedules over one instance, with per-step phase tags.
 
     It is stored as its initial schedule plus one delta per later step: the
     (chore, new agent) pairs of the chores whose agent changed, in chore id
@@ -62,8 +63,10 @@ class ScheduleSequence:
         if not steps:
             raise InputError("a sequence has at least one step")
         first = steps[0]
-        if any(s.m != first.m or s.n_agents != first.n_agents for s in steps):
-            raise InputError("the steps of a sequence cover different chores or agents")
+        if any(s.n_agents != 2 for s in steps):
+            raise InputError("the steps of a sequence must be two-agent schedules")
+        if any(s.m != first.m for s in steps):
+            raise InputError("the steps of a sequence cover different chores")
         deltas = tuple(
             tuple((c, b) for c, (a, b) in enumerate(zip(x.assignment, y.assignment)) if a != b)
             for x, y in zip(steps, steps[1:])
@@ -296,6 +299,8 @@ def classify_supported(
     schedule: Schedule, classification: ChoreClassification
 ) -> dict[int, bool]:
     """Supported flags for every unassigned chore of the schedule."""
+    if schedule.n_agents != 2 or schedule.m != classification.graph.m:
+        raise InputError("the schedule must be a two-agent schedule of the classified chores")
     status = _Coloring(schedule.assignment)
     return {
         c: _is_supported(c, status, classification)
@@ -305,23 +310,24 @@ def classify_supported(
 
 
 class _SequenceBuilder:
-    """Records the states of one _Coloring as step deltas, and is the bug trap
-    for a two-agent sequence: each step is feasible, maximal (when required)
-    and adjacent to the one before, and the endpoints are bundle swaps.
+    """Records the states of one _Coloring as step deltas, keeps insertable,
+    the mask of unassigned chores that still fit a bundle, and is the bug
+    trap for a two-agent sequence: each step is feasible, maximal (insertable
+    empty) when required, and adjacent to the one before, and the endpoints
+    are bundle swaps.
 
-    The constructor records the coloring as the "initial" step and checks it
-    in full.  emit replays the coloring's log onto the builder's own
-    assignment and bundle masks, records the chores whose color changed with
-    their new colors as the step's delta, and checks the new step only
-    through that delta:
+    The constructor records the coloring as the "initial" step, checks it for
+    feasibility in full and scans every unassigned chore.  emit replays the
+    coloring's log onto the builder's own assignment and bundle masks,
+    records the chores whose color changed with their new colors as the
+    step's delta, and checks the new step only through that delta:
 
     - feasible: every changed chore that is assigned is free of overlaps in
       its new bundle.  Two overlapping chores in one bundle that both kept
       their agent would have made the previous step infeasible.
-    - maximal (when required): every unassigned chore in the closed
-      neighbourhood of the delta is blocked in both bundles.  Any other
-      unassigned chore was unassigned before and none of its neighbours
-      changed, so the previous, maximal step already blocked it in both.
+    - insertable: only the previous insertable chores and the closed
+      neighbourhood of the delta are rechecked.  Any other unassigned chore
+      was blocked in both bundles before, and none of its neighbours changed.
     - adjacent: each bundle gains at most one changed chore and loses at most
       one, which is the adjacent() test itself restricted to the chores
       where the two steps can differ.
@@ -329,8 +335,7 @@ class _SequenceBuilder:
     So a step fails here exactly when the full check of it (and of the pair
     it forms with the previous step) fails.  sequence() requires the last
     step to equal the coloring, which proves that no write escaped the log,
-    and the first and last steps to be bundle swaps.  No step but the
-    initial one is built as a Schedule here.
+    and the first and last steps to be bundle swaps.
     """
 
     def __init__(
@@ -343,17 +348,33 @@ class _SequenceBuilder:
         step = Schedule(2, tuple(status))
         if not is_feasible(step, graph):
             self._fail("initial produced an infeasible schedule")
-        if require_maximal and not is_maximal(step, graph):
-            self._fail("initial produced a non-maximal schedule")
         status.log.clear()
         self.assignment = list(status)
-        self.masks = [step.bundle_mask(RED), step.bundle_mask(BLUE)]
+        self.masks = [sum(1 << c for c, a in enumerate(status) if a == agent) for agent in (RED, BLUE)]
+        self.insertable = 0
+        self._recheck((1 << graph.m) - 1, "initial")
         self.initial = step
         self.deltas: list[Delta] = []
         self.tags = ["initial"]
 
     def _fail(self, what: str) -> NoReturn:
         raise InternalInvariantError(f"{self.context}: {what}")
+
+    def _recheck(self, region: int, tag: str) -> None:
+        """Recompute insertable over the region plus the old set; with require_maximal, fail if any."""
+        nbr = self.graph.neighbor_masks
+        red, blue = self.masks
+        region = (region | self.insertable) & ~(red | blue)
+        insertable = 0
+        while region:
+            low = region & -region
+            u = low.bit_length() - 1
+            if not (nbr[u] & red and nbr[u] & blue):
+                insertable |= low
+            region ^= low
+        self.insertable = insertable
+        if self.require_maximal and insertable:
+            self._fail(f"{tag} produced a non-maximal schedule")
 
     def emit(self, tag: str) -> None:
         """Take the coloring's log and record the coloring as the next step."""
@@ -376,22 +397,36 @@ class _SequenceBuilder:
         self.status.log.clear()
         if any(assignment[c] is not None and nbr[c] & masks[assignment[c]] for c in changed):
             self._fail(f"{tag} produced an infeasible schedule")
-        if self.require_maximal:
-            red, blue = masks
-            region = 0
-            for c in changed:
-                region |= nbr[c] | 1 << c
-            region &= ~(red | blue)
-            while region:
-                low = region & -region
-                u = low.bit_length() - 1
-                if not (nbr[u] & red and nbr[u] & blue):
-                    self._fail(f"{tag} produced a non-maximal schedule")
-                region ^= low
+        region = 0
+        for c in changed:
+            region |= nbr[c] | 1 << c
+        self._recheck(region, tag)
         if max(added) > 1 or max(removed) > 1:
             self._fail(f"{tag} broke adjacency")
         self.deltas.append(tuple((c, assignment[c]) for c in changed))
         self.tags.append(tag)
+
+    def completion_hint(self, rank: dict[int, int]) -> Optional[tuple[int, int]]:
+        """The single (chore, agent) insertion that makes the current step
+        maximal, or None when insertable is empty.
+
+        The earliest insertable finisher by rank goes to the first agent whose
+        bundle it fits.  Every chore outside insertable is blocked in both
+        bundles, so the completed step is maximal iff every other insertable
+        chore is blocked in both once the hint is in; the construction
+        guarantees it, and it is asserted.
+        """
+        if not self.insertable:
+            return None
+        nbr = self.graph.neighbor_masks
+        chore = min(_mask_bits(self.insertable), key=rank.__getitem__)
+        agent = RED if not nbr[chore] & self.masks[RED] else BLUE
+        masks = list(self.masks)
+        masks[agent] |= 1 << chore
+        rest = _mask_bits(self.insertable ^ 1 << chore)
+        if not all(nbr[u] & masks[RED] and nbr[u] & masks[BLUE] for u in rest):
+            raise InternalInvariantError("near-maximal step needed more than one insertion to become maximal")
+        return chore, agent
 
     def sequence(self) -> ScheduleSequence:
         if self.assignment != self.status:
@@ -407,8 +442,9 @@ def interval_sequence_ef2(
     """The simpler shift sequence over marked chores only.
 
     Steps are feasible and adjacent with swapped endpoints, but a middle step
-    may be one insertion short of maximal.  Each step comes with a completion
-    hint: None if the step is already maximal, else the single (chore, agent)
+    may be one insertion short of maximal.  Each step's completion hint is
+    read from the builder's insertable set right after the step is recorded:
+    None if the step is already maximal, else the single (chore, agent)
     insertion after which it is.  Unmarked chores are never assigned.
 
     Step i (for 2 <= i < k, with k marked chores) gives marked chore i-1 its
@@ -422,55 +458,25 @@ def interval_sequence_ef2(
     marked = cls.marked
     status = _Coloring([cls.source_color.get(c) for c in range(graph.m)])
     builder = _SequenceBuilder(graph, "interval_sequence_ef2", status, require_maximal=False)
+    hints = [builder.completion_hint(cls.rank)]
     for i in range(2, len(marked)):
         c_i, c_prev, c_next = marked[i - 1], marked[i - 2], marked[i]
         status[c_prev] = cls.target_color(c_prev)
-        hits_prev = graph.has_edge(c_i, c_prev)
         hits_next = graph.has_edge(c_i, c_next)
-        if hits_prev and hits_next:
+        if hits_next and graph.has_edge(c_i, c_prev):
             status[c_i] = None
         elif hits_next:
             status[c_i] = status[c_prev]
         else:
             status[c_i] = status[c_next]
         builder.emit("shift")
+        hints.append(builder.completion_hint(cls.rank))
     if marked:
         for c in marked[-2:]:
             status[c] = cls.target_color(c)
         builder.emit("shift")
-
-    seq = builder.sequence()
-    hints = tuple(_completion_hint(step, graph, cls.rank) for step in seq.steps)
-    return seq, hints
-
-
-def _completion_hint(
-    step: Schedule, graph: ConflictGraph, rank: dict[int, int]
-) -> Optional[tuple[int, int]]:
-    """The single insertion that makes a near-maximal schedule maximal.
-
-    Returns None when the step is already maximal.  Among the insertable
-    chores (there can be several, mutually conflicting) the earliest finisher
-    dominates: after inserting it nothing else fits.  That the result is
-    maximal is asserted, since the construction guarantees it.
-    """
-    bundle_masks = [step.bundle_mask(a) for a in (RED, BLUE)]
-    insertable = [
-        (c, agent)
-        for c, a in enumerate(step.assignment)
-        if a is None
-        for agent in (RED, BLUE)
-        if not graph.neighbor_masks[c] & bundle_masks[agent]
-    ]
-    if not insertable:
-        return None
-    chore, agent = min(insertable, key=lambda ca: (rank[ca[0]], ca[1]))
-    completed = step.assign(chore, agent)
-    if not is_maximal(completed, graph):
-        raise InternalInvariantError(
-            "near-maximal step needed more than one insertion to become maximal"
-        )
-    return chore, agent
+        hints.append(builder.completion_hint(cls.rank))
+    return builder.sequence(), tuple(hints)
 
 
 def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
@@ -631,6 +637,8 @@ def select_ef1(sequence: ScheduleSequence, instance: Instance) -> Schedule:
     Schedules.
     """
     _require_two_agents(instance)
+    if sequence.initial.m != instance.m:
+        raise InputError(f"the sequence covers {sequence.initial.m} chores, the instance {instance.m}")
     graph = instance.graph()
     additive = instance.valuations.is_additive
     first = sequence.initial
@@ -655,19 +663,18 @@ def select_ef1(sequence: ScheduleSequence, instance: Instance) -> Schedule:
         if (gap < 0) != initial:
             undo = overwritten
             break
-    n = first.n_agents
     if undo is not None:
-        y = Schedule(n, tuple(assignment))
+        y = Schedule(2, tuple(assignment))
         for c, agent in undo:
             assignment[c] = agent
-        x = Schedule(n, tuple(assignment))
+        x = Schedule(2, tuple(assignment))
         candidates = [x, y, x.swap_agents(), y.swap_agents()]
     elif initial:
         raise InternalInvariantError(
             "agent 0 envies in every step of a bundle-swapped sequence"
         )
     else:
-        last = Schedule(n, tuple(assignment))
+        last = Schedule(2, tuple(assignment))
         candidates = [first, first.swap_agents(), last, last.swap_agents()]
     for candidate in candidates:
         if check_ef1(candidate, instance).holds:

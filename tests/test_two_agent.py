@@ -160,6 +160,16 @@ class TestClassification:
         schedule = Schedule(2, (0, 1, 0, 1))
         assert classify_supported(schedule, cls) == {}
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [Schedule(3, (2, None)), Schedule(2, (None,)), Schedule(2, (None, 0, None))],
+        ids=["three-agents", "shorter", "longer"],
+    )
+    def test_schedule_must_fit_the_classification(self, schedule):
+        cls = classify_chores(path_instance([[-1] * 2] * 2).chores)
+        with pytest.raises(InputError, match="two-agent schedule of the classified chores"):
+            classify_supported(schedule, cls)
+
     def test_overlapping_anchors_reassignment_restores_support(self):
         # chore 2 overlaps both marked chores, which overlap each other: in
         # the initial coloring it is unsupported; the first reassignment
@@ -463,9 +473,10 @@ def compare_selections(sequence, instance, counter):
     return want
 
 
-def test_flip_search_matches_the_materialized_reference(two_agent_corpus, monkeypatch):
-    # Every _SequenceBuilder also snapshots each state as a Schedule when it
-    # records it, the eager build the delta log replaced.
+@pytest.fixture
+def eager(monkeypatch):
+    """One list per _SequenceBuilder created, of every state it recorded as a
+    Schedule: the eager build the delta log replaced."""
     eager = []
     init, emit = _SequenceBuilder.__init__, _SequenceBuilder.emit
 
@@ -479,7 +490,10 @@ def test_flip_search_matches_the_materialized_reference(two_agent_corpus, monkey
 
     monkeypatch.setattr(_SequenceBuilder, "__init__", snapshot_init)
     monkeypatch.setattr(_SequenceBuilder, "emit", snapshot_emit)
+    return eager
 
+
+def test_flip_search_matches_the_materialized_reference(two_agent_corpus, eager):
     counter = QueryCounter()
     square = counter.wrap(lambda i, b: -(len(b) ** 2))
     monotone = []
@@ -632,6 +646,18 @@ class TestScheduleSequence:
         with pytest.raises(InputError, match="different chores"):
             ScheduleSequence(steps=(Schedule(2, (0, 1)), Schedule(2, (0,))), tags=("a", "b"))
 
+    def test_steps_must_be_two_agent_schedules(self):
+        with pytest.raises(InputError, match="two-agent"):
+            ScheduleSequence(steps=(Schedule(3, (2, 0)),), tags=("initial",))
+        with pytest.raises(InputError, match="two-agent"):
+            ScheduleSequence(steps=(Schedule(2, (0, 1)), Schedule(3, (1, 0))), tags=("a", "b"))
+
+    def test_selection_rejects_a_sequence_over_other_chores(self):
+        inst = path_instance([[-1, -2]] * 2)
+        seq = path_sequence(path_instance([[-1, -2, -3]] * 2))
+        with pytest.raises(InputError, match="covers 3 chores"):
+            select_ef1(seq, inst)
+
 
 class TestExhaustiveSmallStructures:
     """Every interval structure with up to three chores in a 4-slot window.
@@ -745,7 +771,7 @@ def mutated_successors(rng, step, graph):
         a, b = rng.sample(range(m), 2)
         agent = rng.choice((RED, BLUE))
         out.append(step.assign(a, agent).assign(b, agent))
-    masks = (step.bundle_mask(RED), step.bundle_mask(BLUE))
+    masks = [sum(1 << c for c in step.bundle(agent)) for agent in (RED, BLUE)]
     overlapping = [
         (c, agent)
         for c in range(m)
@@ -827,6 +853,84 @@ def test_step_checker_matches_full_checks_on_the_acceptance_corpus(two_agent_cor
     # Every verdict occurs, so no branch of the trap went untested.
     assert set(verdicts) == {None, "infeasible", "not maximal", "not adjacent"}
     assert bypasses > 0
+
+
+def reference_completion_hint(step, graph, rank):
+    """interval_sequence_ef2's hint as it was before the builder kept the
+    insertable set: every chore of a materialized step is scanned, and the
+    completed step gets a full maximality test."""
+    bundle_masks = [sum(1 << c for c in step.bundle(agent)) for agent in (RED, BLUE)]
+    insertable = [
+        (c, agent)
+        for c, a in enumerate(step.assignment)
+        if a is None
+        for agent in (RED, BLUE)
+        if not graph.neighbor_masks[c] & bundle_masks[agent]
+    ]
+    if not insertable:
+        return None
+    chore, agent = min(insertable, key=lambda ca: (rank[ca[0]], ca[1]))
+    if not is_maximal(step.assign(chore, agent), graph):
+        raise InternalInvariantError(
+            "near-maximal step needed more than one insertion to become maximal"
+        )
+    return chore, agent
+
+
+def hint_outcome(hint, *args):
+    """A hint function's result, or the text of the trap it raised."""
+    try:
+        return hint(*args)
+    except InternalInvariantError as exc:
+        return str(exc)
+
+
+LETTERS = {RED: "R", BLUE: "B", None: "N"}
+
+
+def test_ef2_hints_match_the_materialized_reference(two_agent_corpus, eager):
+    # The reference scans the eager snapshots of every step.  On the first
+    # 2,000 corpus instances, probe builders also start at every step x and
+    # emit each feasible adjacent mutation y of it, which carries x's
+    # insertable set into y, and start at random feasible schedules, which
+    # are often more than one insertion short of maximal.
+    large = [
+        random_interval_instance(random.Random(1), 2, 2000, max_len=max_len, window=window)
+        for max_len, window in [(4, None), (40, 1000)]
+    ]
+    rng = random.Random(17)
+    outcomes = Counter()
+    for k, inst in enumerate(two_agent_corpus.intervals + large):
+        graph = inst.graph()
+        rank = classify_chores(inst.chores, graph).rank
+        eager.clear()
+        seq, hints = interval_sequence_ef2(inst)
+        (steps,) = eager
+        assert "steps" not in vars(seq)
+        assert seq.trace_lines() == [
+            "".join(LETTERS[a] for a in step.assignment) + " " + tag
+            for step, tag in zip(steps, seq.tags)
+        ]
+        assert hints == tuple(reference_completion_hint(step, graph, rank) for step in steps)
+        outcomes.update("sequence hint" if hint else "sequence none" for hint in hints)
+        if k >= 2000:
+            continue
+        for x in steps:
+            status = _Coloring(random_feasible_schedule(rng, inst).assignment)
+            probes = [(_SequenceBuilder(graph, "probe", status, False), Schedule(2, tuple(status)))]
+            for y in mutated_successors(rng, x, graph):
+                if is_feasible(y, graph) and adjacent(x, y):
+                    status = _Coloring(x.assignment)
+                    builder = _SequenceBuilder(graph, "probe", status, False)
+                    write(status, y.assignment)
+                    builder.emit("probe")
+                    probes.append((builder, y))
+            for builder, y in probes:
+                got = hint_outcome(builder.completion_hint, rank)
+                assert got == hint_outcome(reference_completion_hint, y, graph, rank)
+                outcomes[type(got).__name__] += 1
+    # Hints, maximal steps and the trap all occur.
+    assert set(outcomes) == {"sequence hint", "sequence none", "tuple", "NoneType", "str"}
 
 
 # A path 0-1-2-3 and step sequences that each break one invariant.
