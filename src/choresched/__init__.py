@@ -9,11 +9,13 @@ small instances.
 """
 
 from .checkers import (
+    EnvyGraph,
     FairnessVerdict,
     check_ef,
     check_ef1,
     check_efk,
     check_efx,
+    envy_graph,
     is_complete,
     is_maximal,
     is_pareto_optimal,
@@ -34,8 +36,6 @@ from .core import (
     path_instance,
 )
 from .n_agent import (
-    EnvyGraph,
-    envy_graph,
     solve_identical_bounded_components,
     solve_identical_dichotomous_path,
     split_pair_bundle,

@@ -8,13 +8,16 @@ EFX demands the removal work for EVERY single chore of the envious bundle.
 For additive profiles the single removal search uses the worst-chore
 shortcut (removing the r most negative chores is optimal); for opaque
 monotone profiles the search is exhaustive over removal subsets.
+
+The EF-k and EFX checks and envy_graph share one pass over the envious
+pairs, which rejects infeasible schedules and a wrong agent count.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import (
     ConflictGraph,
@@ -22,6 +25,7 @@ from .core import (
     Instance,
     Schedule,
     SizeGuardError,
+    _bundle_masks,
     is_feasible,
 )
 
@@ -38,11 +42,6 @@ class FairnessVerdict:
     holds: bool
     violations: tuple[tuple[int, int, int], ...] = ()
     witnesses: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-
-
-def _require_feasible(schedule: Schedule, instance: Instance) -> None:
-    if not is_feasible(schedule, instance.graph()):
-        raise InputError("schedule is infeasible for the instance's conflict graph")
 
 
 def _min_removals_additive(
@@ -85,33 +84,50 @@ def _min_removals(
     return _min_removals_monotone(instance, agent, bundle, other)
 
 
+def _require_agents(schedule: Schedule, instance: Instance) -> None:
+    if schedule.n_agents != instance.n:
+        raise InputError(f"schedule has {schedule.n_agents} agents, the instance {instance.n}")
+
+
+def _envy_pairs(
+    schedule: Schedule, instance: Instance
+) -> Iterator[tuple[int, int, frozenset[int], int, int]]:
+    """Yield (i, j, X_i, v_i(X_i), v_i(X_j)) for every pair where i envies j.
+
+    An empty bundle is worth 0, at least any bundle's value, so an agent
+    holding nothing never envies and is skipped.
+    """
+    _require_agents(schedule, instance)
+    if not is_feasible(schedule, instance.graph()):
+        raise InputError("schedule is infeasible for the instance's conflict graph")
+    bundles = schedule.bundles()
+    for i, bundle in enumerate(bundles):
+        if not bundle:
+            continue
+        own = instance.value(i, bundle)
+        for j, theirs in enumerate(bundles):
+            if i != j:
+                other = instance.value(i, theirs)
+                if own < other:
+                    yield i, j, bundle, own, other
+
+
 def _check_envy_pairs(
     schedule: Schedule, instance: Instance, judge: Callable[..., tuple[int, Optional[tuple]]]
 ) -> FairnessVerdict:
     """Run judge(i, X_i, v_i(X_i), v_i(X_j)) on every pair where i envies j.
 
     The judge returns a removal count and the witness chores, or None as the
-    witness of a violation, whose count is then the minimal one.  An empty
-    bundle is worth 0, at least any bundle's value, so an agent holding
-    nothing never envies and is skipped.
+    witness of a violation, whose count is then the minimal one.
     """
-    _require_feasible(schedule, instance)
-    bundles = schedule.bundles()
-    own = [instance.value(i, bundles[i]) for i in range(schedule.n_agents)]
     violations: list[tuple[int, int, int]] = []
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i in range(schedule.n_agents):
-        for j in range(schedule.n_agents):
-            if i == j or not bundles[i]:
-                continue
-            other = instance.value(i, bundles[j])
-            if own[i] >= other:
-                continue
-            r, witness = judge(i, bundles[i], own[i], other)
-            if witness is None:
-                violations.append((i, j, r))
-            else:
-                witnesses[(i, j)] = witness
+    for i, j, bundle, own, other in _envy_pairs(schedule, instance):
+        r, witness = judge(i, bundle, own, other)
+        if witness is None:
+            violations.append((i, j, r))
+        else:
+            witnesses[(i, j)] = witness
     return FairnessVerdict(
         holds=not violations, violations=tuple(violations), witnesses=witnesses
     )
@@ -166,18 +182,11 @@ def is_maximal(schedule: Schedule, graph: ConflictGraph) -> bool:
 
     Requires a feasible schedule; infeasible input is rejected.
     """
-    if not is_feasible(schedule, graph):
+    bundle_masks = _bundle_masks(schedule, graph)
+    if bundle_masks is None:
         raise InputError("maximality is only defined for feasible schedules")
-    bundle_masks = [0] * schedule.n_agents
-    for c, a in enumerate(schedule.assignment):
-        if a is not None:
-            bundle_masks[a] |= 1 << c
-    for c, a in enumerate(schedule.assignment):
-        if a is None:
-            nbr = graph.neighbor_masks[c]
-            if any(not nbr & mask for mask in bundle_masks):
-                return False
-    return True
+    free = (graph.neighbor_masks[c] for c, a in enumerate(schedule.assignment) if a is None)
+    return all(all(nbr & mask for mask in bundle_masks) for nbr in free)
 
 
 def is_pareto_optimal(schedule: Schedule, instance: Instance, guard: int = 16) -> bool:
@@ -191,6 +200,7 @@ def is_pareto_optimal(schedule: Schedule, instance: Instance, guard: int = 16) -
         raise SizeGuardError(
             f"Pareto check enumerates all maximal schedules; {instance.m} chores exceed the guard {guard}"
         )
+    _require_agents(schedule, instance)
     if not is_maximal(schedule, instance.graph()):
         raise InputError("Pareto optimality is only defined for maximal schedules")
     from .oracle import enumerate_maximal  # lazy: oracle imports this module
@@ -204,7 +214,49 @@ def is_pareto_optimal(schedule: Schedule, instance: Instance, guard: int = 16) -
 
 def _utilities(schedule: Schedule, instance: Instance) -> tuple[int, ...]:
     """Every agent's value of its own bundle."""
-    return tuple(instance.value(i, schedule.bundle(i)) for i in range(instance.n))
+    return tuple(instance.value(i, bundle) for i, bundle in enumerate(schedule.bundles()))
+
+
+@dataclass(frozen=True)
+class EnvyGraph:
+    """Directed graph with an edge (i, k) whenever agent i envies agent k."""
+
+    n: int
+    edges: frozenset[tuple[int, int]]
+
+    def is_acyclic(self) -> bool:
+        try:
+            self.topological_order()
+            return True
+        except InputError:
+            return False
+
+    def topological_order(self) -> tuple[int, ...]:
+        """A deterministic topological order (Kahn's algorithm, lowest id first)."""
+        indeg = [0] * self.n
+        out: dict[int, list[int]] = {i: [] for i in range(self.n)}
+        for i, k in sorted(self.edges):
+            indeg[k] += 1
+            out[i].append(k)
+        ready = sorted(i for i in range(self.n) if indeg[i] == 0)
+        order: list[int] = []
+        while ready:
+            v = ready.pop(0)
+            order.append(v)
+            for w in out[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    ready.append(w)
+            ready.sort()
+        if len(order) != self.n:
+            raise InputError("envy graph contains a cycle")
+        return tuple(order)
+
+
+def envy_graph(schedule: Schedule, instance: Instance) -> EnvyGraph:
+    """The envy digraph of a feasible schedule: (i, k) iff v_i(X_i) < v_i(X_k)."""
+    edges = frozenset((i, k) for i, k, *_ in _envy_pairs(schedule, instance))
+    return EnvyGraph(n=instance.n, edges=edges)
 
 
 def _dominates(better: tuple[int, ...], worse: tuple[int, ...]) -> bool:

@@ -177,6 +177,8 @@ class ConflictGraph:
         With within, the components of the subgraph induced by those chores.
         """
         members = range(self.m) if within is None else sorted(set(within))
+        if members and (members[0] < 0 or members[-1] >= self.m):
+            raise InputError(f"within holds chore ids outside 0..{self.m - 1}")
         allowed = sum(1 << c for c in members)
         seen = 0
         comps = []
@@ -283,14 +285,11 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.n_agents < 1:
             raise InputError("schedule needs at least one agent")
-        # Two passes in C when every entry is None or a valid agent; the loop
-        # judges anything else and names the chore.  The type pass comes
-        # first: True and 1.0 hash like 1, and an unhashable entry fails it.
-        agents = {None, *range(self.n_agents)}
-        if set(map(type, self.assignment)) <= {int, type(None)} and set(self.assignment) <= agents:
-            return
-        for c, a in enumerate(self.assignment):
-            if a is not None and not (type(a) is int and 0 <= a < self.n_agents):
+        assignment = tuple(self.assignment)
+        object.__setattr__(self, "assignment", assignment)
+        n = self.n_agents
+        for c, a in enumerate(assignment):
+            if a is not None and not (type(a) is int and 0 <= a < n):
                 raise InputError(f"chore {c} assigned to unknown agent {a}")
 
     @classmethod
@@ -299,6 +298,8 @@ class Schedule:
 
     @classmethod
     def from_bundles(cls, n_agents: int, m: int, bundles: Sequence[Iterable[int]]) -> "Schedule":
+        if m < 0:
+            raise InputError(f"chore count must be non-negative, got {m}")
         if len(bundles) != n_agents:
             raise InputError(f"expected {n_agents} bundles, got {len(bundles)}")
         assignment: list[Optional[int]] = [None] * m
@@ -434,6 +435,11 @@ def path_component_order(
 
 def is_feasible(schedule: Schedule, graph: ConflictGraph) -> bool:
     """True iff no agent's bundle contains two overlapping chores."""
+    return _bundle_masks(schedule, graph) is not None
+
+
+def _bundle_masks(schedule: Schedule, graph: ConflictGraph) -> Optional[list[int]]:
+    """One bitmask per agent's bundle, or None if a bundle holds overlapping chores."""
     if schedule.m != graph.m:
         raise InputError(f"schedule covers {schedule.m} chores, graph has {graph.m}")
     bundle_masks = [0] * schedule.n_agents
@@ -441,6 +447,6 @@ def is_feasible(schedule: Schedule, graph: ConflictGraph) -> bool:
         if a is None:
             continue
         if graph.neighbor_masks[c] & bundle_masks[a]:
-            return False
+            return None
         bundle_masks[a] |= 1 << c
-    return True
+    return bundle_masks

@@ -17,6 +17,8 @@ Two constructions live here:
   every chore of the component lands on a distinct agent.  That order is a
   reverse topological order of the envy graph, which identical valuations
   keep acyclic; the graph is checked once, on the final schedule.
+
+envy_graph lives in checkers, beside the envy pass every checker shares.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .checkers import check_ef1, is_complete
+from .checkers import _utilities, check_ef1, envy_graph, is_complete
 from .core import (
     AdditiveValuations,
     Chore,
@@ -38,56 +40,6 @@ from .core import (
     is_feasible,
     path_component_order,
 )
-
-
-@dataclass(frozen=True)
-class EnvyGraph:
-    """Directed graph with an edge (i, k) whenever agent i envies agent k."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def is_acyclic(self) -> bool:
-        try:
-            self.topological_order()
-            return True
-        except InputError:
-            return False
-
-    def topological_order(self) -> tuple[int, ...]:
-        """A deterministic topological order (Kahn's algorithm, lowest id first)."""
-        indeg = [0] * self.n
-        out: dict[int, list[int]] = {i: [] for i in range(self.n)}
-        for i, k in sorted(self.edges):
-            indeg[k] += 1
-            out[i].append(k)
-        ready = sorted(i for i in range(self.n) if indeg[i] == 0)
-        order: list[int] = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for w in out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-            ready.sort()
-        if len(order) != self.n:
-            raise InputError("envy graph contains a cycle")
-        return tuple(order)
-
-
-def envy_graph(schedule: Schedule, instance: Instance) -> EnvyGraph:
-    """The envy digraph of a feasible schedule: (i, k) iff v_i(X_i) < v_i(X_k)."""
-    if not is_feasible(schedule, instance.graph()):
-        raise InputError("envy graph is defined for feasible schedules")
-    bundles = schedule.bundles()
-    edges = set()
-    for i in range(instance.n):
-        own = instance.value(i, bundles[i])
-        for k in range(instance.n):
-            if i != k and own < instance.value(i, bundles[k]):
-                edges.add((i, k))
-    return EnvyGraph(n=instance.n, edges=frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -174,21 +126,18 @@ def dichotomous_path_solution(
             light_value=0,
         )
 
-    dichotomy = vals.dichotomy()
-    if dichotomy is not None:
-        heavy_value, light_value = dichotomy
+    # The rows are identical, so row 0 holds every value of the profile.
+    values = sorted(set(vals.table[0]))
+    if len(values) == 2:
+        heavy_value, light_value = values
+    elif len(values) == 1 and allow_uniform:
+        heavy_value = light_value = values[0]
     else:
-        values = {vals.chore_value(0, c) for c in range(instance.m)}
-        if len(values) == 1 and allow_uniform:
-            heavy_value = light_value = values.pop()
-        else:
-            raise InputError(
-                "weighted round robin needs a dichotomous profile (exactly two distinct values)"
-            )
+        raise InputError(
+            "weighted round robin needs a dichotomous profile (exactly two distinct values)"
+        )
     # A uniform profile makes every chore heavy.
-    heavy_ids = {
-        c for c in range(instance.m) if vals.chore_value(0, c) == heavy_value
-    }
+    heavy_ids = {c for c, v in enumerate(vals.table[0]) if v == heavy_value}
 
     # Phase 2: deal heavies then lights along the path to the picking pattern.
     path = path_component_order(graph, instance.chores, list(range(instance.m)))
@@ -323,14 +272,6 @@ def _kind_counts(chores: Iterable[int], heavy_ids: set[int]) -> tuple[int, int]:
     return heavy, len(chores) - heavy
 
 
-def _dummy_split_quota(
-    dummies: int, quota_a: int, quota_b: int, pool_a_budget: int
-) -> range:
-    lo = max(0, dummies - quota_b)
-    hi = min(dummies, quota_a, pool_a_budget)
-    return range(lo, hi + 1)
-
-
 def _split_isolated(
     isolated: Iterable[int], heavy_ids: set[int], dummy_ids: frozenset[int] | set[int]
 ) -> tuple[list[int], ...]:
@@ -403,12 +344,8 @@ def split_pair_bundle(
     # dummy counts never differ by more than one), then balance the totals:
     # when both kinds have an odd leftover, they land on different halves.
     best = None
-    for da in _dummy_split_quota(len(dummy_h), quota_a_h, quota_b_h, len(dummy_h)):
-        if quota_a_h - da > len(real_h) or quota_b_h - (len(dummy_h) - da) > len(real_h):
-            continue
-        for ea in _dummy_split_quota(len(dummy_l), quota_a_l, quota_b_l, len(dummy_l)):
-            if quota_a_l - ea > len(real_l):
-                continue
+    for da in range(max(0, len(dummy_h) - quota_b_h), min(len(dummy_h), quota_a_h) + 1):
+        for ea in range(max(0, len(dummy_l) - quota_b_l), min(len(dummy_l), quota_a_l) + 1):
             db, eb = len(dummy_h) - da, len(dummy_l) - ea
             per_kind = max(abs(da - db), abs(ea - eb))
             imbalance = abs((da + ea) - (db + eb))
@@ -617,7 +554,7 @@ def solve_identical_bounded_components(instance: Instance) -> Schedule:
     schedule = Schedule(n, tuple(assignment))
     if not is_complete(schedule) or not is_feasible(schedule, graph):
         raise InternalInvariantError("component round robin lost completeness or feasibility")
-    if burdens != [instance.value(i, b) for i, b in enumerate(schedule.bundles())]:
+    if tuple(burdens) != _utilities(schedule, instance):
         raise InternalInvariantError("burdens that ordered the turns differ from the bundle values")
     if not envy_graph(schedule, instance).is_acyclic():
         raise InternalInvariantError("envy graph has a cycle under identical valuations")

@@ -113,8 +113,7 @@ def adjacent(x: Schedule, y: Schedule) -> bool:
         raise InputError("adjacency is defined for two-agent schedules")
     if x.m != y.m:
         raise InputError("schedules cover different chore sets")
-    for agent in (RED, BLUE):
-        xb, yb = x.bundle(agent), y.bundle(agent)
+    for xb, yb in zip(x.bundles(), y.bundles()):
         if len(yb - xb) > 1 or len(xb - yb) > 1:
             return False
     return True
@@ -213,6 +212,8 @@ def classify_chores(
     """Run the marking scan and bucket the unmarked chores."""
     if graph is None:
         graph = build_conflict_graph(chores)
+    if graph.m != len(chores):
+        raise InputError(f"the graph has {graph.m} chores, the chore list {len(chores)}")
     order = order_by_finish(chores)
     nbr = graph.neighbor_masks
     earlier = [0] * graph.m

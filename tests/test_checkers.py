@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from choresched import envy_graph
 from choresched.checkers import (
     check_ef,
     check_ef1,
@@ -239,3 +240,15 @@ class TestIsParetoOptimal:
     def test_non_maximal_rejected(self):
         with pytest.raises(InputError):
             is_pareto_optimal(Schedule.empty(2, 5), EF1_PO_INSTANCE)
+
+
+@pytest.mark.parametrize("check", [check_ef1, check_efx, envy_graph, is_pareto_optimal])
+@pytest.mark.parametrize(
+    "schedule", [Schedule(1, (0, None, 0)), Schedule(3, (2, None, 0))], ids=["one", "three"]
+)
+def test_schedule_for_another_agent_count_rejected(check, schedule):
+    # Unchecked, a one-agent schedule passes EF1 with agent 1 never judged,
+    # and a three-agent one indexes past the instance's value rows.
+    inst = path_instance([[-1, -2, -3]] * 2)
+    with pytest.raises(InputError, match=f"^schedule has {schedule.n_agents} agents, the instance 2$"):
+        check(schedule, inst)

@@ -7,6 +7,7 @@ import pytest
 from choresched.cli import main
 from choresched.io import load_instance, load_schedule, save_instance, save_schedule
 from choresched.core import Schedule, path_instance
+from conftest import independent_additive_failures
 
 
 def write_instance(tmp_path, rows, name="instance.json"):
@@ -43,6 +44,31 @@ class TestSolve:
 
     def test_missing_file(self, capsys):
         assert main(["solve", "no-such-file.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "algo, kind, n",
+        [
+            ("two-agent-interval", "random-intervals", 2),
+            ("two-agent-path", "random-path", 2),
+            ("dichotomous-path", "random-dichotomous-path", 4),
+            ("dichotomous-path", "random-dichotomous-path", 5),
+            ("bounded-components", "bounded-components", 6),
+        ],
+    )
+    def test_printed_schedule_passes_the_independent_checker(self, tmp_path, capsys, algo, kind, n):
+        # solve reports ef1 and maximal without checking the schedule again;
+        # conftest's checker shares no code with the library.
+        path = str(tmp_path / "instance.json")
+        args = ["--kind", kind, "--n", str(n), "--m", "300", "--seed", "1", "--out", path]
+        assert main(["generate", *args]) == 0
+        capsys.readouterr()
+        assert main(["solve", path, "--algo", algo, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ef1"] is True and payload["maximal"] is True
+        instance = load_instance(path)
+        assignment = payload["schedule"]["assignment"]
+        schedule = Schedule(n, tuple(assignment[str(c)] for c in range(instance.m)))
+        assert independent_additive_failures(instance, schedule, complete=n > 2) == []
 
 
 class TestMalformedInput:

@@ -212,6 +212,17 @@ class TestSchedule:
         ):
             Schedule.from_bundles(2, 2, [{chore}, set()])
 
+    def test_negative_chore_count_rejected(self):
+        with pytest.raises(InputError, match="^chore count must be non-negative, got -1$"):
+            Schedule.from_bundles(2, -1, [set(), set()])
+
+    @pytest.mark.parametrize("make", [list, lambda a: (x for x in a)], ids=["list", "generator"])
+    def test_assignment_stored_as_tuple(self, make):
+        schedule = Schedule(2, make((0, None, 1)))
+        assert schedule.assignment == (0, None, 1)
+        assert schedule == Schedule(2, (0, None, 1))
+        assert hash(schedule) == hash(Schedule(2, (0, None, 1)))
+
     def test_swap_agents(self):
         schedule = Schedule(2, (0, None, 1))
         swapped = schedule.swap_agents()
@@ -363,6 +374,12 @@ def graph_from_edges(m, edges):
 
 
 class TestGraphWalks:
+    @pytest.mark.parametrize("within", [[5], [-1], [0, 3]])
+    def test_components_within_unknown_chores_rejected(self, within):
+        graph = path_instance([[-1] * 3]).graph()
+        with pytest.raises(InputError, match="^within holds chore ids outside 0..2$"):
+            graph.components(within=within)
+
     @settings(max_examples=400, deadline=None)
     @given(graphs_with_subsets())
     @example((1, [], [0], [0]))  # singleton

@@ -15,6 +15,7 @@ from choresched.core import (
     InternalInvariantError,
     MonotoneValuations,
     Schedule,
+    build_conflict_graph,
     is_feasible,
     path_instance,
 )
@@ -169,6 +170,12 @@ class TestClassification:
         cls = classify_chores(path_instance([[-1] * 2] * 2).chores)
         with pytest.raises(InputError, match="two-agent schedule of the classified chores"):
             classify_supported(schedule, cls)
+
+    @pytest.mark.parametrize("graph_m, chores_m", [(2, 3), (3, 2)])
+    def test_graph_of_other_chores_rejected(self, graph_m, chores_m):
+        chores = path_instance([[-1] * 3] * 2).chores
+        with pytest.raises(InputError, match=f"^the graph has {graph_m} chores, the chore list {chores_m}$"):
+            classify_chores(chores[:chores_m], build_conflict_graph(chores[:graph_m]))
 
     def test_overlapping_anchors_reassignment_restores_support(self):
         # chore 2 overlaps both marked chores, which overlap each other: in
