@@ -5,19 +5,21 @@ v_i(X_i) < v_i(X_k).  EF-k asks for a set of at most k chores whose removal
 from the envious bundle kills the envy; EF1 is EF-k with k = 1, EF is k = 0.
 EFX demands the removal work for EVERY single chore of the envious bundle.
 
-For additive profiles the single removal search uses the worst-chore
-shortcut (removing the r most negative chores is optimal); for opaque
-monotone profiles the search is exhaustive over removal subsets.
+One removal search serves every check: the worst-chore shortcut for
+additive profiles (removing the r most negative chores is optimal), subsets
+by size for opaque monotone ones.  A yes/no EF-k decision tries at most k
+removals per pair; a public verdict also reports each violation's minimal
+count, which under a monotone profile may try every removal subset.
 
-The EF-k and EFX checks and envy_graph share one pass over the envious
-pairs, which rejects infeasible schedules and a wrong agent count.
+The checks and envy_graph share one pass over the envious pairs, which
+rejects infeasible schedules and a wrong agent count.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .core import (
     ConflictGraph,
@@ -35,8 +37,9 @@ class FairnessVerdict:
     """Outcome of a pairwise envy check.
 
     violations lists (envious agent, envied agent, minimal removal count that
-    would cure the pair); witnesses maps cured envious pairs to the chore set
-    (from the envious agent's bundle) whose removal kills the envy.
+    would cure the pair, found by an unbounded search); witnesses maps cured
+    envious pairs to the chore set (from the envious agent's bundle) whose
+    removal kills the envy.
     """
 
     holds: bool
@@ -44,44 +47,29 @@ class FairnessVerdict:
     witnesses: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
 
 
-def _min_removals_additive(
-    own_values: list[tuple[int, int]], gap: int
-) -> tuple[int, tuple[int, ...]]:
-    """Smallest r (and the removed chores) closing an additive envy gap.
+def _removal(
+    instance: Instance, agent: int, bundle: frozenset[int], own: int, other: int, limit: int
+) -> Optional[tuple[int, ...]]:
+    """The smallest set of at most limit chores, sorted by id, whose removal
+    lifts v_agent(bundle) = own to other; None if there is none.
 
-    own_values lists the envious bundle's (value, chore) pairs.  Removing the
-    r most negative chores raises the bundle value the most, so scanning
-    prefixes is exact.
+    Additive profiles scan the prefixes of the (value, chore)-sorted bundle;
+    monotone ones try subsets by size, each size in chore-id order.  With
+    limit = len(bundle) a set always exists: the empty bundle is worth 0.
     """
-    ordered = sorted(own_values)  # most negative first: (value, chore id)
-    removed = 0
-    for r, (v, _) in enumerate(ordered, start=1):
-        removed += v
-        if -removed >= gap:
-            return r, tuple(sorted(c for _, c in ordered[:r]))
-    raise AssertionError("removing the whole bundle always cures envy of non-positive bundles")
-
-
-def _min_removals_monotone(
-    instance: Instance, agent: int, bundle: frozenset[int], target: int
-) -> tuple[int, tuple[int, ...]]:
-    """Smallest removal set curing envy under an opaque monotone profile."""
-    members = sorted(bundle)
-    for r in range(1, len(members) + 1):
-        for subset in itertools.combinations(members, r):
-            if instance.value(agent, bundle.difference(subset)) >= target:
-                return r, subset
-    raise AssertionError("empty bundle has value 0 >= any bundle value")
-
-
-def _min_removals(
-    instance: Instance, agent: int, bundle: frozenset[int], own: int, other: int
-) -> tuple[int, tuple[int, ...]]:
-    """Smallest removal set lifting the agent's own bundle value to other's."""
     if instance.valuations.is_additive:
-        values = [(instance.valuations.chore_value(agent, c), c) for c in bundle]
-        return _min_removals_additive(values, other - own)
-    return _min_removals_monotone(instance, agent, bundle, other)
+        chore_value = instance.valuations.chore_value
+        ordered = sorted((chore_value(agent, c), c) for c in bundle)[:limit]
+        for r, removed in enumerate(itertools.accumulate(v for v, _ in ordered), start=1):
+            if own - removed >= other:
+                return tuple(sorted(c for _, c in ordered[:r]))
+        return None
+    members = sorted(bundle)
+    for r in range(1, limit + 1):
+        for subset in itertools.combinations(members, r):
+            if instance.value(agent, bundle.difference(subset)) >= other:
+                return subset
+    return None
 
 
 def _require_agents(schedule: Schedule, instance: Instance) -> None:
@@ -112,24 +100,16 @@ def _envy_pairs(
                     yield i, j, bundle, own, other
 
 
-def _check_envy_pairs(
-    schedule: Schedule, instance: Instance, judge: Callable[..., tuple[int, Optional[tuple]]]
-) -> FairnessVerdict:
-    """Run judge(i, X_i, v_i(X_i), v_i(X_j)) on every pair where i envies j.
+def _efk_holds(schedule: Schedule, instance: Instance, k: int) -> bool:
+    """check_efk(schedule, instance, k).holds, without any minimal count.
 
-    The judge returns a removal count and the witness chores, or None as the
-    witness of a violation, whose count is then the minimal one.
+    Envious pairs come i ascending, then j ascending, each searched for at
+    most k removals; the first pair none cures ends the decision.  A monotone
+    profile thus answers O(n^2 * |X_i|^k) value queries.
     """
-    violations: list[tuple[int, int, int]] = []
-    witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i, j, bundle, own, other in _envy_pairs(schedule, instance):
-        r, witness = judge(i, bundle, own, other)
-        if witness is None:
-            violations.append((i, j, r))
-        else:
-            witnesses[(i, j)] = witness
-    return FairnessVerdict(
-        holds=not violations, violations=tuple(violations), witnesses=witnesses
+    return all(
+        _removal(instance, i, bundle, own, other, k) is not None
+        for i, _, bundle, own, other in _envy_pairs(schedule, instance)
     )
 
 
@@ -137,12 +117,14 @@ def check_efk(schedule: Schedule, instance: Instance, k: int) -> FairnessVerdict
     """Envy-freeness up to k chores, over all ordered agent pairs."""
     if k < 0:
         raise InputError("k must be non-negative")
-
-    def judge(i, bundle, own, other):
-        r, removed = _min_removals(instance, i, bundle, own, other)
-        return r, removed if r <= k else None
-
-    return _check_envy_pairs(schedule, instance, judge)
+    violations, witnesses = [], {}
+    for i, j, bundle, own, other in _envy_pairs(schedule, instance):
+        removed = _removal(instance, i, bundle, own, other, len(bundle))
+        if len(removed) <= k:
+            witnesses[(i, j)] = removed
+        else:
+            violations.append((i, j, len(removed)))
+    return FairnessVerdict(not violations, tuple(violations), witnesses)
 
 
 def check_ef(schedule: Schedule, instance: Instance) -> FairnessVerdict:
@@ -162,14 +144,15 @@ def check_efx(schedule: Schedule, instance: Instance) -> FairnessVerdict:
     envious pair the witness is the tightest chore, i.e. the one whose removal
     leaves the least slack.
     """
-
-    def judge(i, bundle, own, other):
+    violations, witnesses = [], {}
+    for i, j, bundle, own, other in _envy_pairs(schedule, instance):
         leftovers = {c: instance.value(i, bundle - {c}) for c in sorted(bundle)}
         if all(v >= other for v in leftovers.values()):
-            return 1, (min(leftovers, key=lambda c: (leftovers[c], c)),)
-        return _min_removals(instance, i, bundle, own, other)[0], None
-
-    return _check_envy_pairs(schedule, instance, judge)
+            witnesses[(i, j)] = (min(leftovers, key=lambda c: (leftovers[c], c)),)
+        else:
+            removed = _removal(instance, i, bundle, own, other, len(bundle))
+            violations.append((i, j, len(removed)))
+    return FairnessVerdict(not violations, tuple(violations), witnesses)
 
 
 def is_complete(schedule: Schedule) -> bool:

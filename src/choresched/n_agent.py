@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .checkers import _utilities, check_ef1, envy_graph, is_complete
+from .checkers import _efk_holds, _utilities, envy_graph, is_complete
 from .core import (
     AdditiveValuations,
     Chore,
@@ -231,7 +231,7 @@ def dichotomous_path_solution(
             raise InternalInvariantError(
                 f"per-agent {'heavy' if kind == 0 else 'light'} counts differ by {spread}"
             )
-    if not check_ef1(schedule, instance).holds:
+    if not _efk_holds(schedule, instance, 1):
         raise InternalInvariantError("weighted round robin produced a non-EF1 schedule")
     return DichotomousPathSolution(
         schedule=schedule,
@@ -558,6 +558,6 @@ def solve_identical_bounded_components(instance: Instance) -> Schedule:
         raise InternalInvariantError("burdens that ordered the turns differ from the bundle values")
     if not envy_graph(schedule, instance).is_acyclic():
         raise InternalInvariantError("envy graph has a cycle under identical valuations")
-    if not check_ef1(schedule, instance).holds:
+    if not _efk_holds(schedule, instance, 1):
         raise InternalInvariantError("component round robin produced a non-EF1 schedule")
     return schedule

@@ -17,6 +17,7 @@ from typing import Iterator, Optional, Sequence
 from .checkers import (
     FairnessVerdict,
     _dominates,
+    _efk_holds,
     _utilities,
     check_ef1,
     check_efk,
@@ -118,9 +119,11 @@ def exists(query: ExistenceQuery) -> Optional[Schedule]:
 
 
 def _criterion_holds(schedule: Schedule, instance: Instance, query: ExistenceQuery) -> bool:
+    if query.criterion == "efx":
+        return check_efx(schedule, instance).holds
     if query.criterion == "ef1+complete":
-        return is_complete(schedule) and check_ef1(schedule, instance).holds
-    return _envy_verdict(schedule, instance, query.criterion, query.k).holds
+        return is_complete(schedule) and _efk_holds(schedule, instance, 1)
+    return _efk_holds(schedule, instance, {"ef": 0, "ef1": 1, "efk": query.k}[query.criterion])
 
 
 def _envy_verdict(
@@ -150,7 +153,7 @@ def _exists_ef1_po(instance: Instance, guard: int) -> Optional[Schedule]:
             frontier.append(vector)
     undominated = set(frontier)
     for s, mine in zip(schedules, utilities):
-        if mine in undominated and check_ef1(s, instance).holds:
+        if mine in undominated and _efk_holds(s, instance, 1):
             return s
     return None
 

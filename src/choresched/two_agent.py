@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NoReturn, Optional, Sequence
 
-from .checkers import check_ef1, is_maximal
+from .checkers import _efk_holds, is_maximal
 from .core import (
     Chore,
     ConflictGraph,
@@ -678,7 +678,7 @@ def select_ef1(sequence: ScheduleSequence, instance: Instance) -> Schedule:
         last = Schedule(2, tuple(assignment))
         candidates = [first, first.swap_agents(), last, last.swap_agents()]
     for candidate in candidates:
-        if check_ef1(candidate, instance).holds:
+        if _efk_holds(candidate, instance, 1):
             if not is_maximal(candidate, graph):
                 raise InternalInvariantError("selected EF1 schedule is not maximal")
             return candidate
@@ -689,7 +689,8 @@ def solve_two_agents(instance: Instance) -> Schedule:
     """An EF1 and maximal schedule for two agents on any interval instance.
 
     Works for arbitrary monotone valuations; the sequence construction is
-    valuation-free and only the selection step queries values (polynomially
-    many times).
+    valuation-free and only the selection step queries values: two per step
+    up to agent 0's envy flip, then at most 4 + m per flip candidate, so at
+    most 2 * (len(sequence) + 4 * m) queries once m >= 4.
     """
     return select_ef1(interval_sequence_ef1(instance), instance)

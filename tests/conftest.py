@@ -49,6 +49,17 @@ def random_feasible_schedule(rng: random.Random, instance: Instance) -> Schedule
     return Schedule(instance.n, tuple(assignment))
 
 
+def worst_chore_times_count(table):
+    """A monotone, non-additive profile: the bundle's worst chore, paid once
+    per chore it holds."""
+    return lambda i, b: min((table[i][c] for c in b), default=0) * len(b)
+
+
+def additive_minus_squared_count(table):
+    """A monotone, non-additive profile: the additive value less |bundle|^2."""
+    return lambda i, b: sum(table[i][c] for c in b) - len(b) ** 2
+
+
 def component_prefixes(schedule: Schedule, graph: ConflictGraph) -> list[Schedule]:
     """The schedule restricted to the first j components, for j = 0..#components.
 

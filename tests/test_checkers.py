@@ -6,6 +6,7 @@ import pytest
 
 from choresched import envy_graph
 from choresched.checkers import (
+    _efk_holds,
     check_ef,
     check_ef1,
     check_efk,
@@ -26,7 +27,7 @@ from choresched.core import (
 )
 from choresched.generate import random_interval_instance, random_path_instance
 
-from conftest import random_feasible_schedule
+from conftest import additive_minus_squared_count, random_feasible_schedule, worst_chore_times_count
 
 
 EF1_PO_INSTANCE = path_instance([[-2, -10, -1, -10, -2]] * 2)
@@ -171,6 +172,29 @@ class TestImplicationChain:
                 if previous is not None and previous:
                     assert holds
                 previous = holds
+
+
+def test_efk_decision_matches_the_verdict_on_criterion_8_pairs():
+    # Acceptance criterion 8's 10,000 pairs (same seed, same draws), each
+    # judged under its additive profile and under two opaque monotone ones.
+    rng = random.Random(8888)
+    seen = set()
+    for _ in range(10_000):
+        n = rng.randint(2, 4)
+        m = rng.randint(1, 8)
+        inst = random_interval_instance(rng, n, m)
+        schedule = random_feasible_schedule(rng, inst)
+        table = inst.valuations.table
+        profiles = [("additive", inst)] + [
+            (family.__name__, Instance(n, inst.chores, MonotoneValuations(n, m, family(table))))
+            for family in (worst_chore_times_count, additive_minus_squared_count)
+        ]
+        for name, profile in profiles:
+            for k in (0, 1, 2):
+                holds = _efk_holds(schedule, profile, k)
+                assert holds == check_efk(schedule, profile, k).holds
+                seen.add((name, k, holds))
+    assert len(seen) == 3 * 3 * 2
 
 
 class TestIsMaximal:

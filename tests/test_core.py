@@ -263,6 +263,14 @@ class TestValuations:
     def test_positive_value_rejected(self):
         with pytest.raises(InputError):
             AdditiveValuations([[0, 1]])
+        # Identical valid rows are checked once; the bad row is still named.
+        with pytest.raises(InputError, match="^value for agent 3, chore 1 is positive"):
+            AdditiveValuations([(-1, 0)] * 3 + [(-1, 1)])
+
+    @pytest.mark.parametrize("bad", [False, 0.0], ids=["bool", "float"])
+    def test_row_equal_to_a_valid_one_still_type_checked(self, bad):
+        with pytest.raises(InputError, match="^value for agent 2, chore 1 is not an integer"):
+            AdditiveValuations([[-1, 0], [-1, 0], [-1, bad]])
 
     def test_identical_and_dichotomy_detection(self):
         vals = AdditiveValuations([[-5, -1, -5], [-5, -1, -5]])

@@ -1,6 +1,7 @@
 """Two-agent sequence constructions and the EF1 selection."""
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -20,7 +21,12 @@ from choresched.core import (
     path_instance,
 )
 from choresched.generate import random_interval_instance, random_path_instance
-from conftest import N_TWO_AGENT_ADDITIVE, independent_additive_failures, random_feasible_schedule
+from conftest import (
+    N_TWO_AGENT_ADDITIVE,
+    independent_additive_failures,
+    random_feasible_schedule,
+    worst_chore_times_count,
+)
 from choresched.oracle import enumerate_maximal
 from choresched.two_agent import (
     BLUE,
@@ -421,9 +427,31 @@ class TestSelectEf1:
             assert is_maximal(chosen, inst.graph())
 
 
+def reference_ef1_holds(schedule, instance):
+    """EF1 decided in the order checkers._efk_holds documents: envious agent i
+    ascending, then envied agent j ascending, then single removals in
+    chore-id order, stopping at the first pair no removal cures.  An agent
+    holding nothing never envies and is not valued."""
+    bundles = schedule.bundles()
+    for i, own_bundle in enumerate(bundles):
+        if not own_bundle:
+            continue
+        own = instance.value(i, own_bundle)
+        for j, theirs in enumerate(bundles):
+            if j == i:
+                continue
+            other = instance.value(i, theirs)
+            if own < other and not any(
+                instance.value(i, own_bundle - {c}) >= other for c in sorted(own_bundle)
+            ):
+                return False
+    return True
+
+
 def reference_select_ef1(sequence, instance):
     """select_ef1 as it was before the delta walk: agent 0's envy is read off
-    every fully materialized step, each bundle valued as a whole."""
+    every fully materialized step, each bundle valued as a whole, and each
+    candidate is judged by reference_ef1_holds."""
     steps = sequence.steps
 
     def envies(step):
@@ -441,7 +469,7 @@ def reference_select_ef1(sequence, instance):
         first, last = steps[0], steps[-1]
         candidates = [first, first.swap_agents(), last, last.swap_agents()]
     for candidate in candidates:
-        if check_ef1(candidate, instance).holds:
+        if reference_ef1_holds(candidate, instance):
             if not is_maximal(candidate, instance.graph()):
                 raise InternalInvariantError("selected EF1 schedule is not maximal")
             return candidate
@@ -477,6 +505,8 @@ def compare_selections(sequence, instance, counter):
     assert got == want
     if not instance.valuations.is_additive:
         assert got_queries == want_queries
+    if isinstance(want, Schedule):
+        assert check_ef1(want, instance).holds
     return want
 
 
@@ -554,6 +584,51 @@ def test_flip_search_matches_the_reference_on_arbitrary_hand_built_sequences():
         "selected EF1 schedule is not maximal",
         "none of the four flip candidates is EF1",
     }
+
+
+def queries_within_bound(instance, counter):
+    """solve_two_agents' value queries, held to 2 * (len(sequence) + 4 * m).
+
+    The documented bound, two per step up to the flip and then at most 4 + m
+    per flip candidate, is within that figure once m >= 4; the smaller
+    instances here stay within it too."""
+    counter.queries = 0
+    solve_two_agents(instance)
+    queries = counter.queries
+    assert queries <= 2 * (len(interval_sequence_ef1(instance)) + 4 * instance.m)
+    return queries
+
+
+def test_monotone_solve_stays_within_the_query_bound(two_agent_corpus):
+    counter = QueryCounter()
+    square = counter.wrap(lambda i, b: -(len(b) ** 2))
+    total = sum(
+        queries_within_bound(Instance(2, inst.chores, MonotoneValuations(2, inst.m, square)), counter)
+        for inst in two_agent_corpus.monotone
+    )
+    assert total > 0
+
+
+@pytest.mark.parametrize("m", [40, 80, 120, 160, 200])
+def test_worst_chore_solve_stays_within_the_query_bound(m):
+    # The default values in [-10, 0] tie many worst chores, which sends an
+    # unbounded minimal-removal search to 2.4 million queries at seed 8,
+    # m = 120.
+    counter = QueryCounter()
+    for seed in range(12):
+        inst = random_interval_instance(random.Random(seed), 2, m)
+        fn = counter.wrap(worst_chore_times_count(inst.valuations.table))
+        queries_within_bound(Instance(2, inst.chores, MonotoneValuations(2, m, fn)), counter)
+
+
+def test_worst_chore_seed_8_solves_in_a_tenth_of_a_second():
+    inst = random_interval_instance(random.Random(8), 2, 120)
+    fn = worst_chore_times_count(inst.valuations.table)
+    opaque = Instance(2, inst.chores, MonotoneValuations(2, 120, fn))
+    start = time.perf_counter()
+    schedule = solve_two_agents(opaque)
+    assert time.perf_counter() - start < 0.1
+    assert check_ef1(schedule, opaque).holds
 
 
 class TestLargeInstancesIndependently:
