@@ -13,7 +13,7 @@ import argparse
 import json
 import random
 import sys
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import io as fileio
 from .checkers import is_complete, is_maximal, is_pareto_optimal
@@ -47,11 +47,9 @@ ALGORITHMS = (
 )
 
 
-def _emit(payload: dict[str, Any], text: str, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+def _emit(fmt: str, payload: Callable[[], Any], text: Callable[[], str]) -> None:
+    """Print the result as JSON or as text, building only the form fmt asks for."""
+    print(fileio._dumps(payload()) if fmt == "json" else text())
 
 
 def _schedule_text(schedule: Schedule) -> str:
@@ -114,8 +112,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     schedule = _solve(instance, args.algo)
     if args.out:
         fileio.save_schedule(schedule, args.out)
-    payload = {"schedule": fileio.schedule_to_dict(schedule), "ef1": True, "maximal": True}
-    _emit(payload, _schedule_text(schedule) + "\nEF1: True\nmaximal: True", args.format)
+    _emit(
+        args.format,
+        lambda: {"schedule": fileio.schedule_to_dict(schedule), "ef1": True, "maximal": True},
+        lambda: _schedule_text(schedule) + "\nEF1: True\nmaximal: True",
+    )
     return OK
 
 
@@ -136,11 +137,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         verdict = _envy_verdict(schedule, instance, crit, args.k)
         holds = verdict.holds
         violations = list(verdict.violations)
-    payload = {"criterion": crit, "holds": holds, "violations": violations}
-    lines = [f"{crit}: {'holds' if holds else 'fails'}"]
-    for i, k, r in violations:
-        lines.append(f"  agent {i} envies agent {k} (needs {r} removals)")
-    _emit(payload, "\n".join(lines), args.format)
+    _emit(
+        args.format,
+        lambda: {"criterion": crit, "holds": holds, "violations": violations},
+        lambda: "\n".join(
+            [f"{crit}: {'holds' if holds else 'fails'}"]
+            + [f"  agent {i} envies agent {k} (needs {r} removals)" for i, k, r in violations]
+        ),
+    )
     return OK if holds else FAILS
 
 
@@ -150,27 +154,32 @@ def _cmd_exists(args: argparse.Namespace) -> int:
         instance=instance, criterion=args.criterion, k=args.k, guard=args.guard
     )
     witness = exists(query)
-    payload = {
-        "exists": witness is not None,
-        "witness": fileio.schedule_to_dict(witness) if witness is not None else None,
-    }
-    text = f"exists: {str(witness is not None).lower()}"
-    if witness is not None:
-        text += "\n" + _schedule_text(witness)
-    _emit(payload, text, args.format)
+    _emit(
+        args.format,
+        lambda: {
+            "exists": witness is not None,
+            "witness": fileio.schedule_to_dict(witness) if witness is not None else None,
+        },
+        lambda: f"exists: {str(witness is not None).lower()}"
+        + ("" if witness is None else "\n" + _schedule_text(witness)),
+    )
     return OK if witness is not None else FAILS
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     instance = fileio.load_instance(args.instance)
     schedules = list(enumerate_maximal(instance, guard=args.guard))
-    payload = {
-        "count": len(schedules),
-        "schedules": [fileio.schedule_to_dict(s) for s in schedules],
-    }
-    lines = [f"{len(schedules)} maximal schedules"]
-    lines += [str([sorted(b) for b in s.bundles()]) for s in schedules]
-    _emit(payload, "\n".join(lines), args.format)
+    _emit(
+        args.format,
+        lambda: {
+            "count": len(schedules),
+            "schedules": [fileio.schedule_to_dict(s) for s in schedules],
+        },
+        lambda: "\n".join(
+            [f"{len(schedules)} maximal schedules"]
+            + [str([sorted(b) for b in s.bundles()]) for s in schedules]
+        ),
+    )
     return OK
 
 
@@ -184,17 +193,24 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
     else:
         raise InputError(f"sequence construction is two-agent only, not {algo!r}")
     lines = seq.trace_lines()
-    payload = {
-        "steps": [
-            {
-                "phase": tag,
-                "colors": line.split(" ")[0],
-                "assignment": {str(c): a for c, a in enumerate(assignment)},
-            }
-            for (assignment, tag, line) in zip(seq._assignments(), seq.tags, lines)
-        ]
-    }
-    _emit(payload, "\n".join(lines), args.format)
+
+    def payload() -> dict[str, Any]:
+        # Each assignment dict is built in sorted-key order, so that the
+        # encoder's key sort is a linear pass.
+        order = sorted(range(instance.m), key=str)
+        keys = [str(c) for c in order]
+        return {
+            "steps": [
+                {
+                    "phase": tag,
+                    "colors": line.split(" ")[0],
+                    "assignment": dict(zip(keys, map(assignment.__getitem__, order))),
+                }
+                for (assignment, tag, line) in zip(seq._assignments(), seq.tags, lines)
+            ]
+        }
+
+    _emit(args.format, payload, lambda: "\n".join(lines))
     return OK
 
 
@@ -221,17 +237,14 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         witness = exists(ExistenceQuery(instance=instance, criterion=criterion))
         if witness is not None:
             raise InternalInvariantError(f"demo {name}: expected no witness, found one")
-        payload = {
-            "demo": name,
-            "values": values,
-            "criterion": criterion,
-            "exists": False,
-        }
-        text = (
-            f"path of {instance.m} chores, identical values {values}\n"
-            f"criterion {criterion} (plus maximality): exists: false"
+        _emit(
+            args.format,
+            lambda: {"demo": name, "values": values, "criterion": criterion, "exists": False},
+            lambda: (
+                f"path of {instance.m} chores, identical values {values}\n"
+                f"criterion {criterion} (plus maximality): exists: false"
+            ),
         )
-        _emit(payload, text, args.format)
         return OK
     if name == "round-robin":
         schedule, verdict = demo_round_robin(instance)
@@ -241,23 +254,25 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         expected = ({1, 3}, {0, 2, 4})
     if schedule.bundles() != expected or verdict.holds:
         raise InternalInvariantError(f"demo {name} did not reproduce its published run")
-    payload = {
-        "demo": name,
-        "values": values,
-        "schedule": fileio.schedule_to_dict(schedule),
-        "ef1": verdict.holds,
-        "violations": list(verdict.violations),
-    }
-    text = (
-        f"path of {instance.m} chores, identical values {values}\n"
-        + _schedule_text(schedule)
-        + f"\nEF1: {verdict.holds}"
-        + "".join(
-            f"\n  agent {i} envies agent {k} (needs {r} removals)"
-            for i, k, r in verdict.violations
-        )
+    _emit(
+        args.format,
+        lambda: {
+            "demo": name,
+            "values": values,
+            "schedule": fileio.schedule_to_dict(schedule),
+            "ef1": verdict.holds,
+            "violations": list(verdict.violations),
+        },
+        lambda: (
+            f"path of {instance.m} chores, identical values {values}\n"
+            + _schedule_text(schedule)
+            + f"\nEF1: {verdict.holds}"
+            + "".join(
+                f"\n  agent {i} envies agent {k} (needs {r} removals)"
+                for i, k, r in verdict.violations
+            )
+        ),
     )
-    _emit(payload, text, args.format)
     return OK
 
 
@@ -277,7 +292,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         fileio.save_instance(instance, args.out)
         print(args.out)
     else:
-        print(json.dumps(fileio.instance_to_dict(instance), indent=2, sort_keys=True))
+        print(fileio._dumps(fileio.instance_to_dict(instance)))
     return OK
 
 

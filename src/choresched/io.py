@@ -16,6 +16,10 @@ Schedule format::
 
 where keys are chore ids in plain decimal ("0", "12"; no sign, spaces,
 underscores or leading zeros) and null means unassigned.
+
+Every JSON text the package writes (files and CLI output) comes from _dumps
+and is byte for byte what json.dumps returns with an indent of 2 and
+sort_keys=True.
 """
 
 from __future__ import annotations
@@ -34,6 +38,45 @@ from .core import (
 )
 
 PathLike = Union[str, Path]
+
+# Value types sent to the C encoder, which writes them as the indenting
+# (pure-Python) encoder does.
+_FLAT = frozenset((str, int, bool, type(None)))
+
+
+def _dumps(obj: Any, indent: str = "") -> str:
+    """json.dumps(obj) with an indent of 2 and sort_keys=True, mostly encoded in C.
+
+    An indent sends json's own encoding to pure Python.  A dict, list or tuple
+    whose values all have a type in _FLAT is encoded instead by one call to
+    the C encoder, whose item separator carries the newline and the indent.
+    Any other container (nested values, subclasses) is walked here one level
+    at a time, keys sorted and converted as json does.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    is_dict = isinstance(obj, dict)
+    if type(obj) in (dict, list, tuple) and all(
+        type(v) in _FLAT for v in (obj.values() if is_dict else obj)
+    ):
+        body = json.dumps(obj, sort_keys=True, separators=(sep, ": "))[1:-1]
+    elif is_dict:
+        body = sep.join(f"{_key(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items()))
+    else:
+        body = sep.join(_dumps(v, inner) for v in obj)
+    left, right = "{}" if is_dict else "[]"
+    return f"{left}\n{inner}{body}\n{indent}{right}"
+
+
+def _key(key: Any) -> str:
+    """A dict key as json writes it: a str, or a float, bool, None or int as text."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
 
 
 def instance_to_dict(instance: Instance) -> dict[str, Any]:
@@ -124,8 +167,7 @@ def load_instance(path: PathLike) -> Instance:
 
 def save_instance(instance: Instance, path: PathLike) -> None:
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(instance), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_dumps(instance_to_dict(instance)) + "\n")
 
 
 def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
@@ -159,5 +201,4 @@ def load_schedule(path: PathLike, instance: Instance) -> Schedule:
 
 def save_schedule(schedule: Schedule, path: PathLike) -> None:
     with open(path, "w") as fh:
-        json.dump(schedule_to_dict(schedule), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_dumps(schedule_to_dict(schedule)) + "\n")

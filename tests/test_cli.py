@@ -6,7 +6,7 @@ import pytest
 
 from choresched.cli import main
 from choresched.io import load_instance, load_schedule, save_instance, save_schedule
-from choresched.core import Schedule, path_instance
+from choresched.core import AdditiveValuations, Chore, Instance, Schedule, path_instance
 from conftest import independent_additive_failures
 
 
@@ -276,3 +276,66 @@ class TestGenerate:
             "--max-component", "5",
         ]) == 2
         assert "exceed" in capsys.readouterr().err
+
+
+def assert_canonical_layout(text):
+    """Every JSON text written is json.dumps(..., indent=2, sort_keys=True) plus a newline."""
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonLayout:
+    @pytest.fixture
+    def files(self, tmp_path):
+        # Labels with a quote, a backslash, a control and non-ASCII characters;
+        # the schedule is neither envy-free nor maximal, so the check lists
+        # violations and exits 1.
+        chores = (
+            Chore(id=0, start=0, finish=2, label='w\u00e4sche "Q" \\ \x01'),
+            Chore(id=1, start=1, finish=3),
+            Chore(id=2, start=4, finish=6, label="\u6d17"),
+            Chore(id=3, start=5, finish=9),
+        )
+        instance = Instance(2, chores, AdditiveValuations([[-1, -2, 0, -4], [-3, -1, -1, -2]]))
+        paths = {name: tmp_path / f"{name}.json" for name in ("instance", "schedule", "path")}
+        save_instance(instance, paths["instance"])
+        save_schedule(Schedule(2, (1, None, 1, 0)), paths["schedule"])
+        save_instance(path_instance([[-1, -2, -1, -3, -2]] * 2), paths["path"])
+        return {name: str(path) for name, path in paths.items()}
+
+    def test_saved_files(self, files):
+        for path in files.values():
+            with open(path) as fh:
+                assert_canonical_layout(fh.read())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{instance}"],
+            ["solve", "{path}", "--algo", "two-agent-path"],
+            ["check", "{instance}", "{schedule}", "--criterion", "ef"],
+            ["check", "{instance}", "{schedule}", "--criterion", "maximal"],
+            ["exists", "{instance}", "--criterion", "efx"],
+            ["exists", "{path}", "--criterion", "ef1+po"],
+            ["enumerate", "{instance}"],
+            ["sequence", "{instance}"],
+            ["sequence", "{path}", "--algo", "two-agent-path"],
+            ["demo", "efx-maximal"],
+            ["demo", "round-robin"],
+            ["demo", "envy-cycle"],
+        ],
+    )
+    def test_stdout(self, files, capsys, argv):
+        assert main([a.format(**files) for a in argv] + ["--format", "json"]) in (0, 1)
+        assert_canonical_layout(capsys.readouterr().out)
+
+    def test_generate_stdout_and_out_files(self, tmp_path, capsys):
+        argv = ["generate", "--kind", "bounded-components", "--n", "3", "--m", "12", "--seed", "2"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert_canonical_layout(printed)
+        out = tmp_path / "generated.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == printed
+        schedule = tmp_path / "solved.json"
+        assert main(["solve", str(out), "--out", str(schedule)]) == 0
+        assert_canonical_layout(schedule.read_text())

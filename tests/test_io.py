@@ -1,11 +1,15 @@
-"""Instance and schedule file round-trips."""
+"""Instance and schedule file round-trips, and the one JSON writer."""
 
+import enum
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from choresched.core import Chore, InputError, Instance, AdditiveValuations, Schedule
 from choresched.io import (
+    _dumps,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -126,3 +130,74 @@ class TestScheduleFiles:
         save_schedule(Schedule(2, (None, 1)), path)
         raw = json.loads(path.read_text())
         assert raw["assignment"]["0"] is None
+
+
+class Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
+class Label(str):
+    pass
+
+
+class Row(list):
+    pass
+
+
+def reference(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# Strings mix arbitrary characters with the ones json escapes: quote,
+# backslash, controls, a lone surrogate, and non-ASCII ones it writes as \u.
+TEXTS = st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028\ud800é😀'), max_size=6)
+INTS = st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | INTS
+    | st.sampled_from(Level)
+    | st.floats()
+    | TEXTS
+    | TEXTS.map(Label)
+)
+# One key family per dict: json sorts the keys, and str, None and numbers do
+# not compare with one another.
+NUMBER_KEYS = st.integers() | st.booleans() | st.sampled_from(Level) | st.floats(allow_nan=False)
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.lists(children, max_size=3).map(Row)
+        | st.dictionaries(TEXTS, children, max_size=5)
+        | st.dictionaries(TEXTS.map(Label), children, max_size=3)
+        | st.dictionaries(NUMBER_KEYS, children, max_size=5)
+        | st.dictionaries(st.none(), children, max_size=1)
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    @example({})
+    @example([])
+    @example(())
+    @example({"a": {}, "b": [], "c": [[], {}]})
+    @example({"steps": [{"assignment": {"0": 1, "1": None, "10": 0}, "colors": "RN"}]})
+    @example({"k\u00e9\"\\\x01": ["v\u00e9\"\\\x01", True, None, 2**64]})
+    @example({1: [0], True: 2, 2.5: {}, Level.HIGH: [Level.LOW]})
+    @example({None: (1, "x", Level.LOW)})
+    @example([Label("a"), Row([1, 2]), (False, -(2**65)), float("nan"), 1e300])
+    def test_matches_json_dumps(self, value):
+        assert _dumps(value) == reference(value)
+
+    @pytest.mark.parametrize("value", [{(1, 2): 0}, {(1, 2): [1.5]}, {"a": object()}, [[object()]]])
+    def test_unserializable_raises_type_error_like_json(self, value):
+        with pytest.raises(TypeError):
+            reference(value)
+        with pytest.raises(TypeError):
+            _dumps(value)
