@@ -1,4 +1,4 @@
-"""Time the two-agent solver at a size far above the benchmark's m = 250.
+"""Time the solvers at a size far above the benchmark's m = 250 and 300.
 
     python3 scripts/time_large_m.py [--m 10000] [--seed 1] [--repeats 3]
 
@@ -11,10 +11,14 @@ the best of --repeats wall-clock times, in seconds, of:
 - ef2_s: interval_sequence_ef2 with its completion hints on another fresh
   copy;
 - cli_solve_s: cli.main(["solve", FILE, "--format", "json"]) in-process;
-- cli_process_s: the same command in a new interpreter, start-up included.
+- cli_process_s: the same command in a new interpreter, start-up included;
+- bounded_components_solve_s and dichotomous_path_solve_s: the in-process
+  solve of the file `choresched generate --kind bounded-components` and
+  `--kind random-dichotomous-path` write for n = 50 agents, m chores and the
+  same seed.
 
-It also prints the step count and the SHA-256 of the solve output, so runs on
-two checkouts can be compared for byte identity.
+It also prints the step count and the SHA-256 of each solve output, so runs
+on two checkouts can be compared for byte identity.
 """
 
 from __future__ import annotations
@@ -52,6 +56,17 @@ def best_time(repeats: int, fn):
     return best, result
 
 
+N_AGENTS = 50
+N_AGENT_KINDS = (("bounded_components", "bounded-components"), ("dichotomous_path", "random-dichotomous-path"))
+
+
+def solve_in_process(path: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["solve", path, "--format", "json"])
+    return out.getvalue()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--m", type=int, default=10_000)
@@ -73,31 +88,33 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "instance.json")
         save_instance(inst, path)
-
-        def solve_in_process() -> str:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                cli.main(["solve", path, "--format", "json"])
-            return out.getvalue()
-
-        cli_solve_s, output = best_time(args.repeats, solve_in_process)
+        cli_solve_s, output = best_time(args.repeats, lambda: solve_in_process(path))
         command = [sys.executable, "-m", "choresched.cli", "solve", path, "--format", "json"]
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         cli_process_s, _ = best_time(
             args.repeats, lambda: subprocess.run(command, env=env, check=True, capture_output=True)
         )
+        report = {
+            "m": args.m,
+            "seed": args.seed,
+            "steps": len(seq),
+            "sequence_s": round(sequence_s, 4),
+            "select_s": round(select_s, 4),
+            "ef2_s": round(ef2_s, 4),
+            "cli_solve_s": round(cli_solve_s, 4),
+            "cli_process_s": round(cli_process_s, 4),
+            "solve_sha256": hashlib.sha256(output.encode()).hexdigest(),
+        }
+        for name, kind in N_AGENT_KINDS:
+            path = os.path.join(tmp, f"{name}.json")
+            generate = ["generate", "--kind", kind, "--n", str(N_AGENTS), "--m", str(args.m)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(generate + ["--seed", str(args.seed), "--out", path])
+            solve_s, output = best_time(args.repeats, lambda: solve_in_process(path))
+            report[f"{name}_solve_s"] = round(solve_s, 4)
+            report[f"{name}_sha256"] = hashlib.sha256(output.encode()).hexdigest()
 
-    print(json.dumps({
-        "m": args.m,
-        "seed": args.seed,
-        "steps": len(seq),
-        "sequence_s": round(sequence_s, 4),
-        "select_s": round(select_s, 4),
-        "ef2_s": round(ef2_s, 4),
-        "cli_solve_s": round(cli_solve_s, 4),
-        "cli_process_s": round(cli_process_s, 4),
-        "solve_sha256": hashlib.sha256(output.encode()).hexdigest(),
-    }))
+    print(json.dumps(report))
 
 
 if __name__ == "__main__":

@@ -7,12 +7,18 @@ EFX demands the removal work for EVERY single chore of the envious bundle.
 
 One removal search serves every check: the worst-chore shortcut for
 additive profiles (removing the r most negative chores is optimal), subsets
-by size for opaque monotone ones.  A yes/no EF-k decision tries at most k
-removals per pair; a public verdict also reports each violation's minimal
-count, which under a monotone profile may try every removal subset.
+by size for opaque monotone ones.  A yes/no EF-k decision searches each
+envious agent once, for at most k removals, against the bundle it envies
+most; a public verdict also reports each violation's minimal count, which
+under a monotone profile may try every removal subset.
 
-The checks and envy_graph share one pass over the envious pairs, which
-rejects infeasible schedules and a wrong agent count.
+The checks and envy_graph share one envy pass, which rejects infeasible
+schedules and a wrong agent count.  It values bundles per distinct
+valuation row: an additive profile sums the n bundles once for each
+distinct row, and every agent with that row reads its values from those
+sums, so an identical profile costs O(m) and an all-distinct one O(n * m).
+A monotone profile is valued agent by agent, only as far as the caller
+reads.
 """
 
 from __future__ import annotations
@@ -77,40 +83,65 @@ def _require_agents(schedule: Schedule, instance: Instance) -> None:
         raise InputError(f"schedule has {schedule.n_agents} agents, the instance {instance.n}")
 
 
-def _envy_pairs(
+def _envy_rows(
     schedule: Schedule, instance: Instance
-) -> Iterator[tuple[int, int, frozenset[int], int, int]]:
-    """Yield (i, j, X_i, v_i(X_i), v_i(X_j)) for every pair where i envies j.
+) -> Iterator[tuple[int, frozenset[int], list[int]]]:
+    """Yield (i, X_i, [v_i(X_j) for every agent j]) for every agent i holding
+    a chore, i ascending.
 
     An empty bundle is worth 0, at least any bundle's value, so an agent
-    holding nothing never envies and is skipped.
+    holding nothing never envies and is skipped.  An additive profile sums
+    the bundles once per distinct row; AdditiveValuations keeps one object
+    per distinct row, so the row's id names it.  A monotone profile answers
+    v_i(X_i) and then v_i(X_j), j ascending, when agent i's entry is drawn.
     """
     _require_agents(schedule, instance)
     if not is_feasible(schedule, instance.graph()):
         raise InputError("schedule is infeasible for the instance's conflict graph")
     bundles = schedule.bundles()
+    if instance.valuations.is_additive:
+        table = instance.valuations.table
+        sums_by_row: dict[int, list[int]] = {}
+        for i, bundle in enumerate(bundles):
+            if bundle:
+                row = table[i]
+                sums = sums_by_row.get(id(row))
+                if sums is None:
+                    sums = sums_by_row[id(row)] = [sum(map(row.__getitem__, b)) for b in bundles]
+                yield i, bundle, sums
+        return
     for i, bundle in enumerate(bundles):
-        if not bundle:
-            continue
-        own = instance.value(i, bundle)
-        for j, theirs in enumerate(bundles):
-            if i != j:
-                other = instance.value(i, theirs)
-                if own < other:
-                    yield i, j, bundle, own, other
+        if bundle:
+            own = instance.value(i, bundle)
+            yield i, bundle, [own if j == i else instance.value(i, b) for j, b in enumerate(bundles)]
+
+
+def _envy_pairs(
+    schedule: Schedule, instance: Instance
+) -> Iterator[tuple[int, int, frozenset[int], int, int]]:
+    """Yield (i, j, X_i, v_i(X_i), v_i(X_j)) for every pair where i envies j,
+    i ascending, then j ascending."""
+    for i, bundle, values in _envy_rows(schedule, instance):
+        own = values[i]
+        for j, other in enumerate(values):
+            if own < other:
+                yield i, j, bundle, own, other
 
 
 def _efk_holds(schedule: Schedule, instance: Instance, k: int) -> bool:
     """check_efk(schedule, instance, k).holds, without any minimal count.
 
-    Envious pairs come i ascending, then j ascending, each searched for at
-    most k removals; the first pair none cures ends the decision.  A monotone
-    profile thus answers O(n^2 * |X_i|^k) value queries.
+    Envious agents come in ascending order, each searched once for at most k
+    removals against the bundle it envies most: a removal that cures that
+    pair cures every pair of the agent.  The first agent none cures ends the
+    decision.  A monotone profile thus answers O(n^2 + n * |X_i|^k) value
+    queries.
     """
-    return all(
-        _removal(instance, i, bundle, own, other, k) is not None
-        for i, _, bundle, own, other in _envy_pairs(schedule, instance)
-    )
+    for i, bundle, values in _envy_rows(schedule, instance):
+        most = max(values)
+        if values[i] < most and _removal(instance, i, bundle, values[i], most, k) is None:
+            return False
+    return True
 
 
 def check_efk(schedule: Schedule, instance: Instance, k: int) -> FairnessVerdict:

@@ -69,20 +69,23 @@ class AdditiveValuations:
         if not rows:
             raise InputError("valuation table needs at least one agent row")
         width = len(rows[0])
-        checked: set[tuple[int, ...]] = set()
+        # Equal rows share one object, so a row's id names a distinct row.
+        distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
+        shared = []
         for i, row in enumerate(rows):
             if len(row) != width:
                 raise InputError(f"valuation row {i} has length {len(row)}, expected {width}")
             # An equal row is valid only if plain ints: False == 0, -1.0 == -1.
-            if set(map(type, row)) <= {int} and row in checked:
-                continue
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise InputError(f"value for agent {i}, chore {j} is not an integer")
-                if v > 0:
-                    raise InputError(f"value for agent {i}, chore {j} is positive; chores never are")
-            checked.add(row)
-        self.table = rows
+            first = distinct.get(row) if set(map(type, row)) <= {int} else None
+            if first is None:
+                for j, v in enumerate(row):
+                    if not isinstance(v, int) or isinstance(v, bool):
+                        raise InputError(f"value for agent {i}, chore {j} is not an integer")
+                    if v > 0:
+                        raise InputError(f"value for agent {i}, chore {j} is positive; chores never are")
+                first = distinct[row] = row
+            shared.append(first)
+        self.table = tuple(shared)
 
     @property
     def n_agents(self) -> int:

@@ -534,9 +534,12 @@ def solve_identical_bounded_components(instance: Instance) -> Schedule:
     bundle_masks = [0] * n
     burdens = [0] * n
     for comp in comps:
-        order = sorted(range(n), key=lambda i: (-burdens[i], i))
+        # Least burdened first; the sort is stable under reverse, so ties keep id order.
+        order = sorted(range(n), key=burdens.__getitem__, reverse=True)
         remaining = set(comp)
         for agent in order:
+            if not remaining:
+                break
             feasible = [
                 c for c in remaining if not graph.neighbor_masks[c] & bundle_masks[agent]
             ]

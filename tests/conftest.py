@@ -49,6 +49,20 @@ def random_feasible_schedule(rng: random.Random, instance: Instance) -> Schedule
     return Schedule(instance.n, tuple(assignment))
 
 
+class QueryCounter:
+    """Monotone valuation functions that count every value query they answer."""
+
+    def __init__(self):
+        self.queries = 0
+
+    def wrap(self, fn):
+        def counted(agent, bundle):
+            self.queries += 1
+            return fn(agent, bundle)
+
+        return counted
+
+
 def worst_chore_times_count(table):
     """A monotone, non-additive profile: the bundle's worst chore, paid once
     per chore it holds."""

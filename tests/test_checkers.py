@@ -1,12 +1,15 @@
 """Fairness and efficiency predicates against hand-checked and enumerated values."""
 
+import math
 import random
 
 import pytest
 
 from choresched import envy_graph
 from choresched.checkers import (
+    FairnessVerdict,
     _efk_holds,
+    _removal,
     check_ef,
     check_ef1,
     check_efk,
@@ -23,11 +26,17 @@ from choresched.core import (
     MonotoneValuations,
     Schedule,
     SizeGuardError,
+    is_feasible,
     path_instance,
 )
 from choresched.generate import random_interval_instance, random_path_instance
 
-from conftest import additive_minus_squared_count, random_feasible_schedule, worst_chore_times_count
+from conftest import (
+    QueryCounter,
+    additive_minus_squared_count,
+    random_feasible_schedule,
+    worst_chore_times_count,
+)
 
 
 EF1_PO_INSTANCE = path_instance([[-2, -10, -1, -10, -2]] * 2)
@@ -195,6 +204,163 @@ def test_efk_decision_matches_the_verdict_on_criterion_8_pairs():
                 assert holds == check_efk(schedule, profile, k).holds
                 seen.add((name, k, holds))
     assert len(seen) == 3 * 3 * 2
+
+
+def reference_envy_pairs(schedule, instance):
+    """The pairwise envy pass: v_i(X_j) valued on its own for every ordered
+    pair, i ascending, then j ascending; an agent holding nothing is skipped."""
+    if schedule.n_agents != instance.n:
+        raise InputError(f"schedule has {schedule.n_agents} agents, the instance {instance.n}")
+    if not is_feasible(schedule, instance.graph()):
+        raise InputError("schedule is infeasible for the instance's conflict graph")
+    bundles = schedule.bundles()
+    for i, bundle in enumerate(bundles):
+        if not bundle:
+            continue
+        own = instance.value(i, bundle)
+        for j, theirs in enumerate(bundles):
+            if i != j:
+                other = instance.value(i, theirs)
+                if own < other:
+                    yield i, j, bundle, own, other
+
+
+def reference_efk(schedule, instance, k):
+    violations, witnesses = [], {}
+    for i, j, bundle, own, other in reference_envy_pairs(schedule, instance):
+        removed = _removal(instance, i, bundle, own, other, len(bundle))
+        if len(removed) <= k:
+            witnesses[(i, j)] = removed
+        else:
+            violations.append((i, j, len(removed)))
+    return FairnessVerdict(not violations, tuple(violations), witnesses)
+
+
+def reference_efx(schedule, instance):
+    violations, witnesses = [], {}
+    for i, j, bundle, own, other in reference_envy_pairs(schedule, instance):
+        leftovers = {c: instance.value(i, bundle - {c}) for c in sorted(bundle)}
+        if all(v >= other for v in leftovers.values()):
+            witnesses[(i, j)] = (min(leftovers, key=lambda c: (leftovers[c], c)),)
+        else:
+            removed = _removal(instance, i, bundle, own, other, len(bundle))
+            violations.append((i, j, len(removed)))
+    return FairnessVerdict(not violations, tuple(violations), witnesses)
+
+
+def reference_efk_holds(schedule, instance, k):
+    """One removal search per envious pair."""
+    return all(
+        _removal(instance, i, bundle, own, other, k) is not None
+        for i, _, bundle, own, other in reference_envy_pairs(schedule, instance)
+    )
+
+
+def profiles_over(rng, inst):
+    """The instance's chores under additive profiles whose rows are all one
+    row, drawn from a pool of two, or all distinct, and under two monotone
+    ones."""
+    n, m = inst.n, inst.m
+    pool = [[rng.randint(-4, 0) for _ in range(m)] for _ in range(2)]
+    tables = {
+        "identical": [list(pool[0]) for _ in range(n)],
+        "pool of 2": [list(rng.choice(pool)) for _ in range(n)],
+        "distinct": [[rng.randint(-4, 0) for _ in range(m)] for _ in range(n)],
+    }
+    for name, table in tables.items():
+        yield name, Instance(n, inst.chores, AdditiveValuations(table))
+    table = tables["distinct"]
+    for family in (worst_chore_times_count, additive_minus_squared_count):
+        yield family.__name__, Instance(n, inst.chores, MonotoneValuations(n, m, family(table)))
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def test_envy_pass_matches_the_pairwise_reference():
+    rng = random.Random(1313)
+    seen = set()
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        inst = random_interval_instance(rng, n, rng.randint(1, 8))
+        schedule = random_feasible_schedule(rng, inst)
+        empty = any(not b for b in schedule.bundles())
+        for name, profile in profiles_over(rng, inst):
+            if profile.valuations.is_additive:
+                # Equal rows share one object, so the pass sums each once.
+                table = profile.valuations.table
+                assert len({id(row) for row in table}) == len(set(table))
+            for k in (0, 1, 2):
+                verdict = check_efk(schedule, profile, k)
+                assert verdict == reference_efk(schedule, profile, k)
+                assert _efk_holds(schedule, profile, k) == reference_efk_holds(schedule, profile, k)
+                seen.add((name, k, verdict.holds, empty))
+            assert check_efx(schedule, profile) == reference_efx(schedule, profile)
+            edges = {(i, j) for i, j, *_ in reference_envy_pairs(schedule, profile)}
+            assert envy_graph(schedule, profile).edges == edges
+    assert len(seen) == 5 * 3 * 2 * 2
+
+
+@pytest.mark.parametrize(
+    "check, reference",
+    [
+        (check_ef1, lambda s, i: reference_efk(s, i, 1)),
+        (check_efx, reference_efx),
+        (lambda s, i: _efk_holds(s, i, 1), lambda s, i: reference_efk_holds(s, i, 1)),
+        (envy_graph, lambda s, i: list(reference_envy_pairs(s, i))),
+    ],
+    ids=["ef1", "efx", "efk_holds", "envy_graph"],
+)
+@pytest.mark.parametrize(
+    "schedule",
+    [Schedule(2, (0, 0, None)), Schedule(3, (2, None, 0)), Schedule(1, (0, None, None))],
+    ids=["infeasible", "three agents", "one agent"],
+)
+def test_envy_pass_rejects_with_the_pairwise_reference_texts(check, reference, schedule):
+    additive = path_instance([[-1, -2, -3]] * 2)
+    monotone = Instance(2, additive.chores, MonotoneValuations(2, 3, lambda i, b: -len(b)))
+    for profile in (additive, monotone):
+        got = outcome(check, schedule, profile)
+        assert isinstance(got, str) and got == outcome(reference, schedule, profile)
+
+
+def removal_searches_bound(schedule, k):
+    """n^2 bundle values plus one search of at most k removals per agent."""
+    n = schedule.n_agents
+    size = max(len(b) for b in schedule.bundles())
+    return n * n + n * sum(math.comb(size, r) for r in range(1, k + 1))
+
+
+def test_efk_decision_searches_each_envious_agent_once():
+    # Agents 0 and 1 each hold six isolated chores, of which only the last
+    # hurts them, and value every other chore at 0: each envies both other
+    # agents, and only its last single removal cures it.  One search per
+    # envious pair would take 2 * 3 + 4 * 6 = 30 queries, over the bound 27.
+    counter = QueryCounter()
+    chores = tuple(Chore(id=c, start=2 * c, finish=2 * c + 1) for c in range(12))
+    pain = {0: 5, 1: 11}
+    profile = MonotoneValuations(3, 12, counter.wrap(lambda i, b: -10 if pain.get(i) in b else 0))
+    schedule = Schedule.from_bundles(3, 12, [range(6), range(6, 12), ()])
+    counter.queries = 0
+    assert _efk_holds(schedule, Instance(3, chores, profile), 1)
+    assert counter.queries == 2 * (3 + 6) <= removal_searches_bound(schedule, 1) == 27
+
+    rng = random.Random(4242)
+    for _ in range(600):
+        n, m = rng.randint(3, 6), rng.randint(1, 10)
+        inst = random_interval_instance(rng, n, m)
+        schedule = random_feasible_schedule(rng, inst)
+        for family in (worst_chore_times_count, additive_minus_squared_count):
+            fn = counter.wrap(family(inst.valuations.table))
+            counted = Instance(n, inst.chores, MonotoneValuations(n, m, fn))
+            for k in (0, 1, 2):
+                counter.queries = 0
+                _efk_holds(schedule, counted, k)
+                assert counter.queries <= removal_searches_bound(schedule, k)
 
 
 class TestIsMaximal:

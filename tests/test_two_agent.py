@@ -23,6 +23,7 @@ from choresched.core import (
 from choresched.generate import random_interval_instance, random_path_instance
 from conftest import (
     N_TWO_AGENT_ADDITIVE,
+    QueryCounter,
     independent_additive_failures,
     random_feasible_schedule,
     worst_chore_times_count,
@@ -428,10 +429,12 @@ class TestSelectEf1:
 
 
 def reference_ef1_holds(schedule, instance):
-    """EF1 decided in the order checkers._efk_holds documents: envious agent i
-    ascending, then envied agent j ascending, then single removals in
-    chore-id order, stopping at the first pair no removal cures.  An agent
-    holding nothing never envies and is not valued."""
+    """EF1 decided pair by pair: envious agent i ascending, then envied agent
+    j ascending, then single removals in chore-id order, stopping at the
+    first pair no removal cures.  An agent holding nothing never envies and
+    is not valued.  With two agents each envious agent has one pair, so this
+    is the query order of checkers._efk_holds, which searches each envious
+    agent once."""
     bundles = schedule.bundles()
     for i, own_bundle in enumerate(bundles):
         if not own_bundle:
@@ -474,20 +477,6 @@ def reference_select_ef1(sequence, instance):
                 raise InternalInvariantError("selected EF1 schedule is not maximal")
             return candidate
     raise InternalInvariantError("none of the four flip candidates is EF1")
-
-
-class QueryCounter:
-    """Monotone valuation functions that count every value query they answer."""
-
-    def __init__(self):
-        self.queries = 0
-
-    def wrap(self, fn):
-        def counted(agent, bundle):
-            self.queries += 1
-            return fn(agent, bundle)
-
-        return counted
 
 
 def compare_selections(sequence, instance, counter):
