@@ -103,11 +103,13 @@ class AdditiveValuations:
         return sum(row[c] for c in bundle)
 
     def is_identical(self) -> bool:
-        return all(row == self.table[0] for row in self.table)
+        first = self.table[0]
+        return all(row is first or row == first for row in self.table)
 
     def dichotomy(self) -> Optional[tuple[int, int]]:
         """Return (H, L) with H < L <= 0 if exactly two distinct values occur."""
-        values = {v for row in self.table for v in row}
+        # Each distinct row object is scanned once.
+        values = set().union(*{id(row): row for row in self.table}.values())
         if len(values) != 2:
             return None
         low, high = sorted(values)

@@ -5,8 +5,11 @@ exists() answers fairness-existence queries over that space, and the demo_*
 functions replay the classic round-robin and top-trading envy-cycle
 procedures whose EF1 guarantees break under conflict constraints.
 
-Everything here is desk-scale by design: correctness over speed, with a size
-guard on the enumeration.
+Everything here is desk-scale by design, with a size guard on the
+enumeration (default 16 chores).  The search checks a chore left out as soon
+as its last neighbour is decided and cuts the branch if some agent could
+still take it, so every leaf is a maximal schedule; the 98,304 maximal
+schedules of a 3-agent, 16-chore path take about a second to enumerate.
 """
 
 from __future__ import annotations
@@ -59,9 +62,14 @@ def enumerate_maximal(instance: Instance, guard: int = 16) -> Iterator[Schedule]
     """Yield every feasible-and-maximal schedule exactly once.
 
     The order is deterministic: lexicographic in the assignment vector with
-    agent 0 < agent 1 < ... < unassigned.  The search assigns chores in id
-    order, prunes infeasible branches immediately, and prunes "leave it
-    unassigned" branches that can never become blocked.
+    agent 0 < agent 1 < ... < unassigned.  The search decides chores in id
+    order and never assigns a chore to an agent whose bundle it overlaps.
+    due[c] lists the chores x whose last decided neighbour is c, that is
+    max(x, highest neighbour id of x) == c.  Once c is decided, assigned or
+    left out, no later decision touches what blocks such an x: an
+    unassigned x in due[c] must overlap every bundle now, or the branch is
+    dead and is cut there.  Every chore is due once, so every leaf of the
+    search is a maximal schedule.
     """
     if instance.m > guard:
         raise SizeGuardError(
@@ -72,17 +80,23 @@ def enumerate_maximal(instance: Instance, guard: int = 16) -> Iterator[Schedule]
     nbr = graph.neighbor_masks
     assignment: list[Optional[int]] = [None] * m
     bundle_masks = [0] * n
+    due: list[list[int]] = [[] for _ in range(m)]
+    for x in range(m):
+        due[max(x, nbr[x].bit_length() - 1)].append(x)
 
-    def blocked_everywhere(c: int) -> bool:
-        mask = nbr[c]
-        return all(mask & bm for bm in bundle_masks)
+    def settled(c: int) -> bool:
+        # Plain loops: all() over generators here doubles the search time.
+        for x in due[c]:
+            if assignment[x] is None:
+                mask = nbr[x]
+                for bm in bundle_masks:
+                    if not mask & bm:
+                        return False
+        return True
 
     def walk(c: int) -> Iterator[Schedule]:
         if c == m:
-            if all(
-                assignment[x] is not None or blocked_everywhere(x) for x in range(m)
-            ):
-                yield Schedule(n, tuple(assignment))
+            yield Schedule(n, tuple(assignment))
             return
         mask = nbr[c]
         for agent in range(n):
@@ -90,13 +104,11 @@ def enumerate_maximal(instance: Instance, guard: int = 16) -> Iterator[Schedule]
                 continue
             assignment[c] = agent
             bundle_masks[agent] |= 1 << c
-            yield from walk(c + 1)
+            if settled(c):
+                yield from walk(c + 1)
             bundle_masks[agent] &= ~(1 << c)
             assignment[c] = None
-        # Unassigned branch: prune when some agent could take c now and no
-        # future chore overlaps c, so c would stay assignable forever.
-        future = ((1 << m) - 1) & ~((1 << (c + 1)) - 1)
-        if mask & future or all(mask & bm for bm in bundle_masks):
+        if settled(c):
             yield from walk(c + 1)
 
     return walk(0)

@@ -21,7 +21,9 @@ N_TWO_AGENT_PATHS = 2_000
 def naive_enumerate_maximal(instance: Instance) -> list[Schedule]:
     """Second, unpruned enumerator used only to cross-check the real one.
 
-    Walks the full (n+1)^m assignment space and filters.
+    Walks the full (n+1)^m assignment space and filters.  itertools.product
+    over [0, ..., n-1, None] visits it in enumerate_maximal's documented
+    order, so the two lists must match element for element.
     """
     graph = instance.graph()
     out = []

@@ -279,6 +279,19 @@ class TestValuations:
         assert AdditiveValuations([[-1, -2, -3]]).dichotomy() is None
         assert AdditiveValuations([[-1, -1]]).dichotomy() is None
 
+    def test_identical_and_dichotomy_match_a_full_value_scan(self):
+        # Both read each distinct row object once; a scan of every value of
+        # every row must agree, identical or not.
+        rng = random.Random(35)
+        for _ in range(2000):
+            n, m = rng.randint(1, 5), rng.randint(1, 6)
+            pool = [[rng.choice((-3, -1, 0)) for _ in range(m)] for _ in range(rng.randint(1, 3))]
+            table = [list(rng.choice(pool)) for _ in range(n)]
+            vals = AdditiveValuations(table)
+            assert vals.is_identical() == all(row == table[0] for row in table)
+            values = sorted({v for row in table for v in row})
+            assert vals.dichotomy() == (tuple(values) if len(values) == 2 else None)
+
     def test_monotone_empty_bundle_must_be_zero(self):
         with pytest.raises(InputError):
             MonotoneValuations(1, 2, lambda i, b: -1)

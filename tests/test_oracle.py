@@ -32,6 +32,31 @@ def triangle_instance(n=2):
     return Instance(n, chores, AdditiveValuations([[-1, -2, -3]] * n))
 
 
+def interval_instance(n, intervals):
+    chores = tuple(Chore(id=i, start=s, finish=f) for i, (s, f) in enumerate(intervals))
+    return Instance(n, chores, AdditiveValuations([[-1] * len(intervals)] * n))
+
+
+# Small adversarial interval families, m <= 7.  The search decides chores in
+# id order, not start order, so each family also runs with shuffled ids.
+FAMILIES = {
+    "nested": [(0, 12), (1, 11), (2, 10), (3, 9), (13, 20), (14, 19), (15, 18)],
+    "identical": [(0, 5)] * 6,
+    "staircase": [(i, i + 3) for i in range(7)],
+    "equal-finish": [(0, 6), (2, 6), (4, 6), (6, 9), (7, 9), (8, 9), (5, 7)],
+    "disjoint-paths": [(0, 2), (1, 3), (2, 4), (3, 5), (10, 12), (11, 13), (12, 14)],
+}
+
+
+def assert_matches_naive(inst):
+    """The unpruned enumeration, order included, and every leaf maximal."""
+    found = list(enumerate_maximal(inst))
+    assert found == naive_enumerate_maximal(inst)
+    graph = inst.graph()
+    assert all(is_maximal(schedule, graph) for schedule in found)
+    return found
+
+
 class TestEnumerateMaximal:
     def test_single_chore_two_agents(self):
         inst = path_instance([[-1]] * 2)
@@ -46,19 +71,35 @@ class TestEnumerateMaximal:
             assert not is_complete(schedule)
 
     def test_path_of_four_matches_naive_recount(self):
-        inst = path_instance([[-1, -2, -3, -4]] * 2)
-        fast = list(enumerate_maximal(inst))
-        slow = naive_enumerate_maximal(inst)
-        assert len(fast) == len(slow)
-        assert set(fast) == set(slow)
+        assert_matches_naive(path_instance([[-1, -2, -3, -4]] * 2))
 
     def test_random_counts_match_naive(self):
         rng = random.Random(3)
         for _ in range(50):
-            inst = random_interval_instance(rng, rng.randint(1, 3), rng.randint(1, 6))
-            fast = list(enumerate_maximal(inst))
-            assert len(set(fast)) == len(fast)  # no duplicates
-            assert set(fast) == set(naive_enumerate_maximal(inst))
+            assert_matches_naive(random_interval_instance(rng, rng.randint(1, 3), rng.randint(1, 7)))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_order_matches_naive_on_adversarial_families(self, family):
+        intervals = FAMILIES[family]
+        rng = random.Random(family)
+        orders = [intervals] + [rng.sample(intervals, len(intervals)) for _ in range(3)]
+        for order in orders:
+            for n in (1, 2, 3):
+                assert_matches_naive(interval_instance(n, order))
+
+    def test_chore_without_neighbours_is_always_assigned(self):
+        # Chore 1 overlaps nothing, so it is due at its own decision.
+        inst = interval_instance(2, [(0, 2), (5, 6), (1, 3), (2, 4)])
+        assert inst.graph().neighbor_masks[1] == 0
+        assert all(s.assignment[1] is not None for s in assert_matches_naive(inst))
+
+    def test_chore_whose_last_neighbour_is_itself(self):
+        # Chore 3 overlaps only lower ids, so it is due at its own decision:
+        # left out, it must already overlap both bundles.
+        inst = interval_instance(2, [(0, 2), (3, 5), (6, 8), (1, 4)])
+        assert inst.graph().neighbor_masks[3].bit_length() - 1 < 3
+        found = assert_matches_naive(inst)
+        assert {s.assignment[3] for s in found} == {0, 1, None}
 
     def test_everything_yielded_is_feasible_and_maximal(self):
         rng = random.Random(13)
