@@ -83,6 +83,12 @@ def _require_agents(schedule: Schedule, instance: Instance) -> None:
         raise InputError(f"schedule has {schedule.n_agents} agents, the instance {instance.n}")
 
 
+def _require_feasible(schedule: Schedule, instance: Instance) -> None:
+    _require_agents(schedule, instance)
+    if not is_feasible(schedule, instance.graph()):
+        raise InputError("schedule is infeasible for the instance's conflict graph")
+
+
 def _envy_rows(
     schedule: Schedule, instance: Instance
 ) -> Iterator[tuple[int, frozenset[int], list[int]]]:
@@ -95,9 +101,7 @@ def _envy_rows(
     per distinct row, so the row's id names it.  A monotone profile answers
     v_i(X_i) and then v_i(X_j), j ascending, when agent i's entry is drawn.
     """
-    _require_agents(schedule, instance)
-    if not is_feasible(schedule, instance.graph()):
-        raise InputError("schedule is infeasible for the instance's conflict graph")
+    _require_feasible(schedule, instance)
     bundles = schedule.bundles()
     if instance.valuations.is_additive:
         table = instance.valuations.table

@@ -16,7 +16,7 @@ import sys
 from typing import Any, Callable, Optional
 
 from . import io as fileio
-from .checkers import is_complete, is_maximal, is_pareto_optimal
+from .checkers import _require_feasible, is_complete, is_maximal, is_pareto_optimal
 from .core import InputError, Instance, InternalInvariantError, Schedule, path_instance
 from .generate import (
     random_bounded_components_instance,
@@ -68,24 +68,16 @@ def _pick_algorithm(instance: Instance, requested: str) -> str:
     vals = instance.valuations
     if instance.n == 2:
         return "two-agent-interval"
-    if (
-        instance.n >= 4
-        and instance.graph().is_path
-        and vals.is_additive
-        and vals.is_identical()
-        and vals.dichotomy() is not None
-    ):
+    # Instance files only hold additive profiles, so is_identical is defined.
+    if not vals.is_identical():
+        raise InputError(
+            "no algorithm applies: need 2 agents, or identical dichotomous values on a path "
+            "with n >= 4, or identical values with components of at most n chores"
+        )
+    if instance.n >= 4 and instance.graph().is_path and vals.dichotomy() is not None:
         return "dichotomous-path"
-    if (
-        vals.is_additive
-        and vals.is_identical()
-        and all(len(c) <= instance.n for c in instance.graph().components())
-    ):
-        return "bounded-components"
-    raise InputError(
-        "no algorithm applies: need 2 agents, or identical dichotomous values on a path "
-        "with n >= 4, or identical values with components of at most n chores"
-    )
+    # The solver itself rejects a component of more than n chores.
+    return "bounded-components"
 
 
 def _solve(instance: Instance, algo: str) -> Schedule:
@@ -102,9 +94,7 @@ def _solve(instance: Instance, algo: str) -> Schedule:
         return select_ef1(path_sequence(instance), instance)
     if algo == "dichotomous-path":
         return solve_identical_dichotomous_path(instance)
-    if algo == "bounded-components":
-        return solve_identical_bounded_components(instance)
-    raise InputError(f"unknown algorithm {algo!r}")
+    return solve_identical_bounded_components(instance)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -128,6 +118,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if crit == "maximal":
         holds = is_maximal(schedule, instance.graph())
     elif crit == "complete":
+        _require_feasible(schedule, instance)
         holds = is_complete(schedule)
     elif crit == "po":
         holds = is_pareto_optimal(schedule, instance, guard=args.guard)
@@ -185,13 +176,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
     instance = fileio.load_instance(args.instance)
-    algo = "two-agent-interval" if args.algo == "auto" else args.algo
-    if algo == "two-agent-path":
+    if args.algo == "two-agent-path":
         seq = path_sequence(instance)
-    elif algo == "two-agent-interval":
-        seq = interval_sequence_ef1(instance)
     else:
-        raise InputError(f"sequence construction is two-agent only, not {algo!r}")
+        seq = interval_sequence_ef1(instance)
     lines = seq.trace_lines()
 
     def payload() -> dict[str, Any]:

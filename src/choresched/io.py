@@ -17,6 +17,10 @@ Schedule format::
 where keys are chore ids in plain decimal ("0", "12"; no sign, spaces,
 underscores or leading zeros) and null means unassigned.
 
+The readers check the file's structure: JSON types, required fields, keys.
+Chore and Schedule judge the field values themselves (integer ids and times,
+agent indices in range), and an instance file's error names the chore entry.
+
 Every JSON text the package writes (files and CLI output) comes from _dumps
 and is byte for byte what json.dumps returns with an indent of 2 and
 sort_keys=True.
@@ -135,14 +139,11 @@ def instance_from_dict(data: Any) -> Instance:
         for key in ("id", "start", "finish"):
             if key not in entry:
                 raise InputError(f"chores[{idx}] is missing field '{key}'")
-            if not _is_int(entry[key]):
-                raise InputError(f"chores[{idx}].{key} must be an integer")
-        label = entry.get("label")
-        if label is not None and not isinstance(label, str):
-            raise InputError(f"chores[{idx}].label must be a string or null")
-        chores.append(
-            Chore(id=entry["id"], start=entry["start"], finish=entry["finish"], label=label)
-        )
+        try:
+            chore = Chore(entry["id"], entry["start"], entry["finish"], entry.get("label"))
+        except InputError as exc:
+            raise InputError(f"chores[{idx}]: {exc}") from None
+        chores.append(chore)
     return Instance(n=n, chores=tuple(chores), valuations=AdditiveValuations(valuations))
 
 
@@ -189,8 +190,6 @@ def schedule_from_dict(data: Any, instance: Instance) -> Schedule:
         chore = int(key)
         if not 0 <= chore < instance.m:
             raise InputError(f"assignment references unknown chore {chore}")
-        if value is not None and not _is_int(value):
-            raise InputError(f"assignment[{key}] must be an agent index or null")
         assignment[chore] = value
     return Schedule(instance.n, tuple(assignment))
 

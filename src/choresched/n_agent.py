@@ -515,7 +515,10 @@ def solve_identical_bounded_components(instance: Instance) -> Schedule:
     when v(X_i) < v(X_k), so this is a reverse topological order of the
     always-acyclic envy graph; that graph is checked once, at the end.
     Since a component has at most n chores, every chore lands on a distinct
-    agent and all bundles stay independent.
+    agent and all bundles stay independent.  Picks need no overlap test:
+    each agent takes at most one chore per component, and no chore outside
+    a component overlaps one inside it, so every remaining chore fits the
+    agent whose turn it is.
     """
     vals = instance.valuations
     if not vals.is_additive:
@@ -523,31 +526,22 @@ def solve_identical_bounded_components(instance: Instance) -> Schedule:
     if not vals.is_identical():
         raise InputError("bounded-component round robin needs identical valuations")
     graph = instance.graph()
-    comps = graph.components()
-    oversized = [c for c in comps if len(c) > instance.n]
-    if oversized:
-        raise InputError(
-            f"component {oversized[0]} has {len(oversized[0])} chores; at most n = {instance.n} allowed"
-        )
     n = instance.n
     assignment: list[Optional[int]] = [None] * instance.m
-    bundle_masks = [0] * n
     burdens = [0] * n
-    for comp in comps:
+    for comp in graph.components():
+        if len(comp) > n:
+            raise InputError(
+                f"component of chore {comp[0]} has {len(comp)} chores; at most n = {n} allowed"
+            )
         # Least burdened first; the sort is stable under reverse, so ties keep id order.
         order = sorted(range(n), key=burdens.__getitem__, reverse=True)
         remaining = set(comp)
         for agent in order:
             if not remaining:
                 break
-            feasible = [
-                c for c in remaining if not graph.neighbor_masks[c] & bundle_masks[agent]
-            ]
-            if not feasible:
-                continue
-            pick = min(feasible, key=lambda c: (vals.chore_value(agent, c), c))
+            pick = min(remaining, key=lambda c: (vals.chore_value(agent, c), c))
             assignment[pick] = agent
-            bundle_masks[agent] |= 1 << pick
             burdens[agent] += vals.chore_value(agent, pick)
             remaining.discard(pick)
         if remaining:

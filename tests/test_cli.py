@@ -46,6 +46,41 @@ class TestSolve:
         assert main(["solve", "no-such-file.json"]) == 2
 
     @pytest.mark.parametrize(
+        "kind, m, code",
+        [("random-dichotomous-path", 30, 2), ("bounded-components", 300, 0)],
+        ids=["oversized-component", "components-fit"],
+    )
+    def test_auto_leaves_identical_instances_to_bounded_components(
+        self, tmp_path, capsys, kind, m, code
+    ):
+        # Three agents, identical values: the dichotomous-path rule needs
+        # n >= 4, so auto runs bounded-components, whose own check rejects a
+        # component of more than n chores.
+        path = str(tmp_path / "instance.json")
+        args = ["--kind", kind, "--n", "3", "--m", str(m), "--seed", "1", "--out", path]
+        assert main(["generate", *args]) == 0
+        capsys.readouterr()
+        outputs = []
+        for algo in ("auto", "bounded-components"):
+            assert main(["solve", path, "--algo", algo, "--format", "json"]) == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        if code == 2:
+            message = f"component of chore 0 has {m} chores; at most n = 3 allowed"
+            assert outputs[0].err == f"error: {message}\n"
+
+    def test_oversized_component_error_is_short(self, tmp_path, capsys):
+        # The component is named by its smallest chore, not by its 10,000 ids.
+        path = str(tmp_path / "path.json")
+        args = ["--kind", "random-dichotomous-path", "--n", "3", "--m", "10000", "--seed", "1"]
+        assert main(["generate", *args, "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["solve", path, "--algo", "bounded-components"]) == 2
+        err = capsys.readouterr().err
+        assert "component of chore 0 has 10000 chores; at most n = 3 allowed" in err
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize(
         "algo, kind, n",
         [
             ("two-agent-interval", "random-intervals", 2),
@@ -176,6 +211,18 @@ class TestCheck:
         args = ["check", inst_path, str(sched_path), "--criterion", "complete", "--format", "json"]
         assert main(args) == 2
         assert f"assignment key {alias!r} is not a chore id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("criterion", ["complete", "ef", "ef1", "efx", "maximal", "po"])
+    def test_infeasible_schedule_exits_two(self, tmp_path, capsys, criterion):
+        # Chores 0 and 1 overlap, and agent 0 holds both.
+        inst_path = write_instance(tmp_path, [[-1] * 3] * 2)
+        sched_path = tmp_path / "s.json"
+        sched_path.write_text(json.dumps({"assignment": {"0": 0, "1": 0, "2": 1}}))
+        assert main(["check", inst_path, str(sched_path), "--criterion", criterion]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "feasible" in err
+        if criterion not in ("maximal", "po"):
+            assert err == "error: schedule is infeasible for the instance's conflict graph\n"
 
     def test_efk_without_k(self, tmp_path, capsys):
         inst_path = write_instance(tmp_path, [[-1, -1]] * 2)

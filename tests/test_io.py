@@ -67,7 +67,7 @@ class TestInstanceFiles:
     def test_bools_are_not_integers(self):
         with pytest.raises(InputError, match="path"):
             instance_from_dict({"agents": 1, "path": True, "valuations": [[-1]]})
-        with pytest.raises(InputError, match=r"chores\[0\]\.id"):
+        with pytest.raises(InputError, match=r"chores\[0\]: chore False: id must be an integer"):
             instance_from_dict(
                 {
                     "agents": 1,
@@ -118,7 +118,7 @@ class TestScheduleFiles:
 
     def test_bool_agent_rejected(self):
         inst = sample_instance()
-        with pytest.raises(InputError, match=r"assignment\[0\]"):
+        with pytest.raises(InputError, match="chore 0 assigned to unknown agent True"):
             schedule_from_dict({"assignment": {"0": True}}, inst)
 
     def test_dict_shape(self):
