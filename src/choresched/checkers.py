@@ -221,13 +221,10 @@ def is_pareto_optimal(schedule: Schedule, instance: Instance, guard: int = 16) -
     _require_agents(schedule, instance)
     if not is_maximal(schedule, instance.graph()):
         raise InputError("Pareto optimality is only defined for maximal schedules")
-    from .oracle import enumerate_maximal  # lazy: oracle imports this module
+    from .oracle import _valued  # lazy: oracle imports this module
 
     own = _utilities(schedule, instance)
-    return not any(
-        _dominates(_utilities(other, instance), own)
-        for other in enumerate_maximal(instance, guard=guard)
-    )
+    return not any(_dominates(tuple(other), own) for _, other in _valued(instance, guard))
 
 
 def _utilities(schedule: Schedule, instance: Instance) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ humans); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -284,7 +285,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The choresched argument parser, built once per process and reused.
+
+    Building it takes some twenty times as long as parsing a command line.
+    Reuse is safe because parsing keeps no state in the parser: each
+    parse_args call returns a new Namespace, and every default is immutable.
+    """
     parser = argparse.ArgumentParser(
         prog="choresched",
         description="Fair scheduling of indivisible chores under interval conflicts.",
@@ -362,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InternalInvariantError as exc:

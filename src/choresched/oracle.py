@@ -6,20 +6,27 @@ functions replay the classic round-robin and top-trading envy-cycle
 procedures whose EF1 guarantees break under conflict constraints.
 
 Everything here is desk-scale by design, with a size guard on the
-enumeration (default 16 chores).  The search checks a chore left out as soon
-as its last neighbour is decided and cuts the branch if some agent could
-still take it, so every leaf is a maximal schedule; the 98,304 maximal
-schedules of a 3-agent, 16-chore path take about a second to enumerate.
+enumeration (default 16 chores).  One search, _search, serves every query.
+It checks a chore left out as soon as its last neighbour is decided and
+cuts the branch if some agent could still take it, so every leaf is a
+maximal schedule; it runs on one explicit stack and, under an additive
+profile, keeps every agent's bundle value as it goes.  The 98,304 maximal
+schedules of a 3-agent, 16-chore path take well under a second to
+enumerate.  The ef1+po query, the Pareto check and max_utilitarian_maximal
+read those running values instead of rebuilding bundles, and ef1+po keeps
+the distinct utility vectors rather than the schedules: on that path it
+takes about as long as the enumeration and a few MiB more memory.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterator, Optional, Sequence
 
 from .checkers import (
     FairnessVerdict,
-    _dominates,
     _efk_holds,
     _utilities,
     check_ef1,
@@ -58,8 +65,11 @@ class ExistenceQuery:
             raise InputError("criterion 'efk' needs a non-negative k")
 
 
-def enumerate_maximal(instance: Instance, guard: int = 16) -> Iterator[Schedule]:
-    """Yield every feasible-and-maximal schedule exactly once.
+def _search(
+    instance: Instance, guard: int
+) -> Iterator[tuple[list[Optional[int]], list[int]]]:
+    """Walk every feasible-and-maximal schedule exactly once, yielding
+    (assignment, utilities) at each.
 
     The order is deterministic: lexicographic in the assignment vector with
     agent 0 < agent 1 < ... < unassigned.  The search decides chores in id
@@ -70,48 +80,103 @@ def enumerate_maximal(instance: Instance, guard: int = 16) -> Iterator[Schedule]
     unassigned x in due[c] must overlap every bundle now, or the branch is
     dead and is cut there.  Every chore is due once, so every leaf of the
     search is a maximal schedule.
+
+    One explicit stack holds the search: tried[c] counts the options tried
+    at chore c, so each leaf is handed out at depth one.  Under an additive
+    profile utilities[i] is agent i's bundle value, kept as chores are
+    assigned and taken back; under a monotone one it stays all zeros (see
+    _valued).  Both lists are the search's own and change after each leaf:
+    copy what is kept.
     """
     if instance.m > guard:
         raise SizeGuardError(
             f"enumeration over {instance.m} chores exceeds the guard {guard}"
         )
-    graph = instance.graph()
     n, m = instance.n, instance.m
-    nbr = graph.neighbor_masks
-    assignment: list[Optional[int]] = [None] * m
-    bundle_masks = [0] * n
+    nbr = instance.graph().neighbor_masks
+    rows = instance.valuations.table if instance.valuations.is_additive else [[0] * m] * n
     due: list[list[int]] = [[] for _ in range(m)]
     for x in range(m):
         due[max(x, nbr[x].bit_length() - 1)].append(x)
 
-    def settled(c: int) -> bool:
-        # Plain loops: all() over generators here doubles the search time.
-        for x in due[c]:
-            if assignment[x] is None:
-                mask = nbr[x]
-                for bm in bundle_masks:
-                    if not mask & bm:
-                        return False
-        return True
-
-    def walk(c: int) -> Iterator[Schedule]:
-        if c == m:
-            yield Schedule(n, tuple(assignment))
+    def walk() -> Iterator[tuple[list[Optional[int]], list[int]]]:
+        assignment: list[Optional[int]] = [None] * m
+        bundle_masks = [0] * n
+        utilities = [0] * n
+        if not m:
+            yield assignment, utilities
             return
-        mask = nbr[c]
-        for agent in range(n):
-            if mask & bundle_masks[agent]:
+        tried = [0] * m
+        last = m - 1
+        c = 0
+        while c >= 0:
+            agent = assignment[c]
+            if agent is not None:
+                bundle_masks[agent] ^= 1 << c
+                utilities[agent] -= rows[agent][c]
+                assignment[c] = None
+            # Options at c: agents 0..n-1 whose bundle c does not overlap,
+            # then n, leaving c out.
+            option = tried[c]
+            mask = nbr[c]
+            while option < n and mask & bundle_masks[option]:
+                option += 1
+            if option > n:
+                tried[c] = 0
+                c -= 1
                 continue
-            assignment[c] = agent
-            bundle_masks[agent] |= 1 << c
-            if settled(c):
-                yield from walk(c + 1)
-            bundle_masks[agent] &= ~(1 << c)
-            assignment[c] = None
-        if settled(c):
-            yield from walk(c + 1)
+            tried[c] = option + 1
+            if option < n:
+                assignment[c] = option
+                bundle_masks[option] |= 1 << c
+                utilities[option] += rows[option][c]
+            # Go deeper only if every unassigned chore due at c overlaps
+            # every bundle; otherwise the next pass tries c's next option.
+            # Plain loops: all() over generators here doubles the search time.
+            for x in due[c]:
+                if assignment[x] is None:
+                    mask = nbr[x]
+                    for bm in bundle_masks:
+                        if not mask & bm:
+                            break
+                    else:
+                        continue
+                    break
+            else:
+                if c == last:
+                    yield assignment, utilities
+                else:
+                    c += 1
 
-    return walk(0)
+    return walk()
+
+
+def _valued(
+    instance: Instance, guard: int
+) -> Iterator[tuple[list[Optional[int]], Sequence[int]]]:
+    """_search with every agent's value of its own bundle at each leaf.
+
+    An additive profile's values come from the search; a monotone profile
+    is valued at each leaf, the one place the oracle rebuilds bundles.
+    """
+    leaves = _search(instance, guard)
+    if instance.valuations.is_additive:
+        return leaves
+    n = instance.n
+    return (
+        (assignment, _utilities(Schedule(n, tuple(assignment)), instance))
+        for assignment, _ in leaves
+    )
+
+
+def enumerate_maximal(instance: Instance, guard: int = 16) -> Iterator[Schedule]:
+    """Yield every feasible-and-maximal schedule exactly once.
+
+    The order is deterministic: lexicographic in the assignment vector with
+    agent 0 < agent 1 < ... < unassigned (see _search).
+    """
+    n = instance.n
+    return (Schedule(n, tuple(assignment)) for assignment, _ in _search(instance, guard))
 
 
 def exists(query: ExistenceQuery) -> Optional[Schedule]:
@@ -150,24 +215,52 @@ def _envy_verdict(
 def _exists_ef1_po(instance: Instance, guard: int) -> Optional[Schedule]:
     """EF1 among maximal schedules not Pareto-dominated by any maximal schedule.
 
-    The Pareto frontier of the distinct utility vectors is found once: in
-    descending lexicographic order a dominating vector always comes before
-    the vectors it dominates, so a vector is on the frontier iff no frontier
-    vector found before it dominates it.  The witness is the first schedule,
-    in enumeration order, whose vector is on the frontier and that passes
-    EF1.
+    Two passes of the search, and no schedule is kept between them.  The
+    first collects the distinct utility vectors, whose Pareto frontier
+    _frontier finds once.  The second stops at the first schedule, in
+    enumeration order, whose vector is on the frontier and that passes EF1.
     """
-    schedules = list(enumerate_maximal(instance, guard=guard))
-    utilities = [_utilities(s, instance) for s in schedules]
-    frontier: list[tuple[int, ...]] = []
-    for vector in sorted(set(utilities), reverse=True):
-        if not any(_dominates(better, vector) for better in frontier):
-            frontier.append(vector)
-    undominated = set(frontier)
-    for s, mine in zip(schedules, utilities):
-        if mine in undominated and _efk_holds(s, instance, 1):
-            return s
+    n = instance.n
+    frontier = _frontier({tuple(mine) for _, mine in _valued(instance, guard)})
+    for assignment, mine in _valued(instance, guard):
+        if tuple(mine) in frontier:
+            schedule = Schedule(n, tuple(assignment))
+            if _efk_holds(schedule, instance, 1):
+                return schedule
     return None
+
+
+def _frontier(vectors: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The vectors that no other vector of the set Pareto-dominates.
+
+    In descending lexicographic order a dominating vector comes before the
+    vectors it dominates, and each vector w before v has w[0] >= v[0].  So v
+    is dominated iff some frontier vector found before it is at least v in
+    every later coordinate.  A staircase over coordinates 1 and 2 of the
+    frontier answers that by bisection: xs never falls and ys strictly
+    falls, so the first point with x >= v[1] has the largest y among them.
+    Missing coordinates read 0, so for two agents the staircase is a running
+    maximum.  Above three agents a covered vector is confirmed by comparing
+    it with the frontier.
+    """
+    frontier: set[tuple[int, ...]] = set()
+    xs: list[int] = []
+    neg_ys: list[int] = []
+    for vector in sorted(vectors, reverse=True):
+        x, y = (vector[1:3] + (0, 0))[:2]
+        at = bisect_left(xs, x)
+        covered = at < len(xs) and -neg_ys[at] >= y
+        if covered and (
+            len(vector) <= 3 or any(all(map(ge, w, vector)) for w in frontier)
+        ):
+            continue
+        frontier.add(vector)
+        if not covered:
+            # Replace the points left of it that it covers, those with y <= its y.
+            start = bisect_left(neg_ys, -y)
+            xs[start:at] = [x]
+            neg_ys[start:at] = [-y]
+    return frontier
 
 
 def max_utilitarian_maximal(instance: Instance, guard: int = 16) -> Schedule:
@@ -176,15 +269,15 @@ def max_utilitarian_maximal(instance: Instance, guard: int = 16) -> Schedule:
     Such a schedule is Pareto optimal.  Ties go to the first schedule in
     enumeration order.
     """
-    best: Optional[Schedule] = None
-    best_total: Optional[int] = None
-    for schedule in enumerate_maximal(instance, guard=guard):
-        total = sum(_utilities(schedule, instance))
-        if best_total is None or total > best_total:
-            best, best_total = schedule, total
+    best: Optional[tuple[Optional[int], ...]] = None
+    best_total = 0
+    for assignment, mine in _valued(instance, guard):
+        total = sum(mine)
+        if best is None or total > best_total:
+            best, best_total = tuple(assignment), total
     if best is None:
         raise AssertionError("every instance has at least one maximal schedule")
-    return best
+    return Schedule(instance.n, best)
 
 
 def demo_round_robin(

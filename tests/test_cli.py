@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from choresched import cli
 from choresched.cli import main
 from choresched.io import load_instance, load_schedule, save_instance, save_schedule
 from choresched.core import AdditiveValuations, Chore, Instance, Schedule, path_instance
@@ -248,6 +249,40 @@ class TestExists:
         path = write_instance(tmp_path, [[-1, -1, -1, -4]] * 2)
         assert main(["exists", path, "--criterion", "ef1", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["exists"] is True
+
+
+class TestParserReuse:
+    def test_mixed_calls_match_a_fresh_parser_each(self, tmp_path, capsys, monkeypatch):
+        # One process, one parser: no value of one call may reach the next.
+        path = write_instance(tmp_path, [[-2, -10, -1, -10, -2]] * 2)
+        schedule = str(tmp_path / "schedule.json")
+        calls = [
+            ["exists", path, "--criterion", "nope"],
+            ["exists", path, "--criterion", "efk", "--k", "1"],
+            ["exists", path, "--criterion", "efk"],
+            ["solve", path, "--out", schedule],
+            ["check", path, schedule, "--criterion", "po"],
+            ["--help"],
+        ]
+
+        def run_all():
+            results = []
+            for argv in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results
+
+        assert cli.build_parser() is cli.build_parser()
+        reused = run_all()
+        # No EF1 schedule of this path is Pareto optimal, so the check fails.
+        assert [code for code, *_ in reused] == [2, 0, 2, 0, 1, 0]
+        assert "{solve,check,exists,enumerate,sequence,demo,generate}" in reused[-1][1]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert run_all() == reused
 
 
 class TestEnumerateAndSequence:

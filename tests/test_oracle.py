@@ -1,22 +1,33 @@
 """Exhaustive enumeration, existence queries, and the failure demos."""
 
+import itertools
 import random
 
 import pytest
 
-from choresched.checkers import check_ef1, is_complete, is_maximal, is_pareto_optimal
+from choresched.checkers import (
+    _utilities,
+    check_ef1,
+    is_complete,
+    is_maximal,
+    is_pareto_optimal,
+)
 from choresched.core import (
     Chore,
     InputError,
     Instance,
     AdditiveValuations,
+    MonotoneValuations,
     Schedule,
     SizeGuardError,
     path_instance,
 )
-from choresched.generate import random_interval_instance
+from choresched.generate import random_interval_instance, random_path_instance
 from choresched.oracle import (
     ExistenceQuery,
+    _frontier,
+    _search,
+    _valued,
     demo_round_robin,
     demo_top_trading_envy_cycle,
     enumerate_maximal,
@@ -24,7 +35,11 @@ from choresched.oracle import (
     max_utilitarian_maximal,
 )
 
-from conftest import naive_enumerate_maximal
+from conftest import (
+    additive_minus_squared_count,
+    naive_enumerate_maximal,
+    worst_chore_times_count,
+)
 
 
 def triangle_instance(n=2):
@@ -46,6 +61,38 @@ FAMILIES = {
     "equal-finish": [(0, 6), (2, 6), (4, 6), (6, 9), (7, 9), (8, 9), (5, 7)],
     "disjoint-paths": [(0, 2), (1, 3), (2, 4), (3, 5), (10, 12), (11, 13), (12, 14)],
 }
+
+
+def family_instances():
+    """Every family, its ids as given and shuffled three times, for 1 to 3 agents."""
+    for family, intervals in FAMILIES.items():
+        rng = random.Random(family)
+        for order in [intervals] + [rng.sample(intervals, len(intervals)) for _ in range(3)]:
+            for n in (1, 2, 3):
+                yield interval_instance(n, order)
+
+
+def monotone_twin(inst, profile):
+    """The instance's chores under a monotone profile built from its value table."""
+    return Instance(
+        inst.n, inst.chores, MonotoneValuations(inst.n, inst.m, profile(inst.valuations.table))
+    )
+
+
+def ef1_po_corpus(rng):
+    """Golden, random interval and path, adversarial and monotone instances."""
+    instances = [path_instance([values] * 2) for _, values in GOLDEN_NONE]
+    for _ in range(300):
+        n = rng.choice([2, 3])
+        instances.append(random_interval_instance(rng, n, rng.randint(1, 8 if n == 2 else 6)))
+    for _ in range(100):
+        n = rng.choice([2, 3])
+        instances.append(random_path_instance(rng, n, rng.randint(1, 9 if n == 2 else 7)))
+    instances.extend(family_instances())
+    for inst in instances[3:103]:
+        for profile in (worst_chore_times_count, additive_minus_squared_count):
+            instances.append(monotone_twin(inst, profile))
+    return instances
 
 
 def assert_matches_naive(inst):
@@ -142,12 +189,8 @@ class TestExists:
     def test_ef1_po_matches_pairwise_dominance(self):
         # Reference: the first EF1 schedule, in enumeration order, that no
         # maximal schedule Pareto-dominates, found by comparing every pair.
-        rng = random.Random(11)
-        instances = [path_instance([values] * 2) for _, values in GOLDEN_NONE]
-        for _ in range(300):
-            n = rng.choice([2, 3])
-            instances.append(random_interval_instance(rng, n, rng.randint(1, 8 if n == 2 else 6)))
-        for inst in instances:
+        # Monotone profiles take the search's one fallback.
+        for inst in ef1_po_corpus(random.Random(11)):
             schedules = list(enumerate_maximal(inst))
             utilities = [
                 tuple(inst.value(i, s.bundle(i)) for i in range(inst.n)) for s in schedules
@@ -166,6 +209,30 @@ class TestExists:
             )
             assert exists(ExistenceQuery(instance=inst, criterion="ef1+po")) == expected
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_ef1_po_with_many_tied_vectors(self, n):
+        # Equal values on an interval graph give many schedules per vector
+        # and many vectors tied in some coordinates.
+        rng = random.Random(n)
+        for _ in range(20):
+            inst = random_interval_instance(rng, n, rng.randint(4, 7), vmin=-2, vmax=-1)
+            inst = Instance(n, inst.chores, AdditiveValuations([inst.valuations.table[0]] * n))
+            schedules = list(enumerate_maximal(inst))
+            utilities = [_utilities(s, inst) for s in schedules]
+            distinct = set(utilities)
+            undominated = {
+                mine for mine in distinct if not any(_dominated_by(w, mine) for w in distinct)
+            }
+            expected = next(
+                (
+                    s
+                    for s, mine in zip(schedules, utilities)
+                    if mine in undominated and check_ef1(s, inst).holds
+                ),
+                None,
+            )
+            assert exists(ExistenceQuery(instance=inst, criterion="ef1+po")) == expected
+
     def test_efk_needs_k(self):
         inst = path_instance([[-1]] * 2)
         with pytest.raises(InputError):
@@ -176,6 +243,64 @@ class TestExists:
         inst = path_instance([[-1]] * 2)
         with pytest.raises(InputError):
             ExistenceQuery(instance=inst, criterion="nope")
+
+
+def _dominated_by(theirs, mine):
+    return theirs != mine and all(t >= o for t, o in zip(theirs, mine))
+
+
+class TestSearch:
+    def test_running_utilities_match_a_rebuild_at_every_leaf(self):
+        rng = random.Random(5)
+        instances = list(family_instances()) + [Instance(2, (), AdditiveValuations([[], []]))]
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            make = rng.choice([random_interval_instance, random_path_instance])
+            instances.append(make(rng, n, rng.randint(1, 8 if n <= 2 else 6)))
+        for inst in instances:
+            leaves = [(tuple(a), tuple(u)) for a, u in _search(inst, 16)]
+            assert [Schedule(inst.n, a) for a, _ in leaves] == list(enumerate_maximal(inst))
+            for assignment, utilities in leaves:
+                assert utilities == _utilities(Schedule(inst.n, assignment), inst)
+
+    def test_monotone_profile_is_valued_at_each_leaf(self):
+        inst = monotone_twin(random_interval_instance(random.Random(2), 3, 7), worst_chore_times_count)
+        for assignment, utilities in _valued(inst, 16):
+            assert utilities == _utilities(Schedule(3, tuple(assignment)), inst)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_frontier_matches_pairwise_dominance(self, n):
+        # Coordinates from a small range: many vectors share coordinates.
+        rng = random.Random(n)
+        for _ in range(200):
+            vectors = {
+                tuple(rng.randint(-4, 0) for _ in range(n)) for _ in range(rng.randint(1, 60))
+            }
+            expected = {v for v in vectors if not any(_dominated_by(w, v) for w in vectors)}
+            assert _frontier(vectors) == expected
+
+    def test_frontier_of_a_full_grid_is_its_top(self):
+        grid = set(itertools.product(range(-3, 1), repeat=3))
+        assert _frontier(grid) == {(0, 0, 0)}
+
+    def test_frontier_of_an_antichain_is_everything(self):
+        plane = {v for v in itertools.product(range(-6, 1), repeat=3) if sum(v) == -6}
+        assert _frontier(plane) == plane
+
+    def test_pareto_check_and_utilitarian_optimum_match_references(self):
+        # Pareto optimality against every maximal schedule, and the first
+        # schedule of largest total, both valued from the schedule alone.
+        rng = random.Random(17)
+        instances = [random_interval_instance(rng, rng.randint(1, 3), rng.randint(1, 7)) for _ in range(60)]
+        instances += [monotone_twin(inst, additive_minus_squared_count) for inst in instances[:20]]
+        for inst in instances:
+            schedules = list(enumerate_maximal(inst))
+            utilities = [_utilities(s, inst) for s in schedules]
+            totals = [sum(u) for u in utilities]
+            assert max_utilitarian_maximal(inst) == schedules[totals.index(max(totals))]
+            for k in rng.sample(range(len(schedules)), min(len(schedules), 8)):
+                expected = not any(_dominated_by(theirs, utilities[k]) for theirs in utilities)
+                assert is_pareto_optimal(schedules[k], inst) == expected
 
 
 class TestDemoRoundRobin:
