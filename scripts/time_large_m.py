@@ -5,8 +5,10 @@
 Imports choresched from this checkout's src/ and prints one JSON object with
 the best of --repeats wall-clock times, in seconds, of:
 
-- sequence_s: interval_sequence_ef1 on a fresh copy of
-  random_interval_instance(Random(seed), 2, m), conflict-graph build included;
+- graph_s: build_conflict_graph alone on the chores of the two-agent
+  instance random_interval_instance(Random(seed), 2, m);
+- sequence_s: interval_sequence_ef1 on a fresh copy of that instance,
+  conflict-graph build included;
 - select_s: select_ef1 on that sequence;
 - ef2_s: interval_sequence_ef2 with its completion hints on another fresh
   copy;
@@ -17,8 +19,11 @@ the best of --repeats wall-clock times, in seconds, of:
   `--kind random-dichotomous-path` write for n = 50 agents, m chores and the
   same seed.
 
-It also prints the step count and the SHA-256 of each solve output, so runs
-on two checkouts can be compared for byte identity.
+It also prints the step count, the SHA-256 of each solve output (so runs on
+two checkouts can be compared for byte identity), and peak_rss_mib: the peak
+resident set size in MiB of this process after all in-process stages
+("in_process") and of the new interpreter behind cli_process_s
+("cli_process").
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -40,7 +46,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from choresched import cli  # noqa: E402
-from choresched.core import Instance  # noqa: E402
+from choresched.core import Instance, build_conflict_graph  # noqa: E402
 from choresched.generate import random_interval_instance  # noqa: E402
 from choresched.io import save_instance  # noqa: E402
 from choresched.two_agent import interval_sequence_ef1, interval_sequence_ef2, select_ef1  # noqa: E402
@@ -60,6 +66,11 @@ N_AGENTS = 50
 N_AGENT_KINDS = (("bounded_components", "bounded-components"), ("dichotomous_path", "random-dichotomous-path"))
 
 
+def peak_rss_mib(who: int) -> float:
+    """Peak resident set size in MiB (Linux reports ru_maxrss in KiB)."""
+    return round(resource.getrusage(who).ru_maxrss / 1024, 1)
+
+
 def solve_in_process(path: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -75,6 +86,7 @@ def main() -> None:
     args = parser.parse_args()
 
     inst = random_interval_instance(random.Random(args.seed), 2, args.m)
+    graph_s, _ = best_time(args.repeats, lambda: build_conflict_graph(inst.chores))
     sequence_s, seq = best_time(
         args.repeats,
         lambda: interval_sequence_ef1(Instance(2, inst.chores, inst.valuations)),
@@ -98,6 +110,7 @@ def main() -> None:
             "m": args.m,
             "seed": args.seed,
             "steps": len(seq),
+            "graph_s": round(graph_s, 4),
             "sequence_s": round(sequence_s, 4),
             "select_s": round(select_s, 4),
             "ef2_s": round(ef2_s, 4),
@@ -114,6 +127,10 @@ def main() -> None:
             report[f"{name}_solve_s"] = round(solve_s, 4)
             report[f"{name}_sha256"] = hashlib.sha256(output.encode()).hexdigest()
 
+    report["peak_rss_mib"] = {
+        "in_process": peak_rss_mib(resource.RUSAGE_SELF),
+        "cli_process": peak_rss_mib(resource.RUSAGE_CHILDREN),
+    }
     print(json.dumps(report))
 
 

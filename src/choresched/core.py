@@ -11,7 +11,6 @@ threads; all operations are pure functions.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
@@ -152,11 +151,12 @@ ValuationProfile = Union[AdditiveValuations, MonotoneValuations]
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Undirected overlap graph over chore ids 0..m-1.
+    """Undirected overlap graph over the positions 0..m-1 of a chore list.
 
     Built from intervals, so it is always an interval graph.  Adjacency is
     stored as one bitmask per vertex: bit j of neighbor_masks[i] is set iff
-    chores i and j overlap.
+    the chores at positions i and j overlap (in an Instance, positions are
+    ids).  is_path: the graph is one simple path through all m vertices.
     """
 
     m: int
@@ -215,47 +215,45 @@ def _mask_bits(mask: int):
 
 
 def build_conflict_graph(chores: Sequence[Chore]) -> ConflictGraph:
-    """Build the overlap graph on a chore list.
+    """Build the overlap graph on a chore list by one sweep of its timeline.
 
-    An edge {i, j} exists iff [s_i, f_i) and [s_j, f_j) intersect, that is iff
-    s_j < f_i and f_j > s_i.  The chores starting before f_i are a prefix of
-    the start order, and the chores finishing after s_i a suffix of the
-    finish order, so chore i's mask is the AND of one prefix OR-mask and one
-    suffix OR-mask, found by binary search.  The cost is two sorts, 2m
-    binary searches and O(m) big-integer operations of m bits each, instead
-    of testing all m^2/2 pairs.  The empty list yields an empty graph.
-    is_path is set iff the graph is a single simple path covering every
-    vertex (vacuously true for m <= 1).
+    Masks are indexed by list position, whatever the chores' ids: bit j of
+    neighbor_masks[i] is set iff s_j < f_i and f_j > s_i.  The sweep visits
+    the 2m endpoints in (time, finish before start, list position) order and
+    keeps two running masks.  At s_i, finished holds the chores with
+    f_j <= s_i; at f_i, started holds those with s_j < f_i, i among them.
+    Chore i's mask is started at f_i minus finished at s_i (held only while
+    i is active) minus i: one sort and O(m) big-integer operations of m bits
+    each, where testing pairs would take m^2/2.  No chores, no vertices.
+
+    is_path is set iff the graph is one simple path through every vertex:
+    m <= 1, or else one timeline gap (a start that finds no chore active, as
+    the first does) so the graph is connected, every degree at most 2, and
+    degrees summing to 2(m - 1), which rules out the triangle.
     """
     m = len(chores)
-    by_start = sorted(range(m), key=lambda i: chores[i].start)
-    by_finish = sorted(range(m), key=lambda i: chores[i].finish)
-    starts = [chores[i].start for i in by_start]
-    finishes = [chores[i].finish for i in by_finish]
-    # started[k]: the first k chores in start order; ending[k]: all chores
-    # from position k on in finish order.
-    started = [0] * (m + 1)
-    for k, i in enumerate(by_start):
-        started[k + 1] = started[k] | 1 << i
-    ending = [0] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        ending[k] = ending[k + 1] | 1 << by_finish[k]
-    masks = [
-        started[bisect_left(starts, c.finish)]
-        & ending[bisect_right(finishes, c.start)]
-        & ~(1 << i)
-        for i, c in enumerate(chores)
-    ]
-    return ConflictGraph(m=m, neighbor_masks=tuple(masks), is_path=_is_path(m, masks))
-
-
-def _is_path(m: int, masks: Sequence[int]) -> bool:
-    if m <= 1:
-        return True
-    degrees = [mask.bit_count() for mask in masks]
-    if any(d > 2 for d in degrees) or sum(degrees) != 2 * (m - 1):
-        return False
-    return _path_order(masks, range(m), key=int) is not None
+    events = [(c.start, 1, i) for i, c in enumerate(chores)]
+    events += [(c.finish, 0, i) for i, c in enumerate(chores)]
+    masks = [0] * m
+    started = finished = active = gaps = 0
+    for _, is_start, i in sorted(events):
+        if is_start:
+            gaps += not active
+            active += 1
+            masks[i] = finished
+            started |= 1 << i
+        else:
+            active -= 1
+            # The XOR keeps started's allocation; & ~ copies it at its own
+            # length, so no mask holds started's spare high digits.
+            masks[i] = (started ^ masks[i]) & ~(1 << i)
+            finished |= 1 << i
+    is_path = m <= 1 or (
+        gaps == 1
+        and all(mask.bit_count() <= 2 for mask in masks)
+        and sum(mask.bit_count() for mask in masks) == 2 * (m - 1)
+    )
+    return ConflictGraph(m=m, neighbor_masks=tuple(masks), is_path=is_path)
 
 
 def _path_order(

@@ -27,6 +27,79 @@ def chores_from_intervals(intervals):
     return tuple(Chore(id=i, start=s, finish=f) for i, (s, f) in enumerate(intervals))
 
 
+def _nested(rng, m, k):
+    """Each chore lies inside an earlier one (k unused)."""
+    intervals = [(0, 1 << 20)]
+    while len(intervals) < m:
+        s, f = rng.choice(intervals)
+        if f - s >= 2:
+            a = rng.randrange(s, f - 1)
+            intervals.append((a, rng.randint(a + 1, f)))
+    return intervals
+
+
+def _touching_chains(rng, m, k):
+    """k chains over one span, each chore finishing where the next starts."""
+    intervals = []
+    for chain in range(k):
+        t = 0
+        for _ in range(m // k + (chain < m % k)):
+            d = rng.randint(1, 6)
+            intervals.append((t, t + d))
+            t += d
+    rng.shuffle(intervals)
+    return intervals
+
+
+def _disjoint_paths(rng, m, k):
+    """k staggered paths, each after the last (touching at most), shuffled."""
+    intervals, base = [], 0
+    for path in range(k):
+        starts = [base]
+        for _ in range(m // k + (path < m % k) + 1):
+            starts.append(starts[-1] + rng.randint(2, 6))
+        # Chore j overlaps chore j + 1 only: s_{j+1} < f_j <= s_{j+2}.
+        triples = zip(starts, starts[1:], starts[2:])
+        intervals += [(a, rng.randint(b + 1, c)) for a, b, c in triples]
+        base = intervals[-1][1] + rng.randint(0, 2)
+    rng.shuffle(intervals)
+    return intervals
+
+
+def _caterpillar(rng, m, k):
+    """A path of chores [10j, 10j + 13) with the other chores hung on its inner
+    ones, at most two each in the gap their path neighbours leave: a tree
+    with m - 1 edges that is not a path (k unused)."""
+    spine = m // 2
+    slots = [(j, half) for j in range(1, spine - 1) for half in (0, 1)]
+    intervals = [(10 * j, 10 * j + 13) for j in range(spine)]
+    pendants = rng.sample(slots, m - spine)
+    intervals += [(10 * j + (3, 6)[h], 10 * j + (6, 10)[h]) for j, h in pendants]
+    rng.shuffle(intervals)
+    return intervals
+
+
+# Interval families for the graph build: (rng, m, k) -> (start, finish) pairs
+# in list order, k in 1..3 counting chains or paths where a family has them.
+GRAPH_FAMILIES = {
+    "nested": _nested,
+    "identical": lambda rng, m, k: [(3, 3 + k)] * m,
+    "equal starts": lambda rng, m, k: [(5, 5 + rng.randint(1, m)) for _ in range(m)],
+    "equal finishes": lambda rng, m, k: [(rng.randrange(10 * m), 10 * m) for _ in range(m)],
+    "touching chains": _touching_chains,
+    "one clique": lambda rng, m, k: [
+        (rng.randint(0, 1000), rng.randint(1001, 2000)) for _ in range(m)
+    ],
+    "disjoint paths": _disjoint_paths,
+    # The same paths, under chore ids drawn apart from the list positions.
+    "ids off position": _disjoint_paths,
+    "caterpillar": _caterpillar,
+    # m - 1 edges, every degree at most 2, and two components.
+    "triangle beside a path": lambda rng, m, k: [(0, 3), (1, 4), (2, 5)]
+    + [(s + 5, f + 5) for s, f in _disjoint_paths(rng, m - 3, 1)],
+}
+
+
 class TestBuildConflictGraph:
     def test_star_from_nested_intervals(self):
         # one long chore over three consecutive short ones
@@ -94,13 +167,34 @@ class TestBuildConflictGraph:
     @example([(1, 3), (1, 3), (1, 3)])  # identical intervals
     @example([(0, 9), (2, 1), (4, 4), (5, 1)])  # nested intervals
     def test_masks_match_pairwise_overlaps(self, raw):
-        # Reference: the pairwise test the prefix-mask build replaced.
+        # Reference: the pairwise overlap test, which the sweep replaces.
         chores = chores_from_intervals([(s, s + d) for s, d in raw])
         expected = [
             sum(1 << j for j, other in enumerate(chores) if j != i and c.overlaps(other))
             for i, c in enumerate(chores)
         ]
         assert list(build_conflict_graph(chores).neighbor_masks) == expected
+
+    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+    def test_sweep_matches_pairwise_reference_on_families(self, family):
+        # The masks are indexed by list position, so ids are never read.
+        rng = random.Random(17)
+        for k in (1, 2, 3):
+            m = rng.randint(300, 500)
+            intervals = GRAPH_FAMILIES[family](rng, m, k)
+            ids = rng.sample(range(5 * m), m) if family == "ids off position" else range(m)
+            chores = [Chore(id=c, start=s, finish=f) for c, (s, f) in zip(ids, intervals)]
+            graph = build_conflict_graph(chores)
+            expected = [
+                sum(1 << j for j, other in enumerate(chores) if j != i and c.overlaps(other))
+                for i, c in enumerate(chores)
+            ]
+            assert list(graph.neighbor_masks) == expected
+            comps = reference_components(graph, range(m))
+            path = len(comps) == 1 and reference_path_order(graph, comps[0], int) is not None
+            assert graph.is_path == path
+            if family in ("disjoint paths", "ids off position"):
+                assert graph.is_path == (k == 1)
 
 
 class TestPathInstance:
@@ -427,6 +521,9 @@ class TestGraphWalks:
             st.tuples(st.integers(0, 8), st.integers(1, 8)), min_size=0, max_size=10
         )
     )
+    @example([(0, 2), (0, 2), (0, 2), (5, 1)])  # triangle + isolated: m - 1 edges, disconnected
+    @example([(0, 2), (2, 2)])  # two chores touching at one endpoint
+    @example([(0, 3), (1, 3), (2, 3)])  # a triangle: connected, degrees 2, m edges
     def test_timeline_endpoint_rule_and_is_path_match_reference(self, raw):
         chores = chores_from_intervals([(s, s + d) for s, d in raw])
         graph = build_conflict_graph(chores)
