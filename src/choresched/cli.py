@@ -48,9 +48,14 @@ ALGORITHMS = (
 )
 
 
-def _emit(fmt: str, payload: Callable[[], Any], text: Callable[[], str]) -> None:
-    """Print the result as JSON or as text, building only the form fmt asks for."""
-    print(fileio._dumps(payload()) if fmt == "json" else text())
+def _emit(
+    fmt: str,
+    payload: Callable[[], Any],
+    text: Callable[[], str],
+    dumps: Callable[[Any], str] = fileio._dumps,
+) -> None:
+    """Print dumps(payload()) for JSON, or text(), building only the form fmt asks for."""
+    print(dumps(payload()) if fmt == "json" else text())
 
 
 def _schedule_text(schedule: Schedule) -> str:
@@ -181,25 +186,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
         seq = path_sequence(instance)
     else:
         seq = interval_sequence_ef1(instance)
-    lines = seq.trace_lines()
-
-    def payload() -> dict[str, Any]:
-        # Each assignment dict is built in sorted-key order, so that the
-        # encoder's key sort is a linear pass.
-        order = sorted(range(instance.m), key=str)
-        keys = [str(c) for c in order]
-        return {
-            "steps": [
-                {
-                    "phase": tag,
-                    "colors": line.split(" ")[0],
-                    "assignment": dict(zip(keys, map(assignment.__getitem__, order))),
-                }
-                for (assignment, tag, line) in zip(seq._assignments(), seq.tags, lines)
-            ]
-        }
-
-    _emit(args.format, payload, lambda: "\n".join(lines))
+    _emit(args.format, lambda: seq, lambda: "\n".join(seq.trace_lines()), fileio._dumps_sequence)
     return OK
 
 

@@ -21,9 +21,12 @@ The readers check the file's structure: JSON types, required fields, keys.
 Chore and Schedule judge the field values themselves (integer ids and times,
 agent indices in range), and an instance file's error names the chore entry.
 
-Every JSON text the package writes (files and CLI output) comes from _dumps
-and is byte for byte what json.dumps returns with an indent of 2 and
-sort_keys=True.
+Every JSON text the package writes (files and CLI output) is byte for byte
+what json.dumps returns with an indent of 2 and sort_keys=True.  It comes from
+_dumps, except the `sequence` trace: _dumps_sequence writes that straight from
+the step deltas.  Three checks hold it to _dumps of the step objects: the
+golden digest, a reference test that builds those objects, and CI's
+json.tool round trip of an m = 1000 trace.
 """
 
 from __future__ import annotations
@@ -40,12 +43,15 @@ from .core import (
     Schedule,
     path_instance,
 )
+from .two_agent import ScheduleSequence
 
 PathLike = Union[str, Path]
 
 # Value types sent to the C encoder, which writes them as the indenting
 # (pure-Python) encoder does.
 _FLAT = frozenset((str, int, bool, type(None)))
+# A two-agent schedule's agents as json writes them.
+_AGENT = {0: "0", 1: "1", None: "null"}
 
 
 def _dumps(obj: Any, indent: str = "") -> str:
@@ -62,8 +68,8 @@ def _dumps(obj: Any, indent: str = "") -> str:
     inner = indent + "  "
     sep = ",\n" + inner
     is_dict = isinstance(obj, dict)
-    if type(obj) in (dict, list, tuple) and all(
-        type(v) in _FLAT for v in (obj.values() if is_dict else obj)
+    if type(obj) in (dict, list, tuple) and _FLAT.issuperset(
+        map(type, obj.values() if is_dict else obj)
     ):
         body = json.dumps(obj, sort_keys=True, separators=(sep, ": "))[1:-1]
     elif is_dict:
@@ -72,6 +78,40 @@ def _dumps(obj: Any, indent: str = "") -> str:
         body = sep.join(_dumps(v, inner) for v in obj)
     left, right = "{}" if is_dict else "[]"
     return f"{left}\n{inner}{body}\n{indent}{right}"
+
+
+def _dumps_sequence(sequence: ScheduleSequence) -> str:
+    """_dumps of {"steps": [...]}, one {"assignment", "colors", "phase"} object per step.
+
+    It is written from the sequence's initial schedule and step deltas.  One
+    '"<id>": <agent>' fragment per chore is kept in sorted key order, the
+    fragments of the chores in a step's delta are rewritten, and each step's
+    assignment is one join of the fragments at the fixed indent.
+    """
+    m = sequence.initial.m
+    order = sorted(range(m), key=str)
+    slot = {c: position for position, c in enumerate(order)}
+    keys = [json.dumps(str(c)) + ": " for c in order]
+    initial = sequence.initial.assignment
+    fragments = [key + _AGENT[initial[c]] for key, c in zip(keys, order)]
+    sep = ",\n        "
+
+    def step(colors: str, tag: str) -> str:
+        assignment = "{\n        " + sep.join(fragments) + "\n      }" if m else "{}"
+        return (
+            '    {\n      "assignment": ' + assignment
+            + ',\n      "colors": ' + json.dumps(colors)
+            + ',\n      "phase": ' + json.dumps(tag) + "\n    }"
+        )
+
+    colors = sequence._colors()
+    steps = [step(next(colors), sequence.tags[0])]
+    for delta, tag in zip(sequence.deltas, sequence.tags[1:]):
+        for c, agent in delta:
+            position = slot[c]
+            fragments[position] = keys[position] + _AGENT[agent]
+        steps.append(step(next(colors), tag))
+    return '{\n  "steps": [\n' + ",\n".join(steps) + "\n  ]\n}"
 
 
 def _key(key: Any) -> str:

@@ -98,13 +98,19 @@ class ScheduleSequence:
     def __len__(self) -> int:
         return len(self.tags)
 
+    def _colors(self):
+        """Each step's chore colors (R/B/N, in chore id order), one join per step."""
+        letters = {RED: "R", BLUE: "B", None: "N"}
+        colors = [letters[a] for a in self.initial.assignment]
+        yield "".join(colors)
+        for delta in self.deltas:
+            for c, agent in delta:
+                colors[c] = letters[agent]
+            yield "".join(colors)
+
     def trace_lines(self) -> list[str]:
         """One line per step: chore colors (R/B/N, in chore id order) plus the tag."""
-        letters = {RED: "R", BLUE: "B", None: "N"}
-        return [
-            "".join([letters[a] for a in assignment]) + " " + tag
-            for assignment, tag in zip(self._assignments(), self.tags)
-        ]
+        return [colors + " " + tag for colors, tag in zip(self._colors(), self.tags)]
 
 
 def adjacent(x: Schedule, y: Schedule) -> bool:

@@ -1,15 +1,18 @@
-"""Instance and schedule file round-trips, and the one JSON writer."""
+"""Instance and schedule file round-trips, the one JSON writer and the sequence writer."""
 
 import enum
 import json
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choresched.core import Chore, InputError, Instance, AdditiveValuations, Schedule
+from choresched.generate import random_interval_instance, random_path_instance
 from choresched.io import (
     _dumps,
+    _dumps_sequence,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -19,6 +22,7 @@ from choresched.io import (
     schedule_from_dict,
     schedule_to_dict,
 )
+from choresched.two_agent import ScheduleSequence, interval_sequence_ef1, path_sequence
 
 
 def sample_instance():
@@ -201,3 +205,73 @@ class TestJsonWriter:
             reference(value)
         with pytest.raises(TypeError):
             _dumps(value)
+
+
+LETTERS = {0: "R", 1: "B", None: "N"}
+
+
+def reference_colors(assignment):
+    return "".join(LETTERS[a] for a in assignment)
+
+
+def reference_steps(seq, m):
+    """The per-step dicts the sequence writer replaces, one built from each assignment."""
+    order = sorted(range(m), key=str)
+    keys = [str(c) for c in order]
+    return {
+        "steps": [
+            {
+                "phase": tag,
+                "colors": reference_colors(assignment),
+                "assignment": dict(zip(keys, map(assignment.__getitem__, order))),
+            }
+            for assignment, tag in zip(seq._assignments(), seq.tags)
+        ]
+    }
+
+
+def solver_sequences(m):
+    """interval_sequence_ef1 on an interval and a path instance, and path_sequence on the path."""
+    if m == 0:
+        empty = Instance(2, (), AdditiveValuations([[], []]))
+        return [interval_sequence_ef1(empty), path_sequence(empty)]
+    path = random_path_instance(Random(m), 2, m)
+    return [
+        interval_sequence_ef1(random_interval_instance(Random(m), 2, m)),
+        interval_sequence_ef1(path),
+        path_sequence(path),
+    ]
+
+
+def repeated_step_sequence():
+    """Explicit steps over 12 chores (ids 10 and 11 sort before 2) with two empty deltas."""
+    a = Schedule(2, (0, 1, None, 0, 1, None, 0, 1, None, 0, 1, None))
+    b = Schedule(2, (0, 1, None, 0, 1, None, 0, 1, None, 0, None, 1))
+    c = Schedule(2, (1, 0, None, 0, 1, None, 0, 1, None, 1, 0, None))
+    return ScheduleSequence([a, a, b, b, c], ["initial", "again", "b", 'b "\\é', "c"])
+
+
+# The key order of the ids is str order: from m = 11 on, "10" sorts before
+# "2", and from m = 101 on, "100" sorts between "10" and "11".
+@pytest.mark.parametrize("m", [0, 1, 2, 9, 10, 11, 99, 100, 101, 250])
+def test_sequence_writer_matches_the_per_step_dicts(m):
+    for seq in solver_sequences(m):
+        assert _dumps_sequence(seq) == _dumps(reference_steps(seq, m))
+
+
+def test_sequence_writer_keeps_empty_deltas_and_empty_assignments():
+    seq = repeated_step_sequence()
+    assert () in seq.deltas
+    assert _dumps_sequence(seq) == _dumps(reference_steps(seq, 12))
+    empty = ScheduleSequence([Schedule(2, ())] * 2, ["initial", "again"])
+    assert _dumps_sequence(empty) == _dumps(reference_steps(empty, 0))
+    assert '"assignment": {}' in _dumps_sequence(empty)
+
+
+@pytest.mark.parametrize("m", [0, 1, 11, 101])
+def test_trace_lines_match_a_rendering_of_each_step(m):
+    for seq in solver_sequences(m) + [repeated_step_sequence()]:
+        assert seq.trace_lines() == [
+            reference_colors(assignment) + " " + tag
+            for assignment, tag in zip(seq._assignments(), seq.tags)
+        ]
