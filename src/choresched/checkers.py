@@ -7,10 +7,14 @@ EFX demands the removal work for EVERY single chore of the envious bundle.
 
 One removal search serves every check: the worst-chore shortcut for
 additive profiles (removing the r most negative chores is optimal), subsets
-by size for opaque monotone ones.  A yes/no EF-k decision searches each
-envious agent once, for at most k removals, against the bundle it envies
-most; a public verdict also reports each violation's minimal count, which
-under a monotone profile may try every removal subset.
+by size for opaque monotone ones.  A yes/no EF-k decision (_efk_holds)
+searches each envious agent once, for at most k removals, against the
+bundle it envies most.  A yes/no EFX decision (_efx_holds) checks each
+envious agent once against that bundle too: under an additive profile the
+agent's least burdensome chore decides, under a monotone one every single
+removal is tried until one falls short.  A public verdict also reports each
+violation's minimal count, which under a monotone profile may try every
+removal subset.
 
 The checks and envy_graph share one envy pass, which rejects infeasible
 schedules and a wrong agent count.  It values bundles per distinct
@@ -144,6 +148,29 @@ def _efk_holds(schedule: Schedule, instance: Instance, k: int) -> bool:
     for i, bundle, values in _envy_rows(schedule, instance):
         most = max(values)
         if values[i] < most and _removal(instance, i, bundle, values[i], most, k) is None:
+            return False
+    return True
+
+
+def _efx_holds(schedule: Schedule, instance: Instance) -> bool:
+    """check_efx(schedule, instance).holds, without witnesses or counts.
+
+    As in _efk_holds, each envious agent is checked once, against the bundle
+    it envies most: every single removal that lifts its value to that
+    bundle's lifts it to every other.  Under an additive profile the weakest
+    removal drops the agent's least burdensome chore, so one max over the
+    bundle decides; a monotone profile tries each removal and stops at the
+    first that falls short.
+    """
+    additive = instance.valuations.is_additive
+    for i, bundle, values in _envy_rows(schedule, instance):
+        own, most = values[i], max(values)
+        if own >= most:
+            continue
+        if additive:
+            if own - max(map(instance.valuations.table[i].__getitem__, bundle)) < most:
+                return False
+        elif any(instance.value(i, bundle - {c}) < most for c in bundle):
             return False
     return True
 

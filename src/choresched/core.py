@@ -75,13 +75,17 @@ class AdditiveValuations:
             if len(row) != width:
                 raise InputError(f"valuation row {i} has length {len(row)}, expected {width}")
             # An equal row is valid only if plain ints: False == 0, -1.0 == -1.
-            first = distinct.get(row) if set(map(type, row)) <= {int} else None
+            # A row of plain non-positive ints needs no per-value check; any
+            # other row is checked value by value, for the first bad one.
+            plain = set(map(type, row)) <= {int}
+            first = distinct.get(row) if plain else None
             if first is None:
-                for j, v in enumerate(row):
-                    if not isinstance(v, int) or isinstance(v, bool):
-                        raise InputError(f"value for agent {i}, chore {j} is not an integer")
-                    if v > 0:
-                        raise InputError(f"value for agent {i}, chore {j} is positive; chores never are")
+                if not (plain and max(row, default=0) <= 0):
+                    for j, v in enumerate(row):
+                        if not isinstance(v, int) or isinstance(v, bool):
+                            raise InputError(f"value for agent {i}, chore {j} is not an integer")
+                        if v > 0:
+                            raise InputError(f"value for agent {i}, chore {j} is positive; chores never are")
                 first = distinct[row] = row
             shared.append(first)
         self.table = tuple(shared)

@@ -188,12 +188,17 @@ def instance_from_dict(data: Any) -> Instance:
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    """json object_pairs_hook: a repeated key is an error, not a silent override."""
-    data: dict[str, Any] = {}
-    for key, value in pairs:
-        if key in data:
-            raise InputError(f"key {key!r} appears more than once in one JSON object")
-        data[key] = value
+    """json object_pairs_hook: a repeated key is an error, not a silent override.
+
+    The pairs are walked only when a key repeats, to name the first one.
+    """
+    data = dict(pairs)
+    if len(data) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InputError(f"key {key!r} appears more than once in one JSON object")
+            seen.add(key)
     return data
 
 

@@ -16,23 +16,31 @@ enumerate.  The ef1+po query, the Pareto check and max_utilitarian_maximal
 read those running values instead of rebuilding bundles, and ef1+po keeps
 the distinct utility vectors rather than the schedules: on that path it
 takes about as long as the enumeration and a few MiB more memory.
+
+exists() walks only the schedules a criterion can accept.  ef1+complete
+asks the search for complete schedules alone: it never leaves a chore out,
+so it cuts each branch at the first chore that fits no bundle and never
+walks the maximal schedules that leave chores out.  The envy criteria
+decide each leaf with the checkers' yes/no decisions, which look at each
+envious agent once and stop at the first that fails.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from operator import ge
 from typing import Iterator, Optional, Sequence
 
 from .checkers import (
     FairnessVerdict,
     _efk_holds,
+    _efx_holds,
     _utilities,
     check_ef1,
     check_efk,
     check_efx,
-    is_complete,
 )
 from .core import (
     InputError,
@@ -49,7 +57,8 @@ class ExistenceQuery:
     """A fairness-existence question over the maximal schedules of an instance.
 
     criterion is one of CRITERIA; every criterion implicitly includes
-    maximality (the search space is the maximal schedules).  k is required
+    maximality (the search space is the maximal schedules, and for
+    "ef1+complete" the complete ones, all of them maximal).  k is required
     for "efk"; guard overrides the enumeration size guard.
     """
 
@@ -66,7 +75,7 @@ class ExistenceQuery:
 
 
 def _search(
-    instance: Instance, guard: int
+    instance: Instance, guard: int, complete: bool = False
 ) -> Iterator[tuple[list[Optional[int]], list[int]]]:
     """Walk every feasible-and-maximal schedule exactly once, yielding
     (assignment, utilities) at each.
@@ -80,6 +89,10 @@ def _search(
     unassigned x in due[c] must overlap every bundle now, or the branch is
     dead and is cut there.  Every chore is due once, so every leaf of the
     search is a maximal schedule.
+
+    With complete set, a chore's options stop at agent n - 1, so no chore is
+    left out and no chore is ever due: the leaves are exactly the complete
+    feasible schedules, every one of them maximal, in the same order.
 
     One explicit stack holds the search: tried[c] counts the options tried
     at chore c, so each leaf is handed out at depth one.  Under an additive
@@ -96,8 +109,10 @@ def _search(
     nbr = instance.graph().neighbor_masks
     rows = instance.valuations.table if instance.valuations.is_additive else [[0] * m] * n
     due: list[list[int]] = [[] for _ in range(m)]
-    for x in range(m):
-        due[max(x, nbr[x].bit_length() - 1)].append(x)
+    if not complete:
+        for x in range(m):
+            due[max(x, nbr[x].bit_length() - 1)].append(x)
+    last_option = n - 1 if complete else n
 
     def walk() -> Iterator[tuple[list[Optional[int]], list[int]]]:
         assignment: list[Optional[int]] = [None] * m
@@ -116,12 +131,12 @@ def _search(
                 utilities[agent] -= rows[agent][c]
                 assignment[c] = None
             # Options at c: agents 0..n-1 whose bundle c does not overlap,
-            # then n, leaving c out.
+            # then n, leaving c out, unless the search is for complete ones.
             option = tried[c]
             mask = nbr[c]
             while option < n and mask & bundle_masks[option]:
                 option += 1
-            if option > n:
+            if option > last_option:
                 tried[c] = 0
                 c -= 1
                 continue
@@ -183,24 +198,30 @@ def exists(query: ExistenceQuery) -> Optional[Schedule]:
     """Return a witness maximal schedule satisfying the criterion, or None.
 
     The answer is definitive: None means no maximal schedule of the instance
-    satisfies the criterion.
+    satisfies the criterion.  The witness is the first such schedule in
+    enumeration order.  Each criterion walks only the schedules it can
+    accept: "ef1+complete" searches the complete feasible schedules alone
+    (every one is maximal), and the others every maximal schedule; "ef1+po"
+    has its own two passes.  EF-k criteria decide through _efk_holds and
+    "efx" through _efx_holds, each envious agent once.
     """
     instance = query.instance
     guard = query.guard if query.guard is not None else 16
-    if query.criterion == "ef1+po":
+    criterion = query.criterion
+    if criterion == "ef1+po":
         return _exists_ef1_po(instance, guard)
-    for schedule in enumerate_maximal(instance, guard=guard):
-        if _criterion_holds(schedule, instance, query):
+    if criterion == "efx":
+        holds = _efx_holds
+    else:
+        holds = partial(
+            _efk_holds, k={"ef": 0, "ef1": 1, "efk": query.k, "ef1+complete": 1}[criterion]
+        )
+    n = instance.n
+    for assignment, _ in _search(instance, guard, complete=criterion == "ef1+complete"):
+        schedule = Schedule(n, tuple(assignment))
+        if holds(schedule, instance):
             return schedule
     return None
-
-
-def _criterion_holds(schedule: Schedule, instance: Instance, query: ExistenceQuery) -> bool:
-    if query.criterion == "efx":
-        return check_efx(schedule, instance).holds
-    if query.criterion == "ef1+complete":
-        return is_complete(schedule) and _efk_holds(schedule, instance, 1)
-    return _efk_holds(schedule, instance, {"ef": 0, "ef1": 1, "efk": query.k}[query.criterion])
 
 
 def _envy_verdict(

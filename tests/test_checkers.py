@@ -9,6 +9,7 @@ from choresched import envy_graph
 from choresched.checkers import (
     FairnessVerdict,
     _efk_holds,
+    _efx_holds,
     _removal,
     check_ef,
     check_ef1,
@@ -185,7 +186,8 @@ class TestImplicationChain:
 
 def test_efk_decision_matches_the_verdict_on_criterion_8_pairs():
     # Acceptance criterion 8's 10,000 pairs (same seed, same draws), each
-    # judged under its additive profile and under two opaque monotone ones.
+    # judged under its additive profile and under two opaque monotone ones,
+    # for EF-k with k = 0, 1, 2 and for EFX.
     rng = random.Random(8888)
     seen = set()
     for _ in range(10_000):
@@ -203,7 +205,10 @@ def test_efk_decision_matches_the_verdict_on_criterion_8_pairs():
                 holds = _efk_holds(schedule, profile, k)
                 assert holds == check_efk(schedule, profile, k).holds
                 seen.add((name, k, holds))
-    assert len(seen) == 3 * 3 * 2
+            holds = _efx_holds(schedule, profile)
+            assert holds == check_efx(schedule, profile).holds
+            seen.add((name, "efx", holds))
+    assert len(seen) == 3 * 4 * 2
 
 
 def reference_envy_pairs(schedule, instance):

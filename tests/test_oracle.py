@@ -8,6 +8,8 @@ import pytest
 from choresched.checkers import (
     _utilities,
     check_ef1,
+    check_efk,
+    check_efx,
     is_complete,
     is_maximal,
     is_pareto_optimal,
@@ -90,6 +92,23 @@ def ef1_po_corpus(rng):
         instances.append(random_path_instance(rng, n, rng.randint(1, 9 if n == 2 else 7)))
     instances.extend(family_instances())
     for inst in instances[3:103]:
+        for profile in (worst_chore_times_count, additive_minus_squared_count):
+            instances.append(monotone_twin(inst, profile))
+    return instances
+
+
+def exists_corpus(rng):
+    """Golden, adversarial, random interval and path instances (1 to 4
+    agents, m <= 9), and monotone twins of a quarter of the random ones."""
+    instances = [path_instance([values] * 2) for _, values in GOLDEN_NONE]
+    instances.extend(family_instances())
+    randoms = []
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        make = rng.choice([random_interval_instance, random_path_instance])
+        randoms.append(make(rng, n, rng.randint(1, {1: 9, 2: 9, 3: 7, 4: 6}[n])))
+    instances.extend(randoms)
+    for inst in randoms[:75]:
         for profile in (worst_chore_times_count, additive_minus_squared_count):
             instances.append(monotone_twin(inst, profile))
     return instances
@@ -233,6 +252,30 @@ class TestExists:
             )
             assert exists(ExistenceQuery(instance=inst, criterion="ef1+po")) == expected
 
+    def test_exists_matches_the_first_schedule_the_public_checker_accepts(self):
+        # Reference: every maximal schedule in enumeration order, each judged
+        # by the public verdict.  EF1, and with it EF2, has a witness on every
+        # instance here (for two agents the paper proves one always exists);
+        # each other criterion answers both ways.
+        references = {
+            "ef": lambda s, inst: check_efk(s, inst, 0).holds,
+            "ef1": lambda s, inst: check_efk(s, inst, 1).holds,
+            "efk": lambda s, inst: check_efk(s, inst, 2).holds,
+            "efx": lambda s, inst: check_efx(s, inst).holds,
+            "ef1+complete": lambda s, inst: is_complete(s) and check_ef1(s, inst).holds,
+        }
+        answers = set()
+        for inst in exists_corpus(random.Random(19)):
+            schedules = list(enumerate_maximal(inst))
+            for criterion, accepts in references.items():
+                expected = next((s for s in schedules if accepts(s, inst)), None)
+                query = ExistenceQuery(instance=inst, criterion=criterion, k=2)
+                assert exists(query) == expected
+                answers.add((criterion, expected is None))
+        assert answers == {(c, False) for c in references} | {
+            ("ef", True), ("efx", True), ("ef1+complete", True)
+        }
+
     def test_efk_needs_k(self):
         inst = path_instance([[-1]] * 2)
         with pytest.raises(InputError):
@@ -262,6 +305,12 @@ class TestSearch:
             assert [Schedule(inst.n, a) for a, _ in leaves] == list(enumerate_maximal(inst))
             for assignment, utilities in leaves:
                 assert utilities == _utilities(Schedule(inst.n, assignment), inst)
+
+    def test_complete_search_yields_exactly_the_complete_leaves(self):
+        for inst in exists_corpus(random.Random(23)):
+            leaves = [(tuple(a), tuple(u)) for a, u in _search(inst, 16)]
+            complete = [(tuple(a), tuple(u)) for a, u in _search(inst, 16, complete=True)]
+            assert complete == [(a, u) for a, u in leaves if None not in a]
 
     def test_monotone_profile_is_valued_at_each_leaf(self):
         inst = monotone_twin(random_interval_instance(random.Random(2), 3, 7), worst_chore_times_count)
