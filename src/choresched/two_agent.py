@@ -26,9 +26,10 @@ from .core import (
     Instance,
     InternalInvariantError,
     Schedule,
+    _bundle_masks,
     _mask_bits,
     build_conflict_graph,
-    is_feasible,
+    is_feasible,  # not called here, but perfbench/tracing.py spans two_agent.is_feasible by name
     order_by_finish,
     path_component_order,
 )
@@ -263,7 +264,10 @@ class _Coloring(list[Optional[int]]):
 
     def __init__(self, colors: Sequence[Optional[int]]):
         super().__init__(colors)
-        self.masks = [sum(1 << c for c, a in enumerate(colors) if a == agent) for agent in (RED, BLUE)]
+        self.masks = [0, 0]
+        for c, a in enumerate(self):
+            if a is not None:
+                self.masks[a] |= 1 << c
         self.log: list[int] = []
 
     def __setitem__(self, chore: int, color: Optional[int]) -> None:
@@ -317,27 +321,27 @@ def classify_supported(
 
 
 class _SequenceBuilder:
-    """Records the states of one _Coloring as step deltas, keeps insertable,
-    the mask of unassigned chores that still fit a bundle, and is the bug
-    trap for a two-agent sequence: each step is feasible, maximal (insertable
-    empty) when required, and adjacent to the one before, and the endpoints
-    are bundle swaps.
+    """Records the states of one _Coloring as step deltas and is the bug trap
+    for a two-agent sequence: each step is feasible, maximal when required,
+    and adjacent to the one before, and the endpoints are bundle swaps.
 
-    The constructor records the coloring as the "initial" step, checks it for
-    feasibility in full and scans every unassigned chore.  emit replays the
-    coloring's log onto the builder's own assignment and bundle masks,
-    records the chores whose color changed with their new colors as the
-    step's delta, and checks the new step only through that delta:
+    The constructor records the coloring as the "initial" step, takes the
+    builder's own bundle masks from the full feasibility check of it, and
+    sets insertable, the mask of unassigned chores that still fit a bundle.
+    emit makes one loop over the coloring's log: it replays each change onto
+    the builder's own assignment and masks, records the changed chores with
+    their new colors as the step's delta, ORs their closed neighbourhoods
+    into the recheck region and counts each bundle's gains and losses.  It
+    then checks the new step only through that delta:
 
     - feasible: every changed chore that is assigned is free of overlaps in
       its new bundle.  Two overlapping chores in one bundle that both kept
       their agent would have made the previous step infeasible.
-    - insertable: only the previous insertable chores and the closed
-      neighbourhood of the delta are rechecked.  Any other unassigned chore
-      was blocked in both bundles before, and none of its neighbours changed.
-    - adjacent: each bundle gains at most one changed chore and loses at most
-      one, which is the adjacent() test itself restricted to the chores
-      where the two steps can differ.
+    - maximal: insertable is recomputed over its old chores and the region.
+      Any other unassigned chore was blocked in both bundles before, and
+      none of its neighbours changed.
+    - adjacent: no bundle gains or loses more than one chore, which is the
+      adjacent() test restricted to the chores where the steps can differ.
 
     So a step fails here exactly when the full check of it (and of the pair
     it forms with the previous step) fails.  sequence() requires the last
@@ -352,25 +356,51 @@ class _SequenceBuilder:
         self.context = context
         self.status = status
         self.require_maximal = require_maximal
-        step = Schedule(2, tuple(status))
-        if not is_feasible(step, graph):
+        self.initial = Schedule(2, tuple(status))
+        self.masks = _bundle_masks(self.initial, graph)
+        if self.masks is None:
             self._fail("initial produced an infeasible schedule")
         status.log.clear()
         self.assignment = list(status)
-        self.masks = [sum(1 << c for c, a in enumerate(status) if a == agent) for agent in (RED, BLUE)]
-        self.insertable = 0
-        self._recheck((1 << graph.m) - 1, "initial")
-        self.initial = step
+        nbr, (red, blue) = graph.neighbor_masks, self.masks
+        self.insertable = sum(
+            1 << u for u, a in enumerate(status) if a is None and not (nbr[u] & red and nbr[u] & blue)
+        )
+        if require_maximal and self.insertable:
+            self._fail("initial produced a non-maximal schedule")
         self.deltas: list[Delta] = []
         self.tags = ["initial"]
 
     def _fail(self, what: str) -> NoReturn:
         raise InternalInvariantError(f"{self.context}: {what}")
 
-    def _recheck(self, region: int, tag: str) -> None:
-        """Recompute insertable over the region plus the old set; with require_maximal, fail if any."""
+    def emit(self, tag: str) -> None:
+        """Take the coloring's log and record the coloring as the next step."""
         nbr = self.graph.neighbor_masks
-        red, blue = self.masks
+        status, assignment, masks = self.status, self.assignment, self.masks
+        delta = []
+        region = 0
+        gained, lost = [0, 0], [0, 0]
+        for c in status.log:
+            old, new = assignment[c], status[c]
+            if old == new:
+                continue  # written back within the step, or logged before
+            assignment[c] = new
+            bit = 1 << c
+            if old is not None:
+                masks[old] ^= bit
+                lost[old] += 1
+            if new is not None:
+                masks[new] |= bit
+                gained[new] += 1
+            region |= nbr[c] | bit
+            delta.append((c, new))
+        status.log.clear()
+        delta.sort()
+        for c, new in delta:
+            if new is not None and nbr[c] & masks[new]:
+                self._fail(f"{tag} produced an infeasible schedule")
+        red, blue = masks
         region = (region | self.insertable) & ~(red | blue)
         insertable = 0
         while region:
@@ -382,35 +412,9 @@ class _SequenceBuilder:
         self.insertable = insertable
         if self.require_maximal and insertable:
             self._fail(f"{tag} produced a non-maximal schedule")
-
-    def emit(self, tag: str) -> None:
-        """Take the coloring's log and record the coloring as the next step."""
-        nbr = self.graph.neighbor_masks
-        assignment, masks = self.assignment, self.masks
-        changed = []
-        added, removed = [0, 0], [0, 0]
-        for c in sorted(set(self.status.log)):
-            old, new = assignment[c], self.status[c]
-            if old == new:
-                continue  # written back within the step
-            changed.append(c)
-            assignment[c] = new
-            if old is not None:
-                masks[old] &= ~(1 << c)
-                removed[old] += 1
-            if new is not None:
-                masks[new] |= 1 << c
-                added[new] += 1
-        self.status.log.clear()
-        if any(assignment[c] is not None and nbr[c] & masks[assignment[c]] for c in changed):
-            self._fail(f"{tag} produced an infeasible schedule")
-        region = 0
-        for c in changed:
-            region |= nbr[c] | 1 << c
-        self._recheck(region, tag)
-        if max(added) > 1 or max(removed) > 1:
+        if gained[RED] > 1 or gained[BLUE] > 1 or lost[RED] > 1 or lost[BLUE] > 1:
             self._fail(f"{tag} broke adjacency")
-        self.deltas.append(tuple((c, assignment[c]) for c in changed))
+        self.deltas.append(tuple(delta))
         self.tags.append(tag)
 
     def completion_hint(self, rank: dict[int, int]) -> Optional[tuple[int, int]]:
@@ -438,7 +442,7 @@ class _SequenceBuilder:
     def sequence(self) -> ScheduleSequence:
         if self.assignment != self.status:
             self._fail("last step differs from the coloring; a write escaped the step log")
-        if self.initial.swap_agents().assignment != tuple(self.assignment):
+        if [None if a is None else 1 - a for a in self.initial.assignment] != self.assignment:
             self._fail("endpoints are not bundle swaps of each other")
         return ScheduleSequence._from_deltas(self.initial, self.deltas, self.tags)
 
@@ -504,12 +508,13 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
     cls = classify_chores(instance.chores, graph)
     marked = cls.marked
     nbr = graph.neighbor_masks
-    status = _Coloring([cls.source_color.get(c) for c in range(graph.m)])
+    source = [cls.source_color.get(c) for c in range(graph.m)]
+    status = _Coloring(source)
     builder = _SequenceBuilder(graph, "interval_sequence_ef1", status)
 
     # Phase 2: support every unassigned chore, bucket by bucket, right to left.
-    for i in range(len(marked), 1, -1):
-        bucket = cls.buckets.get(i, ())
+    for i in sorted(cls.buckets, reverse=True):
+        bucket = cls.buckets[i]
         rounds = 0
         while True:
             unsupported = [
@@ -519,9 +524,7 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
                 break
             rounds += 1
             if rounds > len(bucket) + 2:
-                raise InternalInvariantError(
-                    f"interval_sequence_ef1: bucket {i} did not stabilize"
-                )
+                raise InternalInvariantError(f"interval_sequence_ef1: bucket {i} did not stabilize")
             u_star = max(unsupported, key=lambda u: cls.rank[u])
             c_i, c_prev = marked[i - 1], marked[i - 2]
             c_prev2 = marked[i - 3] if i >= 3 else None
@@ -569,9 +572,9 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
                         status[c_prev2] = None
                         builder.emit("phase2-case-iiic")
 
-    target = [cls.target_color(c) for c in range(graph.m)]
+    target = [None if color is None else 1 - color for color in source]
     untargeted = [c for c in cls.order if status[c] != target[c]]
-    _assert_phase2_postconditions(status, untargeted, cls)
+    _assert_phase2_postconditions(status, untargeted, target, cls)
 
     # Phase 3: march every untargeted chore to its target, left to right.  Rounds
     # write only the first two untargeted chores, which leave the list on target.
@@ -587,12 +590,13 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
         if head < len(untargeted):
             # second takes the first of these colors no neighbour holds, or none.
             second = untargeted[head]
-            options = (target[second], status[second], RED, BLUE)
-            status[second] = next(
-                (o for o in options if o is not None and not nbr[second] & status.masks[o]),
-                None,
-            )
-            if status[second] == target[second]:
+            color = None
+            for option in (target[second], status[second], RED, BLUE):
+                if option is not None and not nbr[second] & status.masks[option]:
+                    color = option
+                    break
+            status[second] = color
+            if color == target[second]:
                 head += 1
         builder.emit("phase3")
 
@@ -600,7 +604,7 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
 
 
 def _assert_phase2_postconditions(
-    status: _Coloring, untargeted: list[int], cls: ChoreClassification
+    status: _Coloring, untargeted: list[int], target: list[Optional[int]], cls: ChoreClassification
 ) -> None:
     """Bug trap for the guarantees phase 3 relies on.
 
@@ -611,20 +615,15 @@ def _assert_phase2_postconditions(
     """
     for c, color in enumerate(status):
         if color is None and not _is_supported(c, status, cls):
-            raise InternalInvariantError(
-                f"phase 2 ended with unsupported unassigned chore {c}"
-            )
+            raise InternalInvariantError(f"phase 2 ended with unsupported unassigned chore {c}")
     following = [*(1 << u for u in untargeted[1:]), 0]
     for c, next_bit in zip(untargeted, following):
-        target = cls.target_color(c)
-        if status[c] is None or target is None:
+        if status[c] is None or target[c] is None:
             continue
-        clash = cls.later[c] & status.masks[target] & ~next_bit
+        clash = cls.later[c] & status.masks[target[c]] & ~next_bit
         if clash:
             x = (clash & -clash).bit_length() - 1
-            raise InternalInvariantError(
-                f"phase 2 left chore {c} overlapping {x} of its target color"
-            )
+            raise InternalInvariantError(f"phase 2 left chore {c} overlapping {x} of its target color")
 
 
 def select_ef1(sequence: ScheduleSequence, instance: Instance) -> Schedule:
@@ -641,7 +640,8 @@ def select_ef1(sequence: ScheduleSequence, instance: Instance) -> Schedule:
     chore_value query per changed chore, so a step costs O(1); any other
     profile keeps both bundles as sets and makes two value queries per step.
     Only the flip pair, or the endpoints when there is no flip, are built as
-    Schedules.
+    Schedules, and a swapped candidate only once every candidate before it
+    has failed EF1.
     """
     _require_two_agents(instance)
     if sequence.initial.m != instance.m:
@@ -675,15 +675,14 @@ def select_ef1(sequence: ScheduleSequence, instance: Instance) -> Schedule:
         for c, agent in undo:
             assignment[c] = agent
         x = Schedule(2, tuple(assignment))
-        candidates = [x, y, x.swap_agents(), y.swap_agents()]
+        candidates = ((x, False), (y, False), (x, True), (y, True))
     elif initial:
-        raise InternalInvariantError(
-            "agent 0 envies in every step of a bundle-swapped sequence"
-        )
+        raise InternalInvariantError("agent 0 envies in every step of a bundle-swapped sequence")
     else:
         last = Schedule(2, tuple(assignment))
-        candidates = [first, first.swap_agents(), last, last.swap_agents()]
-    for candidate in candidates:
+        candidates = ((first, False), (first, True), (last, False), (last, True))
+    for schedule, swapped in candidates:
+        candidate = schedule.swap_agents() if swapped else schedule
         if _efk_holds(candidate, instance, 1):
             if not is_maximal(candidate, graph):
                 raise InternalInvariantError("selected EF1 schedule is not maximal")

@@ -28,6 +28,7 @@ from conftest import (
     random_feasible_schedule,
     worst_chore_times_count,
 )
+from choresched import two_agent
 from choresched.oracle import enumerate_maximal
 from choresched.two_agent import (
     BLUE,
@@ -575,6 +576,43 @@ def test_flip_search_matches_the_reference_on_arbitrary_hand_built_sequences():
     }
 
 
+@pytest.mark.parametrize(
+    "intervals, table, verdicts",
+    [
+        # The flip pair's first step x is EF1.
+        ([(3, 7), (0, 3)], [[0, -1], [-1, -2]], [True]),
+        # x and y fail; x's swap, the first swapped candidate, wins.
+        ([(6, 10), (6, 10), (0, 3)], [[0, -1, -1], [-2, -1, -2]], [False, False, True]),
+        # Only y's swap, the last candidate, is EF1.
+        ([(3, 6), (0, 2), (1, 4), (6, 9)], [[-2, -2, -2, -4], [-4, -4, 0, -1]], [False] * 3 + [True]),
+    ],
+)
+def test_select_ef1_builds_a_swapped_candidate_only_when_it_is_tried(monkeypatch, intervals, table, verdicts):
+    from choresched.core import AdditiveValuations
+
+    chores = tuple(Chore(id=i, start=s, finish=f) for i, (s, f) in enumerate(intervals))
+    inst = Instance(2, chores, AdditiveValuations(table))
+    seq = interval_sequence_ef1(inst)
+    tried, swaps = [], []
+    efk_holds, swap_agents = two_agent._efk_holds, Schedule.swap_agents
+
+    def counted_efk_holds(schedule, instance, k):
+        tried.append(efk_holds(schedule, instance, k))
+        return tried[-1]
+
+    def counted_swap_agents(self, *args):
+        swaps.append(self)
+        return swap_agents(self, *args)
+
+    monkeypatch.setattr(two_agent, "_efk_holds", counted_efk_holds)
+    monkeypatch.setattr(Schedule, "swap_agents", counted_swap_agents)
+    chosen = select_ef1(seq, inst)
+    assert tried == verdicts
+    # Candidates 3 and 4 are the flip pair's swaps; the first two are not.
+    assert len(swaps) == max(0, len(verdicts) - 2)
+    assert chosen == reference_select_ef1(seq, inst)
+
+
 def queries_within_bound(instance, counter):
     """solve_two_agents' value queries, held to 2 * (len(sequence) + 4 * m).
 
@@ -866,9 +904,13 @@ OTHER_COLOR = {None: RED, RED: BLUE, BLUE: None}
 
 
 def write(status, assignment):
-    """Write an assignment into a coloring through its logged item writes."""
+    """Write an assignment into a coloring through its logged item writes.
+
+    Only the chores whose color differs are written: the coloring drops a
+    same-color write, so its state and log are those of writing every chore."""
     for c, color in enumerate(assignment):
-        status[c] = color
+        if status[c] != color:
+            status[c] = color
 
 
 def probe_verdict(builder):
@@ -924,6 +966,43 @@ def test_step_checker_matches_full_checks_on_the_acceptance_corpus(two_agent_cor
     # Every verdict occurs, so no branch of the trap went untested.
     assert set(verdicts) == {None, "infeasible", "not maximal", "not adjacent"}
     assert bypasses > 0
+
+
+def test_step_checker_passes_full_checks_at_large_m(eager):
+    # The differential above stops at m = 12, where a recheck region or an
+    # insertable set holds a few chores.  Here every recorded state of both
+    # interval constructions, sparse and dense, at m = 300 and 1000 is held to
+    # the full checks the builder's delta checks stand for.
+    for m in (300, 1000):
+        for max_len, window in [(4, None), (40, m)]:
+            inst = random_interval_instance(random.Random(m), 2, m, max_len=max_len, window=window)
+            graph = inst.graph()
+            for construct, require_maximal in [
+                (interval_sequence_ef1, True),
+                (lambda inst: interval_sequence_ef2(inst)[0], False),
+            ]:
+                eager.clear()
+                seq = construct(inst)
+                (steps,) = eager
+                assert seq.steps == tuple(steps)
+                verify_sequence_externally(seq, graph, require_maximal)
+
+
+def test_builder_traps_the_initial_step_and_the_endpoints():
+    graph = path_instance([[-1] * 3] * 2).graph()  # chores 0 - 1 - 2
+    with pytest.raises(InternalInvariantError, match="^probe: initial produced an infeasible schedule$"):
+        _SequenceBuilder(graph, "probe", _Coloring([RED, RED, None]))
+    # Chores 0 and 2 are blocked in blue only, so each still fits red.
+    with pytest.raises(InternalInvariantError, match="^probe: initial produced a non-maximal schedule$"):
+        _SequenceBuilder(graph, "probe", _Coloring([None, BLUE, None]))
+    builder = _SequenceBuilder(graph, "probe", _Coloring([None, BLUE, None]), require_maximal=False)
+    assert builder.insertable == 0b101
+    status = _Coloring([RED, BLUE, RED])
+    builder = _SequenceBuilder(graph, "probe", status)
+    status[0], status[1] = BLUE, None
+    builder.emit("step")
+    with pytest.raises(InternalInvariantError, match="^probe: endpoints are not bundle swaps of each other$"):
+        builder.sequence()
 
 
 def reference_completion_hint(step, graph, rank):
