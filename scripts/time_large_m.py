@@ -17,7 +17,10 @@ the best of --repeats wall-clock times, in seconds, of:
 - bounded_components_solve_s and dichotomous_path_solve_s: the in-process
   solve of the file `choresched generate --kind bounded-components` and
   `--kind random-dichotomous-path` write for n = 50 agents, m chores and the
-  same seed.
+  same seed;
+- dichotomous_path_n5_solve_s: the same dichotomous-path solve for n = 5
+  agents, where the triple meta agent picks 3/5 of the chores and splits
+  them among its three members.
 
 It also prints the step count, the SHA-256 of each solve output (so runs on
 two checkouts can be compared for byte identity), and peak_rss_mib: the peak
@@ -62,8 +65,11 @@ def best_time(repeats: int, fn):
     return best, result
 
 
-N_AGENTS = 50
-N_AGENT_KINDS = (("bounded_components", "bounded-components"), ("dichotomous_path", "random-dichotomous-path"))
+N_AGENT_RUNS = (
+    ("bounded_components", "bounded-components", 50),
+    ("dichotomous_path", "random-dichotomous-path", 50),
+    ("dichotomous_path_n5", "random-dichotomous-path", 5),
+)
 
 
 def peak_rss_mib(who: int) -> float:
@@ -118,9 +124,9 @@ def main() -> None:
             "cli_process_s": round(cli_process_s, 4),
             "solve_sha256": hashlib.sha256(output.encode()).hexdigest(),
         }
-        for name, kind in N_AGENT_KINDS:
+        for name, kind, n in N_AGENT_RUNS:
             path = os.path.join(tmp, f"{name}.json")
-            generate = ["generate", "--kind", kind, "--n", str(N_AGENTS), "--m", str(args.m)]
+            generate = ["generate", "--kind", kind, "--n", str(n), "--m", str(args.m)]
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(generate + ["--seed", str(args.seed), "--out", path])
             solve_s, output = best_time(args.repeats, lambda: solve_in_process(path))

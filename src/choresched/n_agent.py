@@ -24,7 +24,9 @@ envy_graph lives in checkers, beside the envy pass every checker shares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from .checkers import _efk_holds, _utilities, envy_graph, is_complete
@@ -370,6 +372,31 @@ def split_pair_bundle(
     return frozenset(side_a), frozenset(side_b)
 
 
+@lru_cache(maxsize=None)
+def _path_colorings(kinds: tuple[bool, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each proper three-coloring of a path whose chores have these kinds
+    (True for heavy), in product order, with the (h0, h1, h2, l0, l1, l2)
+    counts it adds to the three parts."""
+    colorings = []
+    for combo in product(range(3), repeat=len(kinds)):
+        if all(a != b for a, b in zip(combo, combo[1:])):
+            delta = [0] * 6
+            for part, heavy in zip(combo, kinds):
+                delta[part + (0 if heavy else 3)] += 1
+            colorings.append((combo, tuple(delta)))
+    return tuple(colorings)
+
+
+def _balanced_states(h: int, l: int) -> list[tuple[int, ...]]:
+    """The (h0, h1, h2, l0, l1, l2) states with h heavy and l light chores in
+    all, each kind within one across the three parts: at most nine."""
+    def within_one(total: int) -> list[tuple[int, ...]]:
+        q = total // 3
+        return [t for t in product((q, q + 1), repeat=3) if sum(t) == total]
+
+    return [hs + ls for hs in within_one(h) for ls in within_one(l)]
+
+
 def split_triple_bundle(
     picked: Iterable[int],
     graph: ConflictGraph,
@@ -380,9 +407,13 @@ def split_triple_bundle(
 
     The picked set must induce a disjoint union of paths with at most four
     vertices, with heavy and light counts both multiples of three.  Paths are
-    assigned component-wise, keeping every pair of parts within one heavy and
-    one light chore of each other; isolated chores then even things out, with
-    dummies filling whatever deficits remain.
+    colored one at a time, keeping every pair of parts within one heavy and
+    one light chore of each other, so after each path the parts' counts are
+    one of at most nine states.  One pass from the last path back marks the
+    states from which the rest can still be placed; one pass forward gives
+    each path the first coloring, in product order, that lands on a marked
+    state.  Isolated chores then even things out, with dummies filling
+    whatever deficits remain.
     """
     picked = sorted(set(picked))
     comps = graph.components(within=picked)
@@ -402,99 +433,62 @@ def split_triple_bundle(
     orders = [_path_order(graph.neighbor_masks, comp, key=int) for comp in paths]
     if None in orders:
         raise InternalInvariantError("triple bundle component is not a simple path")
-    combos_per_path = [
-        [
-            combo
-            for combo in product(range(3), repeat=len(order))
-            if all(combo[i] != combo[i + 1] for i in range(len(order) - 1))
-        ]
-        for order in orders
+    kinds = [tuple(c in heavy_ids for c in order) for order in orders]
+
+    # Dummies fill each part up to (target_h, target_l), so the real chores
+    # must land with per-part heavy, light, AND total counts all within one of
+    # each other (the total matters: a part one heavy AND one light ahead of
+    # another would leave envy that no single removal cures).
+    finals = [
+        f
+        for f in _balanced_states(total_h - len(dummy_h), total_l - len(dummy_l))
+        if max(f[p] + f[3 + p] for p in range(3)) - min(f[p] + f[3 + p] for p in range(3)) <= 1
     ]
 
-    # Exact search: dummies fill each part up to (target_h, target_l), so the
-    # real chores must land with per-part heavy, light, AND total counts all
-    # within one of each other (the total matters: a part one heavy AND one
-    # light ahead of another would leave envy that no single removal cures).
-    def fits(counts: list[list[int]], final: bool) -> bool:
-        hs = [c[0] for c in counts]
-        ls = [c[1] for c in counts]
-        if max(hs) > target_h or max(ls) > target_l:
-            return False
-        if max(hs) - min(hs) > 1 or max(ls) - min(ls) > 1:
-            return False
-        if final:
-            totals = [h + l for h, l in counts]
-            if max(totals) - min(totals) > 1:
-                return False
-        return True
+    def place_isolated(state: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        """The real isolated chores each part gets after the paths left it at
+        state: the least (xa, xb, ya, yb) that reaches a final state, with xa
+        and xb heavies and ya and yb lights on parts 0 and 1, the rest on part 2."""
+        fitting = [adds for f in finals if min(adds := tuple(map(sub, f, state))) >= 0]
+        return min(fitting, key=lambda a: a[:2] + a[3:5], default=None)
 
-    def place_isolated(counts: list[list[int]]) -> Optional[tuple[tuple[int, int], ...]]:
-        kh, kl = len(real_h_iso), len(real_l_iso)
-        for xa in range(kh + 1):
-            for xb in range(kh + 1 - xa):
-                xs = (xa, xb, kh - xa - xb)
-                for ya in range(kl + 1):
-                    for yb in range(kl + 1 - ya):
-                        ys = (ya, yb, kl - ya - yb)
-                        trial = [
-                            [counts[p][0] + xs[p], counts[p][1] + ys[p]]
-                            for p in range(3)
-                        ]
-                        if fits(trial, final=True):
-                            return tuple(zip(xs, ys))
-        return None
-
-    dead: set[tuple[int, tuple[tuple[int, int], ...]]] = set()
-    chosen_combos: list[tuple[int, ...]] = []
-
-    def search(idx: int, counts: list[list[int]]) -> Optional[tuple[tuple[int, int], ...]]:
-        state = (idx, tuple(tuple(c) for c in counts))
-        if state in dead:
-            return None
-        if idx == len(paths):
-            placement = place_isolated(counts)
-            if placement is None:
-                dead.add(state)
-            return placement
-        for combo in combos_per_path[idx]:
-            trial = [row[:] for row in counts]
-            for pos, part in enumerate(combo):
-                trial[part][0 if orders[idx][pos] in heavy_ids else 1] += 1
-            if not fits(trial, final=False):
-                continue
-            chosen_combos.append(combo)
-            placement = search(idx + 1, trial)
-            if placement is not None:
-                return placement
-            chosen_combos.pop()
-        dead.add(state)
-        return None
-
-    placement = search(0, [[0, 0], [0, 0], [0, 0]])
-    if placement is None:
+    # alive[i]: the states after i paths from which the rest can be placed.
+    h, l = total_h - len(dummy_h) - len(real_h_iso), total_l - len(dummy_l) - len(real_l_iso)
+    alive = [set()] * len(kinds) + [{s for s in _balanced_states(h, l) if place_isolated(s)}]
+    for i in reversed(range(len(kinds))):
+        h, l = h - sum(kinds[i]), l - len(kinds[i]) + sum(kinds[i])
+        deltas = [d for _, d in _path_colorings(kinds[i])]
+        alive[i] = {
+            s
+            for s in _balanced_states(h, l)
+            if any(tuple(map(add, s, d)) in alive[i + 1] for d in deltas)
+        }
+    state = (0,) * 6
+    if state not in alive[0]:
         raise InternalInvariantError("no balanced conflict-free split of the triple bundle exists")
 
     parts: list[set[int]] = [set(), set(), set()]
-    counts = [[0, 0] for _ in range(3)]
-    for order, combo in zip(orders, chosen_combos):
-        for pos, part in enumerate(combo):
-            parts[part].add(order[pos])
-            counts[part][0 if order[pos] in heavy_ids else 1] += 1
-    h_pool, l_pool = list(real_h_iso), list(real_l_iso)
-    for p, (xh, yl) in enumerate(placement):
+    for order, k, reachable in zip(orders, kinds, alive[1:]):
+        for combo, delta in _path_colorings(k):
+            trial = tuple(map(add, state, delta))
+            if trial in reachable:
+                break
+        state = trial
+        for chore, part in zip(order, combo):
+            parts[part].add(chore)
+    placement = place_isolated(state)
+    h_pool, l_pool = real_h_iso, real_l_iso
+    for p in range(3):
+        xh, yl = placement[p], placement[3 + p]
         take_h, h_pool = h_pool[:xh], h_pool[xh:]
         take_l, l_pool = l_pool[:yl], l_pool[yl:]
         parts[p].update(take_h + take_l)
-        counts[p][0] += xh
-        counts[p][1] += yl
-    for p in range(3):
-        need_h, need_l = target_h - counts[p][0], target_l - counts[p][1]
+        need_h, need_l = target_h - state[p] - xh, target_l - state[3 + p] - yl
         take_h, dummy_h = dummy_h[:need_h], dummy_h[need_h:]
         take_l, dummy_l = dummy_l[:need_l], dummy_l[need_l:]
         parts[p].update(take_h + take_l)
-        counts[p][0] += len(take_h)
-        counts[p][1] += len(take_l)
-    if dummy_h or dummy_l or any(tuple(c) != (target_h, target_l) for c in counts):
+    counts = [_kind_counts(part, heavy_ids) for part in parts]
+    if dummy_h or dummy_l or any(c != (target_h, target_l) for c in counts):
         raise InternalInvariantError("triple split missed the equal-count targets")
     return frozenset(parts[0]), frozenset(parts[1]), frozenset(parts[2])
 

@@ -1,9 +1,10 @@
-"""Golden output: one digest of the two-agent CLI's stdout on a fixed corpus.
+"""Golden output: digests of the CLI's stdout on fixed corpora.
 
 Any change to what `solve` or `sequence` prints for two agents (a different
-schedule, step, tag, trace letter or JSON layout) changes the digest.  A
-refactor that keeps the output byte-identical leaves it alone.  If the output
-is meant to change, the change must say so and record the new digest.
+schedule, step, tag, trace letter or JSON layout) changes the first digest;
+any change to what `solve` prints for the n-agent solvers changes the second.
+A refactor that keeps the output byte-identical leaves them alone.  If the
+output is meant to change, the change must say so and record the new digest.
 """
 
 import hashlib
@@ -11,10 +12,15 @@ import random
 
 from choresched.cli import main
 from choresched.core import AdditiveValuations, Chore, Instance
-from choresched.generate import random_interval_instance
+from choresched.generate import (
+    random_bounded_components_instance,
+    random_dichotomous_path_instance,
+    random_interval_instance,
+)
 from choresched.io import save_instance
 
 GOLDEN_SHA256 = "1c318f6e517c9e48111d17d4effab97df1a83e4bce5d216bf147bddbfeafc94e"
+N_AGENT_GOLDEN_SHA256 = "2a2df9b2040aeb7377a0f8deab81b34ba66ce0184b8168cd018d6be3ec74f19a"
 
 
 def disjoint_paths_instance(rng: random.Random, m: int) -> Instance:
@@ -92,3 +98,31 @@ def test_two_agent_cli_output_digest(tmp_path, capsys):
                     tags.update(line.split(" ")[1] for line in out.splitlines())
     assert tags == PHASE_TAGS
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def n_agent_golden_corpus() -> list[Instance]:
+    """Dichotomous paths at n = 4, 5, 6, 7 and 9 and bounded-component instances.
+
+    The odd-n paths reach the triple meta agent's split, the larger ones
+    with many path components inside its bundle.
+    """
+    rng = random.Random(2121)
+    corpus = []
+    for n in (4, 5, 6, 7, 9):
+        for m in [rng.randint(2, 40) for _ in range(12)] + [150, 400]:
+            corpus.append(random_dichotomous_path_instance(rng, n, m))
+    for n in (3, 4, 7):
+        for _ in range(10):
+            corpus.append(random_bounded_components_instance(rng, n, rng.randint(1, 60)))
+    return corpus
+
+
+def test_n_agent_cli_output_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for index, inst in enumerate(n_agent_golden_corpus()):
+        path = tmp_path / f"instance{index}.json"
+        save_instance(inst, path)
+        code = main(["solve", str(path), "--format", "json"])
+        digest.update(f"{index} exit {code}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == N_AGENT_GOLDEN_SHA256

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from choresched import cli
 from choresched.checkers import check_ef, check_ef1, is_complete, is_maximal
 from choresched.core import (
     AdditiveValuations,
@@ -26,6 +27,7 @@ from choresched.n_agent import (
     split_pair_bundle,
     split_triple_bundle,
 )
+from choresched.io import load_schedule, save_instance
 from choresched.oracle import exists, ExistenceQuery
 from conftest import component_prefixes, independent_additive_failures
 
@@ -330,9 +332,10 @@ class TestBoundedComponents:
 
 
 class TestLargeInstancesIndependently:
-    """Both n-agent solvers at m = 2000, judged by a check that shares no code with them."""
+    """Both n-agent solvers at m = 2000, and the CLI's dichotomous-path solve at
+    m = 10,000, judged by a check that shares no code with them."""
 
-    @pytest.mark.parametrize("n", [6, 50])
+    @pytest.mark.parametrize("n", [5, 6, 50])
     @pytest.mark.parametrize(
         "generate, solve",
         [
@@ -344,6 +347,16 @@ class TestLargeInstancesIndependently:
     def test_complete_conflict_free_ef1(self, generate, solve, n):
         inst = generate(random.Random(1000 + n), n, 2000)
         assert independent_additive_failures(inst, solve(inst)) == []
+
+    def test_cli_splits_a_large_triple_bundle(self, tmp_path):
+        # At n = 5 the triple meta agent picks 3/5 of the 10,000 chores, with
+        # over a thousand path components in its bundle: the split walks them
+        # in one loop, where a recursion per component overflowed the stack.
+        inst = random_dichotomous_path_instance(random.Random(1), 5, 10_000)
+        path, out = tmp_path / "instance.json", tmp_path / "schedule.json"
+        save_instance(inst, path)
+        assert cli.main(["solve", str(path), "--out", str(out)]) == 0
+        assert independent_additive_failures(inst, load_schedule(out, inst)) == []
 
     def test_check_catches_each_fault(self):
         inst = Instance(
