@@ -12,15 +12,18 @@ the best of --repeats wall-clock times, in seconds, of:
 - select_s: select_ef1 on that sequence;
 - ef2_s: interval_sequence_ef2 with its completion hints on another fresh
   copy;
-- cli_solve_s: cli.main(["solve", FILE, "--format", "json"]) in-process;
+- load_s: io.load_instance of that instance's file alone;
+- cli_solve_s: cli.main(["solve", FILE, "--format", "json"]) in-process,
+  the load included;
 - cli_process_s: the same command in a new interpreter, start-up included;
 - bounded_components_solve_s and dichotomous_path_solve_s: the in-process
   solve of the file `choresched generate --kind bounded-components` and
   `--kind random-dichotomous-path` write for n = 50 agents, m chores and the
-  same seed;
-- dichotomous_path_n5_solve_s: the same dichotomous-path solve for n = 5
-  agents, where the triple meta agent picks 3/5 of the chores and splits
-  them among its three members.
+  same seed, and bounded_components_load_s and dichotomous_path_load_s the
+  io.load_instance of those files alone;
+- dichotomous_path_n5_solve_s and _load_s: the same dichotomous-path solve
+  and load for n = 5 agents, where the triple meta agent picks 3/5 of the
+  chores and splits them among its three members.
 
 It also prints the step count, the SHA-256 of each solve output (so runs on
 two checkouts can be compared for byte identity), and peak_rss_mib: the peak
@@ -51,7 +54,7 @@ sys.path.insert(0, str(SRC))
 from choresched import cli  # noqa: E402
 from choresched.core import Instance, build_conflict_graph  # noqa: E402
 from choresched.generate import random_interval_instance  # noqa: E402
-from choresched.io import save_instance  # noqa: E402
+from choresched.io import load_instance, save_instance  # noqa: E402
 from choresched.two_agent import interval_sequence_ef1, interval_sequence_ef2, select_ef1  # noqa: E402
 
 
@@ -106,6 +109,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "instance.json")
         save_instance(inst, path)
+        load_s, _ = best_time(args.repeats, lambda: load_instance(path))
         cli_solve_s, output = best_time(args.repeats, lambda: solve_in_process(path))
         command = [sys.executable, "-m", "choresched.cli", "solve", path, "--format", "json"]
         env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -120,6 +124,7 @@ def main() -> None:
             "sequence_s": round(sequence_s, 4),
             "select_s": round(select_s, 4),
             "ef2_s": round(ef2_s, 4),
+            "load_s": round(load_s, 4),
             "cli_solve_s": round(cli_solve_s, 4),
             "cli_process_s": round(cli_process_s, 4),
             "solve_sha256": hashlib.sha256(output.encode()).hexdigest(),
@@ -129,7 +134,9 @@ def main() -> None:
             generate = ["generate", "--kind", kind, "--n", str(n), "--m", str(args.m)]
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(generate + ["--seed", str(args.seed), "--out", path])
+            load_s, _ = best_time(args.repeats, lambda: load_instance(path))
             solve_s, output = best_time(args.repeats, lambda: solve_in_process(path))
+            report[f"{name}_load_s"] = round(load_s, 4)
             report[f"{name}_solve_s"] = round(solve_s, 4)
             report[f"{name}_sha256"] = hashlib.sha256(output.encode()).hexdigest()
 

@@ -17,7 +17,9 @@ violation's minimal count, which under a monotone profile may try every
 removal subset.
 
 The checks and envy_graph share one envy pass, which rejects infeasible
-schedules and a wrong agent count.  It values bundles per distinct
+schedules and a wrong agent count.  The n-agent solvers' traps enter it past
+that check (_value_rows), with the bundles of a schedule they have just
+proven feasible, and read its rows for the burdens, the envy graph and EF1.  It values bundles per distinct
 valuation row: an additive profile sums the n bundles once for each
 distinct row, and every agent with that row reads its values from those
 sums, so an identical profile costs O(m) and an all-distinct one O(n * m).
@@ -27,9 +29,10 @@ reads.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     ConflictGraph,
@@ -93,11 +96,19 @@ def _require_feasible(schedule: Schedule, instance: Instance) -> None:
         raise InputError("schedule is infeasible for the instance's conflict graph")
 
 
-def _envy_rows(
-    schedule: Schedule, instance: Instance
-) -> Iterator[tuple[int, frozenset[int], list[int]]]:
+_EnvyRow = tuple[int, frozenset[int], list[int]]
+
+
+def _envy_rows(schedule: Schedule, instance: Instance) -> Iterator[_EnvyRow]:
     """Yield (i, X_i, [v_i(X_j) for every agent j]) for every agent i holding
-    a chore, i ascending.
+    a chore, i ascending, after rejecting an infeasible schedule."""
+    _require_feasible(schedule, instance)
+    return _value_rows(schedule.bundles(), instance)
+
+
+def _value_rows(bundles: Sequence[frozenset[int]], instance: Instance) -> Iterator[_EnvyRow]:
+    """_envy_rows from the bundles of a schedule the caller holds and has
+    already proven feasible for the instance's agents.
 
     An empty bundle is worth 0, at least any bundle's value, so an agent
     holding nothing never envies and is skipped.  An additive profile sums
@@ -105,8 +116,6 @@ def _envy_rows(
     per distinct row, so the row's id names it.  A monotone profile answers
     v_i(X_i) and then v_i(X_j), j ascending, when agent i's entry is drawn.
     """
-    _require_feasible(schedule, instance)
-    bundles = schedule.bundles()
     if instance.valuations.is_additive:
         table = instance.valuations.table
         sums_by_row: dict[int, list[int]] = {}
@@ -124,12 +133,10 @@ def _envy_rows(
             yield i, bundle, [own if j == i else instance.value(i, b) for j, b in enumerate(bundles)]
 
 
-def _envy_pairs(
-    schedule: Schedule, instance: Instance
-) -> Iterator[tuple[int, int, frozenset[int], int, int]]:
+def _envy_pairs(rows: Iterable[_EnvyRow]) -> Iterator[tuple[int, int, frozenset[int], int, int]]:
     """Yield (i, j, X_i, v_i(X_i), v_i(X_j)) for every pair where i envies j,
-    i ascending, then j ascending."""
-    for i, bundle, values in _envy_rows(schedule, instance):
+    i ascending, then j ascending, from the rows of _envy_rows."""
+    for i, bundle, values in rows:
         own = values[i]
         for j, other in enumerate(values):
             if own < other:
@@ -145,7 +152,12 @@ def _efk_holds(schedule: Schedule, instance: Instance, k: int) -> bool:
     decision.  A monotone profile thus answers O(n^2 + n * |X_i|^k) value
     queries.
     """
-    for i, bundle, values in _envy_rows(schedule, instance):
+    return _rows_efk_hold(_envy_rows(schedule, instance), instance, k)
+
+
+def _rows_efk_hold(rows: Iterable[_EnvyRow], instance: Instance, k: int) -> bool:
+    """_efk_holds on rows the caller already holds."""
+    for i, bundle, values in rows:
         most = max(values)
         if values[i] < most and _removal(instance, i, bundle, values[i], most, k) is None:
             return False
@@ -180,7 +192,7 @@ def check_efk(schedule: Schedule, instance: Instance, k: int) -> FairnessVerdict
     if k < 0:
         raise InputError("k must be non-negative")
     violations, witnesses = [], {}
-    for i, j, bundle, own, other in _envy_pairs(schedule, instance):
+    for i, j, bundle, own, other in _envy_pairs(_envy_rows(schedule, instance)):
         removed = _removal(instance, i, bundle, own, other, len(bundle))
         if len(removed) <= k:
             witnesses[(i, j)] = removed
@@ -207,7 +219,7 @@ def check_efx(schedule: Schedule, instance: Instance) -> FairnessVerdict:
     leaves the least slack.
     """
     violations, witnesses = [], {}
-    for i, j, bundle, own, other in _envy_pairs(schedule, instance):
+    for i, j, bundle, own, other in _envy_pairs(_envy_rows(schedule, instance)):
         leftovers = {c: instance.value(i, bundle - {c}) for c in sorted(bundle)}
         if all(v >= other for v in leftovers.values()):
             witnesses[(i, j)] = (min(leftovers, key=lambda c: (leftovers[c], c)),)
@@ -274,22 +286,22 @@ class EnvyGraph:
             return False
 
     def topological_order(self) -> tuple[int, ...]:
-        """A deterministic topological order (Kahn's algorithm, lowest id first)."""
+        """A deterministic topological order (Kahn's algorithm, lowest ready id
+        first, from a heap)."""
         indeg = [0] * self.n
-        out: dict[int, list[int]] = {i: [] for i in range(self.n)}
-        for i, k in sorted(self.edges):
+        out: list[list[int]] = [[] for _ in range(self.n)]
+        for i, k in self.edges:
             indeg[k] += 1
             out[i].append(k)
-        ready = sorted(i for i in range(self.n) if indeg[i] == 0)
+        ready = [i for i in range(self.n) if indeg[i] == 0]
         order: list[int] = []
         while ready:
-            v = ready.pop(0)
+            v = heapq.heappop(ready)
             order.append(v)
             for w in out[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
-                    ready.append(w)
-            ready.sort()
+                    heapq.heappush(ready, w)
         if len(order) != self.n:
             raise InputError("envy graph contains a cycle")
         return tuple(order)
@@ -297,8 +309,12 @@ class EnvyGraph:
 
 def envy_graph(schedule: Schedule, instance: Instance) -> EnvyGraph:
     """The envy digraph of a feasible schedule: (i, k) iff v_i(X_i) < v_i(X_k)."""
-    edges = frozenset((i, k) for i, k, *_ in _envy_pairs(schedule, instance))
-    return EnvyGraph(n=instance.n, edges=edges)
+    return _rows_envy_graph(_envy_rows(schedule, instance), instance.n)
+
+
+def _rows_envy_graph(rows: Iterable[_EnvyRow], n: int) -> EnvyGraph:
+    """envy_graph on rows the caller already holds."""
+    return EnvyGraph(n=n, edges=frozenset((i, k) for i, k, *_ in _envy_pairs(rows)))
 
 
 def _dominates(better: tuple[int, ...], worse: tuple[int, ...]) -> bool:

@@ -2,7 +2,8 @@
 
 Subcommands: solve, check, exists, enumerate, sequence, demo, generate.
 Exit codes: 0 = success / criterion holds; 1 = criterion fails or no witness
-exists; 2 = input error; 3 = internal invariant violation (a library bug).
+exists; 2 = input error; 3 = internal invariant violation or any other
+unexpected exception (a library bug).
 Results go to stdout (JSON is the stable machine format, text is for
 humans); diagnostics go to stderr.
 """
@@ -369,6 +370,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return BAD_INPUT
+    except Exception as exc:
+        # Exit 1 means "criterion fails"; any other escape is a library bug.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return BUG
 
 
 if __name__ == "__main__":

@@ -7,6 +7,12 @@ integers; there is no floating point anywhere in this module.
 
 Everything here is immutable after construction and safe to share across
 threads; all operations are pure functions.
+
+Inputs are checked where they enter: by the public constructors here, each
+field, and by io, a file's structure.  The solvers derive what they build
+rather than check it again: the dichotomous-path solver's padded profile is
+one row tuple for every agent, which AdditiveValuations scans once, and its
+padded conflict graph is the real masks plus an empty one per isolated dummy.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ class InternalInvariantError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Chore:
     """A task occupying the half-open time interval [start, finish)."""
 
@@ -40,7 +46,27 @@ class Chore:
     finish: int
     label: Optional[str] = None
 
-    def __post_init__(self) -> None:
+    def __init__(self, id: int, start: int, finish: int, label: Optional[str] = None) -> None:
+        # As the generated __init__ of a frozen dataclass does.  Writing to
+        # self.__dict__ instead would be quicker here but would give every
+        # chore a dict of its own: more memory and slower attribute reads.
+        set_field = object.__setattr__
+        set_field(self, "id", id)
+        set_field(self, "start", start)
+        set_field(self, "finish", finish)
+        set_field(self, "label", label)
+        # One test passes every valid chore; the ordered checks in _reject
+        # run only to name what is wrong with an invalid one.
+        if not (
+            type(id) is int
+            and type(start) is int
+            and type(finish) is int
+            and 0 <= start < finish
+            and (label is None or type(label) is str)
+        ):
+            self._reject()
+
+    def _reject(self) -> None:
         for name in ("id", "start", "finish"):
             if type(getattr(self, name)) is not int:
                 raise InputError(f"chore {self.id}: {name} must be an integer")
@@ -70,8 +96,15 @@ class AdditiveValuations:
         width = len(rows[0])
         # Equal rows share one object, so a row's id names a distinct row.
         distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # A row object passed again (tuple(row) is row for a tuple) is not
+        # scanned again: by id, the shared row it was checked into.
+        checked: dict[int, tuple[int, ...]] = {}
         shared = []
         for i, row in enumerate(rows):
+            first = checked.get(id(row))
+            if first is not None:
+                shared.append(first)
+                continue
             if len(row) != width:
                 raise InputError(f"valuation row {i} has length {len(row)}, expected {width}")
             # An equal row is valid only if plain ints: False == 0, -1.0 == -1.
@@ -87,6 +120,7 @@ class AdditiveValuations:
                         if v > 0:
                             raise InputError(f"value for agent {i}, chore {j} is positive; chores never are")
                 first = distinct[row] = row
+            checked[id(row)] = first
             shared.append(first)
         self.table = tuple(shared)
 

@@ -203,8 +203,14 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 def _load_json(path: PathLike) -> Any:
-    with open(path) as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+    """The JSON value of a UTF-8 file; bad bytes or too deep a nesting is an InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply to read") from None
 
 
 def load_instance(path: PathLike) -> Instance:

@@ -18,7 +18,9 @@ Two constructions live here:
   reverse topological order of the envy graph, which identical valuations
   keep acyclic; the graph is checked once, on the final schedule.
 
-envy_graph lives in checkers, beside the envy pass every checker shares.
+envy_graph lives in checkers, beside the envy pass every checker shares, and
+is importable from here too.  Each solver's traps take that pass once, from
+the bundles the solver already holds.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import product
 from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
-from .checkers import _efk_holds, _utilities, envy_graph, is_complete
+from .checkers import _rows_efk_hold, _rows_envy_graph, _value_rows, envy_graph, is_complete
 from .core import (
     AdditiveValuations,
     Chore,
@@ -194,12 +196,21 @@ def dichotomous_path_solution(
         for _ in range(meta.light_dummies):
             meta.picks.append(add_dummy(light_value))
 
+    # One row object for every agent, checked once.  The dummies start after
+    # every real chore and lie 3 apart, so they are isolated: the padded graph
+    # is the real one plus a zero mask per dummy, and a path no longer once a
+    # dummy exists.
     padded_instance = Instance(
         n=n,
         chores=tuple(padded_chores),
         valuations=AdditiveValuations([tuple(padded_values)] * n),
     )
-    padded_graph = padded_instance.graph()
+    padded_graph = ConflictGraph(
+        m=len(padded_chores),
+        neighbor_masks=graph.neighbor_masks + (0,) * len(dummy_ids),
+        is_path=not dummy_ids,
+    )
+    padded_instance._graph = padded_graph
     padded_heavy = set(heavy_ids) | {
         c for c in dummy_ids if padded_values[c] == heavy_value
     }
@@ -214,10 +225,12 @@ def dichotomous_path_solution(
         for agent, part in zip(meta.members, parts):
             bundles[agent] = part
 
+    # from_bundles rejects a chore in two bundles, so the bundles are the
+    # padded schedule's, and less the dummies (ids m and up) the stripped one's.
     padded_schedule = Schedule.from_bundles(n, len(padded_chores), bundles)
     if not is_complete(padded_schedule) or not is_feasible(padded_schedule, padded_graph):
         raise InternalInvariantError("padded schedule is not a complete feasible schedule")
-    per_agent = [_kind_counts(b, padded_heavy) for b in padded_schedule.bundles()]
+    per_agent = [_kind_counts(b, padded_heavy) for b in bundles]
     if len(set(per_agent)) != 1:
         raise InternalInvariantError(
             f"padded schedule is not envy-free: per-agent (heavy, light) counts {per_agent}"
@@ -226,14 +239,15 @@ def dichotomous_path_solution(
     schedule = Schedule(n, padded_schedule.assignment[: instance.m])
     if not is_complete(schedule) or not is_feasible(schedule, graph):
         raise InternalInvariantError("stripped schedule is not a complete feasible schedule")
-    real_counts = [_kind_counts(b, heavy_ids) for b in schedule.bundles()]
+    real_bundles = [b - dummy_ids for b in bundles]
+    real_counts = [_kind_counts(b, heavy_ids) for b in real_bundles]
     for kind in (0, 1):
         spread = max(rc[kind] for rc in real_counts) - min(rc[kind] for rc in real_counts)
         if spread > 1:
             raise InternalInvariantError(
                 f"per-agent {'heavy' if kind == 0 else 'light'} counts differ by {spread}"
             )
-    if not _efk_holds(schedule, instance, 1):
+    if not _rows_efk_hold(_value_rows(real_bundles, instance), instance, 1):
         raise InternalInvariantError("weighted round robin produced a non-EF1 schedule")
     return DichotomousPathSolution(
         schedule=schedule,
@@ -301,18 +315,25 @@ def split_pair_bundle(
     halves so no agent collects both).
     """
     picked = sorted(set(picked))
-    comps = graph.components(within=picked)
+    # Each chore's neighbours among the picked: none makes it isolated, one
+    # that sees only it makes an edge, recorded from its lower end.
+    masks = graph.neighbor_masks
+    allowed = sum(1 << c for c in picked)
     edges: list[tuple[int, int]] = []
     isolated: list[int] = []
-    for comp in comps:
-        if len(comp) == 1:
-            isolated.append(comp[0])
-        elif len(comp) == 2:
-            edges.append((comp[0], comp[1]))
-        else:
+    for c in picked:
+        near = masks[c] & allowed
+        if not near:
+            isolated.append(c)
+            continue
+        partner = near.bit_length() - 1
+        if near != 1 << partner or masks[partner] & allowed != 1 << c:
+            comp = next(comp for comp in graph.components(within=picked) if len(comp) > 2)
             raise InternalInvariantError(
                 f"pair bundle induces a component of {len(comp)} chores; expected edges and singletons"
             )
+        if c < partner:
+            edges.append((c, partner))
     for u, v in edges:
         if (u in heavy_ids) == (v in heavy_ids):
             raise InternalInvariantError(
@@ -521,6 +542,7 @@ def solve_identical_bounded_components(instance: Instance) -> Schedule:
         raise InputError("bounded-component round robin needs identical valuations")
     graph = instance.graph()
     n = instance.n
+    row = vals.table[0]
     assignment: list[Optional[int]] = [None] * instance.m
     burdens = [0] * n
     for comp in graph.components():
@@ -530,25 +552,22 @@ def solve_identical_bounded_components(instance: Instance) -> Schedule:
             )
         # Least burdened first; the sort is stable under reverse, so ties keep id order.
         order = sorted(range(n), key=burdens.__getitem__, reverse=True)
-        remaining = set(comp)
-        for agent in order:
-            if not remaining:
-                break
-            pick = min(remaining, key=lambda c: (vals.chore_value(agent, c), c))
+        # Each agent's most disliked remaining chore: the values are the same
+        # for every agent, so the picks are the component in (value, id) order.
+        for agent, pick in zip(order, sorted(comp, key=lambda c: (row[c], c))):
             assignment[pick] = agent
-            burdens[agent] += vals.chore_value(agent, pick)
-            remaining.discard(pick)
-        if remaining:
-            raise InternalInvariantError(
-                f"component left chores {sorted(remaining)} unassigned despite fitting agents"
-            )
+            burdens[agent] += row[pick]
     schedule = Schedule(n, tuple(assignment))
     if not is_complete(schedule) or not is_feasible(schedule, graph):
         raise InternalInvariantError("component round robin lost completeness or feasibility")
-    if tuple(burdens) != _utilities(schedule, instance):
+    rows = list(_value_rows(schedule.bundles(), instance))
+    utilities = [0] * n
+    for i, _, values in rows:
+        utilities[i] = values[i]
+    if utilities != burdens:
         raise InternalInvariantError("burdens that ordered the turns differ from the bundle values")
-    if not envy_graph(schedule, instance).is_acyclic():
+    if not _rows_envy_graph(rows, n).is_acyclic():
         raise InternalInvariantError("envy graph has a cycle under identical valuations")
-    if not _efk_holds(schedule, instance, 1):
+    if not _rows_efk_hold(rows, instance, 1):
         raise InternalInvariantError("component round robin produced a non-EF1 schedule")
     return schedule

@@ -116,9 +116,15 @@ def independent_additive_failures(
             bundles[a].append(c)
     spans = [(ch.start, ch.finish) for ch in instance.chores]
     for a, bundle in enumerate(bundles):
-        for c, d in itertools.combinations(bundle, 2):
-            if max(spans[c][0], spans[d][0]) < min(spans[c][1], spans[d][1]):
-                failures.append(f"agent {a} holds overlapping chores {c} and {d}")
+        # In start order a member overlaps an earlier one iff it starts
+        # before the latest finish so far; it is named with the earlier
+        # member that reaches furthest, which it overlaps.
+        reach = None
+        for c in sorted(bundle, key=spans.__getitem__):
+            if reach is not None and spans[c][0] < spans[reach][1]:
+                failures.append(f"agent {a} holds overlapping chores {min(c, reach)} and {max(c, reach)}")
+            if reach is None or spans[c][1] > spans[reach][1]:
+                reach = c
     if not complete:
         for a, bundle in enumerate(bundles):
             # A chore [s, f) conflicts with the bundle iff some member starting

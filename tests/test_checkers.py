@@ -7,6 +7,7 @@ import pytest
 
 from choresched import envy_graph
 from choresched.checkers import (
+    EnvyGraph,
     FairnessVerdict,
     _efk_holds,
     _efx_holds,
@@ -447,3 +448,57 @@ def test_schedule_for_another_agent_count_rejected(check, schedule):
     inst = path_instance([[-1, -2, -3]] * 2)
     with pytest.raises(InputError, match=f"^schedule has {schedule.n_agents} agents, the instance 2$"):
         check(schedule, inst)
+
+
+def reference_topological_order(n, edges):
+    """Kahn's algorithm as EnvyGraph ran it before its heap: the ready list
+    re-sorted after every vertex, its lowest id taken first."""
+    indeg = [0] * n
+    out = {i: [] for i in range(n)}
+    for i, k in sorted(edges):
+        indeg[k] += 1
+        out[i].append(k)
+    ready = sorted(i for i in range(n) if indeg[i] == 0)
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+        ready.sort()
+    if len(order) != n:
+        raise InputError("envy graph contains a cycle")
+    return tuple(order)
+
+
+def test_topological_order_matches_the_resorting_reference():
+    rng = random.Random(41)
+    cyclic = 0
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        rank = list(range(n))
+        rng.shuffle(rank)
+        # Edges from lower to higher rank make a DAG; any reversed edge may close a cycle.
+        edges = {
+            (i, k) if rank[i] < rank[k] else (k, i)
+            for i in range(n)
+            for k in range(n)
+            if i != k and rng.random() < 0.3
+        }
+        if n > 1 and rng.random() < 0.3:
+            i, k = rng.sample(range(n), 2)
+            edges.add((i, k))
+        graph = EnvyGraph(n, frozenset(edges))
+        try:
+            expected = reference_topological_order(n, edges)
+        except InputError as exc:
+            cyclic += 1
+            with pytest.raises(InputError, match=f"^{exc}$"):
+                graph.topological_order()
+            assert not graph.is_acyclic()
+        else:
+            assert graph.topological_order() == expected
+            assert graph.is_acyclic()
+    assert 100 < cyclic < 2000

@@ -168,6 +168,25 @@ class TestMalformedInput:
         assert main(["solve", str(path)]) == 2
         assert "key 'agents' appears more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [(b"\xff\xfe{", "not UTF-8 text"), (b"[" * 100_000, "nested too deeply")],
+        ids=["invalid-utf8", "deep-nesting"],
+    )
+    @pytest.mark.parametrize("role", ["instance", "schedule"])
+    def test_unreadable_file_exits_two(self, tmp_path, capsys, text, message, role):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        if role == "instance":
+            argv = ["solve", str(bad)]
+        else:
+            argv = ["check", write_instance(tmp_path, [[-1, -1]] * 2), str(bad)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
     def test_repeated_schedule_key_exits_two(self, tmp_path, capsys):
         # Read as its last value, chore 1 would be assigned and the check hold.
         inst_path = write_instance(tmp_path, [[-1] * 3] * 2)
@@ -176,6 +195,19 @@ class TestMalformedInput:
         args = ["check", inst_path, str(sched_path), "--criterion", "complete", "--format", "json"]
         assert main(args) == 2
         assert "key '1' appears more than once" in capsys.readouterr().err
+
+
+class TestUnexpectedError:
+    def test_any_other_exception_exits_three(self, tmp_path, capsys, monkeypatch):
+        # Exit 1 means "criterion fails": a crash must not read as one.
+        def broken(instance):
+            raise RuntimeError("solver fell over")
+
+        monkeypatch.setattr(cli, "solve_two_agents", broken)
+        assert main(["solve", write_instance(tmp_path, [[-1, -1]] * 2)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: RuntimeError: solver fell over\n"
 
 
 class TestCheck:

@@ -1,6 +1,8 @@
 """Core data model: conflict graphs, schedules, orderings."""
 
+import dataclasses
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings
@@ -330,6 +332,37 @@ class TestSchedule:
         assert schedule.unassigned() == frozenset({2})
 
 
+class _Label(str):
+    pass
+
+
+# Ints, bools, floats, strings and None for any Chore field.
+_FIELD_VALUES = st.one_of(
+    st.integers(-3, 6), st.integers(), st.booleans(), st.floats(), st.text(max_size=3), st.none()
+)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ReferenceChore:
+    """The checks Chore made in a __post_init__, in the same order."""
+
+    id: int
+    start: int
+    finish: int
+    label: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        for name in ("id", "start", "finish"):
+            if type(getattr(self, name)) is not int:
+                raise InputError(f"chore {self.id}: {name} must be an integer")
+        if self.label is not None and not isinstance(self.label, str):
+            raise InputError(f"chore {self.id}: label must be a string or None")
+        if self.start < 0:
+            raise InputError(f"chore {self.id}: start must be non-negative")
+        if self.finish <= self.start:
+            raise InputError(f"chore {self.id}: finish must be greater than start")
+
+
 class TestChore:
     def test_zero_length_rejected(self):
         with pytest.raises(InputError):
@@ -352,8 +385,41 @@ class TestChore:
         with pytest.raises(InputError, match=f"^{message}"):
             Chore(**fields)
 
+    def test_still_a_frozen_dataclass(self):
+        chore = Chore(3, 1, 4, "mop")
+        assert repr(chore) == "Chore(id=3, start=1, finish=4, label='mop')"
+        assert chore == Chore(id=3, start=1, finish=4, label="mop") != Chore(3, 1, 4)
+        assert hash(chore) == hash(Chore(3, 1, 4, "mop"))
+        assert dataclasses.replace(chore, label=None) == Chore(3, 1, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chore.start = 0
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.lists(_FIELD_VALUES, min_size=3, max_size=4))
+    @example([0, 0, 1, _Label("subclass")])
+    @example([True, 0, 1])
+    def test_accepts_and_rejects_as_the_checks_in_order(self, fields):
+        try:
+            expected = _ReferenceChore(*fields)
+        except InputError as exc:
+            with pytest.raises(InputError) as raised:
+                Chore(*fields)
+            assert str(raised.value) == str(exc)
+        else:
+            chore = Chore(*fields)
+            assert dataclasses.astuple(chore) == dataclasses.astuple(expected)
+            assert [type(v) for v in dataclasses.astuple(chore)] == [type(v) for v in fields] + [
+                type(None)
+            ] * (4 - len(fields))
+
 
 class TestValuations:
+    def test_one_row_object_is_shared_as_passed(self):
+        row = (-2, 0, -1)
+        assert all(shared is row for shared in AdditiveValuations([row] * 5).table)
+        with pytest.raises(InputError, match="^value for agent 0, chore 1 is positive"):
+            AdditiveValuations([(-1, 1)] * 4)
+
     def test_positive_value_rejected(self):
         with pytest.raises(InputError):
             AdditiveValuations([[0, 1]])

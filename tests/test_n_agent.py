@@ -11,6 +11,7 @@ from choresched.core import (
     Chore,
     InputError,
     Instance,
+    InternalInvariantError,
     Schedule,
     build_conflict_graph,
     path_instance,
@@ -101,6 +102,58 @@ class TestSplitPairBundle:
         a, b = split_pair_bundle([0, 1, 2, 3], graph, heavy, dummies)
         sides = {frozenset(a), frozenset(b)}
         assert sides == {frozenset({0, 3}), frozenset({1, 2})}
+
+    def test_classifies_the_picked_chores_as_their_components(self):
+        # Paths of 1-4 chores and triangles on a timeline, each block twice so
+        # both kind counts are even, plus unpicked chores across the blocks;
+        # ids are shuffled, so an edge's partner may have any id.
+        rng = random.Random(23)
+        larger = 0
+        for _ in range(600):
+            blocks = [
+                rng.choice((1, 2, 3, 4, "triangle")) if rng.random() < 0.1 else rng.choice((1, 2))
+                for _ in range(rng.randint(1, 6))
+            ]
+            kinds = []
+            for block in blocks:
+                size = 3 if block == "triangle" else block
+                two = [True, False] if rng.random() < 0.5 else [False, True]
+                kinds.append(two if size == 2 else [rng.random() < 0.5 for _ in range(size)])
+            spans, heavy_at, t = [], [], 0
+            for block, kind in zip(blocks * 2, kinds * 2):
+                for j in range(len(kind)):
+                    spans.append((t, t + 3) if block == "triangle" else (t + j, t + j + 2))
+                heavy_at += kind
+                t += len(kind) + 3
+            picked_count = len(spans)
+            for _ in range(rng.randint(0, 3)):
+                start = rng.randrange(t)
+                spans.append((start, start + rng.randint(1, 8)))
+            ids = list(range(len(spans)))
+            rng.shuffle(ids)
+            intervals = [None] * len(spans)
+            for position, c in enumerate(ids):
+                intervals[c] = spans[position]
+            graph = build_conflict_graph(
+                tuple(Chore(id=c, start=s, finish=f) for c, (s, f) in enumerate(intervals))
+            )
+            picked = ids[:picked_count]
+            heavy = {ids[p] for p in range(picked_count) if heavy_at[p]}
+            comps = graph.components(within=picked)
+            dummies = {comp[0] for comp in comps if len(comp) == 1 and rng.random() < 0.5}
+            big = next((comp for comp in comps if len(comp) > 2), None)
+            if big is not None:
+                larger += 1
+                message = f"^pair bundle induces a component of {len(big)} chores; expected edges and singletons$"
+                with pytest.raises(InternalInvariantError, match=message):
+                    split_pair_bundle(picked, graph, heavy, dummies)
+                continue
+            a, b = split_pair_bundle(picked, graph, heavy, dummies)
+            assert a | b == set(picked) and not a & b
+            for side in (a, b):
+                assert all(not graph.neighbor_masks[c] >> d & 1 for c in side for d in side)
+            assert len(a & heavy) == len(b & heavy) and len(a - heavy) == len(b - heavy)
+        assert 50 < larger < 500
 
     def test_same_kind_edge_rejected(self):
         graph, heavy, dummies = self.build([(0, 2), (1, 3)], heavy=[0, 1])
@@ -247,6 +300,22 @@ class TestDichotomousPath:
         assert len(pair_h) == 1
         assert per_meta[triples[0].index] * 2 == 3 * pair_h.pop()
 
+    def test_derived_padded_graph_matches_a_rebuild(self):
+        # The padded graph is derived from the real one, not swept again.
+        dummies = 0
+        for n in (4, 5, 6, 7, 50):
+            rng = random.Random(3000 + n)
+            for _ in range(60):
+                inst = random_dichotomous_path_instance(rng, n, rng.randint(2, 40))
+                sol = dichotomous_path_solution(inst)
+                derived = sol.padded_instance.graph()
+                rebuilt = build_conflict_graph(sol.padded_instance.chores)
+                assert derived.neighbor_masks == rebuilt.neighbor_masks
+                assert derived.is_path == rebuilt.is_path
+                assert derived.m == rebuilt.m == sol.padded_instance.m
+                dummies += len(sol.dummy_ids)
+        assert dummies > 0
+
     def test_every_heavy_light_pattern_up_to_ten_chores(self):
         # exhaustive over chore-type patterns: every way of labeling a path
         # of 2..10 chores heavy/light, for an even and an odd agent count
@@ -316,6 +385,28 @@ class TestBoundedComponents:
                 for partial in component_prefixes(schedule, inst.graph()):
                     assert envy_graph(partial, inst).is_acyclic()
 
+    def test_picks_as_each_agent_taking_its_most_disliked_chore(self):
+        # The solver sorts each component once; under identical values that is
+        # the order in which each agent's own min over the rest picks.
+        def reference(inst):
+            n, value = inst.n, inst.valuations.chore_value
+            assignment, burdens = [None] * inst.m, [0] * n
+            for comp in inst.graph().components():
+                remaining = set(comp)
+                for agent in sorted(range(n), key=burdens.__getitem__, reverse=True):
+                    if remaining:
+                        pick = min(remaining, key=lambda c: (value(agent, c), c))
+                        assignment[pick] = agent
+                        burdens[agent] += value(agent, pick)
+                        remaining.discard(pick)
+            return tuple(assignment)
+
+        for n in (2, 3, 5, 8):
+            rng = random.Random(4000 + n)
+            for _ in range(150):
+                inst = random_bounded_components_instance(rng, n, rng.randint(1, 30), vmin=-3)
+                assert solve_identical_bounded_components(inst).assignment == reference(inst)
+
     def test_oversized_component_rejected(self):
         inst = path_instance([[-1, -1, -1, -1]] * 3)  # one component of 4 > n = 3
         with pytest.raises(InputError, match="component"):
@@ -357,6 +448,21 @@ class TestLargeInstancesIndependently:
         save_instance(inst, path)
         assert cli.main(["solve", str(path), "--out", str(out)]) == 0
         assert independent_additive_failures(inst, load_schedule(out, inst)) == []
+
+    def test_check_finds_an_overlap_planted_in_a_large_bundle(self):
+        # 2,000 disjoint chores in one bundle, but chore 5 is moved into
+        # chore 1500's slot: one sweep names that one pair.
+        spans = [(3 * i, 3 * i + 2) for i in range(2000)]
+        spans[5] = (4500, 4501)
+        inst = Instance(
+            2,
+            tuple(Chore(id=i, start=s, finish=f) for i, (s, f) in enumerate(spans)),
+            AdditiveValuations([[0] * 2000] * 2),
+        )
+        assert independent_additive_failures(inst, Schedule(2, (0,) * 2000)) == [
+            "agent 0 holds overlapping chores 5 and 1500"
+        ]
+        assert independent_additive_failures(inst, Schedule(2, (0,) * 5 + (1,) + (0,) * 1994)) == []
 
     def test_check_catches_each_fault(self):
         inst = Instance(
