@@ -47,6 +47,20 @@ class Chore:
     label: Optional[str] = None
 
     def __init__(self, id: int, start: int, finish: int, label: Optional[str] = None) -> None:
+        # The checks in order, on the arguments: a valid chore makes each
+        # comparison once, and an invalid one gets the first failing message.
+        if type(id) is not int:
+            raise InputError(f"chore {id}: id must be an integer")
+        if type(start) is not int:
+            raise InputError(f"chore {id}: start must be an integer")
+        if type(finish) is not int:
+            raise InputError(f"chore {id}: finish must be an integer")
+        if label is not None and not isinstance(label, str):
+            raise InputError(f"chore {id}: label must be a string or None")
+        if start < 0:
+            raise InputError(f"chore {id}: start must be non-negative")
+        if finish <= start:
+            raise InputError(f"chore {id}: finish must be greater than start")
         # As the generated __init__ of a frozen dataclass does.  Writing to
         # self.__dict__ instead would be quicker here but would give every
         # chore a dict of its own: more memory and slower attribute reads.
@@ -55,27 +69,6 @@ class Chore:
         set_field(self, "start", start)
         set_field(self, "finish", finish)
         set_field(self, "label", label)
-        # One test passes every valid chore; the ordered checks in _reject
-        # run only to name what is wrong with an invalid one.
-        if not (
-            type(id) is int
-            and type(start) is int
-            and type(finish) is int
-            and 0 <= start < finish
-            and (label is None or type(label) is str)
-        ):
-            self._reject()
-
-    def _reject(self) -> None:
-        for name in ("id", "start", "finish"):
-            if type(getattr(self, name)) is not int:
-                raise InputError(f"chore {self.id}: {name} must be an integer")
-        if self.label is not None and not isinstance(self.label, str):
-            raise InputError(f"chore {self.id}: label must be a string or None")
-        if self.start < 0:
-            raise InputError(f"chore {self.id}: start must be non-negative")
-        if self.finish <= self.start:
-            raise InputError(f"chore {self.id}: finish must be greater than start")
 
     def overlaps(self, other: "Chore") -> bool:
         return max(self.start, other.start) < min(self.finish, other.finish)
@@ -218,6 +211,20 @@ class ConflictGraph:
                 if j > i:
                     out.add((i, j))
         return frozenset(out)
+
+    def with_isolated(self, count: int) -> "ConflictGraph":
+        """This graph with count isolated vertices appended, at m..m+count-1.
+
+        What build_conflict_graph gives for the chore list extended by count
+        chores that overlap nothing: an empty mask each, and a path only if
+        no vertex was added or there is at most one in all.
+        """
+        m = self.m + count
+        return ConflictGraph(
+            m=m,
+            neighbor_masks=self.neighbor_masks + (0,) * count,
+            is_path=self.is_path if not count else m <= 1,
+        )
 
     def components(self, within: Optional[Iterable[int]] = None) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest member.

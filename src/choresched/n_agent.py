@@ -18,9 +18,11 @@ Two constructions live here:
   reverse topological order of the envy graph, which identical valuations
   keep acyclic; the graph is checked once, on the final schedule.
 
-envy_graph lives in checkers, beside the envy pass every checker shares, and
-is importable from here too.  Each solver's traps take that pass once, from
-the bundles the solver already holds.
+envy_graph lives in checkers, beside the envy pass every checker shares.
+Each solver's traps take that pass once, from the bundles the solver already
+holds, so nothing here calls envy_graph; the name stays importable from here
+only because perfbench/tracing.py wraps n_agent.envy_graph, and can go when
+that harness spans the shared pass instead.
 """
 
 from __future__ import annotations
@@ -196,21 +198,15 @@ def dichotomous_path_solution(
         for _ in range(meta.light_dummies):
             meta.picks.append(add_dummy(light_value))
 
-    # One row object for every agent, checked once.  The dummies start after
-    # every real chore and lie 3 apart, so they are isolated: the padded graph
-    # is the real one plus a zero mask per dummy, and a path no longer once a
-    # dummy exists.
+    # One row object for every agent, checked once.  The dummies take ids m
+    # and up, start after every real chore and lie 3 apart, so they are
+    # isolated: the padded graph is the real one with a vertex per dummy.
     padded_instance = Instance(
         n=n,
         chores=tuple(padded_chores),
         valuations=AdditiveValuations([tuple(padded_values)] * n),
     )
-    padded_graph = ConflictGraph(
-        m=len(padded_chores),
-        neighbor_masks=graph.neighbor_masks + (0,) * len(dummy_ids),
-        is_path=not dummy_ids,
-    )
-    padded_instance._graph = padded_graph
+    padded_graph = graph.with_isolated(len(dummy_ids))
     padded_heavy = set(heavy_ids) | {
         c for c in dummy_ids if padded_values[c] == heavy_value
     }
@@ -226,7 +222,7 @@ def dichotomous_path_solution(
             bundles[agent] = part
 
     # from_bundles rejects a chore in two bundles, so the bundles are the
-    # padded schedule's, and less the dummies (ids m and up) the stripped one's.
+    # padded schedule's.
     padded_schedule = Schedule.from_bundles(n, len(padded_chores), bundles)
     if not is_complete(padded_schedule) or not is_feasible(padded_schedule, padded_graph):
         raise InternalInvariantError("padded schedule is not a complete feasible schedule")
@@ -239,7 +235,7 @@ def dichotomous_path_solution(
     schedule = Schedule(n, padded_schedule.assignment[: instance.m])
     if not is_complete(schedule) or not is_feasible(schedule, graph):
         raise InternalInvariantError("stripped schedule is not a complete feasible schedule")
-    real_bundles = [b - dummy_ids for b in bundles]
+    real_bundles = schedule.bundles()
     real_counts = [_kind_counts(b, heavy_ids) for b in real_bundles]
     for kind in (0, 1):
         spread = max(rc[kind] for rc in real_counts) - min(rc[kind] for rc in real_counts)
@@ -315,6 +311,8 @@ def split_pair_bundle(
     halves so no agent collects both).
     """
     picked = sorted(set(picked))
+    if picked and (picked[0] < 0 or picked[-1] >= graph.m):
+        raise InputError(f"within holds chore ids outside 0..{graph.m - 1}")
     # Each chore's neighbours among the picked: none makes it isolated, one
     # that sees only it makes an edge, recorded from its lower end.
     masks = graph.neighbor_masks

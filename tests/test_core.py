@@ -198,6 +198,19 @@ class TestBuildConflictGraph:
             if family in ("disjoint paths", "ids off position"):
                 assert graph.is_path == (k == 1)
 
+    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+    def test_with_isolated_matches_a_rebuild(self, family):
+        # Appending chores that overlap nothing adds empty masks, and leaves a
+        # path only when the graph had at most one vertex in all.
+        rng = random.Random(23)
+        for intervals in ([], [(0, 1)], list(GRAPH_FAMILIES[family](rng, 40, 1))):
+            end = max((f for _, f in intervals), default=0)
+            for count in (0, 1, 3):
+                extra = [(end + 1 + 2 * i, end + 2 + 2 * i) for i in range(count)]
+                graph = build_conflict_graph(chores_from_intervals(intervals))
+                rebuilt = build_conflict_graph(chores_from_intervals(intervals + extra))
+                assert graph.with_isolated(count) == rebuilt
+
 
 class TestPathInstance:
     def test_known_counterexample_shape(self):

@@ -74,6 +74,14 @@ class TestSplitPairBundle:
         chores = tuple(Chore(id=i, start=s, finish=f) for i, (s, f) in enumerate(intervals))
         return build_conflict_graph(chores), set(heavy), frozenset(dummies)
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_chore_ids_outside_the_graph_rejected(self, bad):
+        graph, heavy, dummies = self.build(
+            [(0, 2), (1, 3), (10, 12), (11, 13)], heavy=[0, 2]
+        )
+        with pytest.raises(InputError, match=r"^within holds chore ids outside 0\.\.3$"):
+            split_pair_bundle([0, 1, 2, bad], graph, heavy, dummies)
+
     def test_two_edges_split_across(self):
         # two H-L edges, no isolated chores
         graph, heavy, dummies = self.build(
@@ -301,14 +309,16 @@ class TestDichotomousPath:
         assert per_meta[triples[0].index] * 2 == 3 * pair_h.pop()
 
     def test_derived_padded_graph_matches_a_rebuild(self):
-        # The padded graph is derived from the real one, not swept again.
+        # The solver derives the padded graph as the real one with an
+        # isolated vertex per dummy, rather than sweeping the padded timeline.
         dummies = 0
         for n in (4, 5, 6, 7, 50):
             rng = random.Random(3000 + n)
             for _ in range(60):
                 inst = random_dichotomous_path_instance(rng, n, rng.randint(2, 40))
                 sol = dichotomous_path_solution(inst)
-                derived = sol.padded_instance.graph()
+                assert sol.dummy_ids == frozenset(range(inst.m, sol.padded_instance.m))
+                derived = inst.graph().with_isolated(len(sol.dummy_ids))
                 rebuilt = build_conflict_graph(sol.padded_instance.chores)
                 assert derived.neighbor_masks == rebuilt.neighbor_masks
                 assert derived.is_path == rebuilt.is_path
