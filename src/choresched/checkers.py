@@ -16,15 +16,17 @@ removal is tried until one falls short.  A public verdict also reports each
 violation's minimal count, which under a monotone profile may try every
 removal subset.
 
-The checks and envy_graph share one envy pass, which rejects infeasible
-schedules and a wrong agent count.  The n-agent solvers' traps enter it past
-that check (_value_rows), with the bundles of a schedule they have just
-proven feasible, and read its rows for the burdens, the envy graph and EF1.  It values bundles per distinct
-valuation row: an additive profile sums the n bundles once for each
-distinct row, and every agent with that row reads its values from those
-sums, so an identical profile costs O(m) and an all-distinct one O(n * m).
-A monotone profile is valued agent by agent, only as far as the caller
-reads.
+The checks share one envy pass, whose rows the yes/no deciders take.  Its
+checked entry, _envy_rows, rejects a wrong agent count and infeasible
+schedules; the public checks, envy_graph and select_ef1's unswapped
+candidates use it.  _value_rows takes bundles the caller built and proved
+feasible: the oracle's search leaves, select_ef1's swaps (feasible exactly
+when the swapped schedule is) and the n-agent traps.  The pass values
+bundles per distinct valuation row: an additive profile sums the n bundles
+once for each distinct row, and every agent with that row reads its values
+from those sums, so an identical profile costs O(m) and an all-distinct one
+O(n * m).  A monotone profile is valued agent by agent, only as far as the
+caller reads.
 """
 
 from __future__ import annotations
@@ -143,8 +145,8 @@ def _envy_pairs(rows: Iterable[_EnvyRow]) -> Iterator[tuple[int, int, frozenset[
                 yield i, j, bundle, own, other
 
 
-def _efk_holds(schedule: Schedule, instance: Instance, k: int) -> bool:
-    """check_efk(schedule, instance, k).holds, without any minimal count.
+def _efk_holds(rows: Iterable[_EnvyRow], instance: Instance, k: int) -> bool:
+    """check_efk(schedule, instance, k).holds, from the schedule's envy rows.
 
     Envious agents come in ascending order, each searched once for at most k
     removals against the bundle it envies most: a removal that cures that
@@ -152,11 +154,6 @@ def _efk_holds(schedule: Schedule, instance: Instance, k: int) -> bool:
     decision.  A monotone profile thus answers O(n^2 + n * |X_i|^k) value
     queries.
     """
-    return _rows_efk_hold(_envy_rows(schedule, instance), instance, k)
-
-
-def _rows_efk_hold(rows: Iterable[_EnvyRow], instance: Instance, k: int) -> bool:
-    """_efk_holds on rows the caller already holds."""
     for i, bundle, values in rows:
         most = max(values)
         if values[i] < most and _removal(instance, i, bundle, values[i], most, k) is None:
@@ -164,8 +161,8 @@ def _rows_efk_hold(rows: Iterable[_EnvyRow], instance: Instance, k: int) -> bool
     return True
 
 
-def _efx_holds(schedule: Schedule, instance: Instance) -> bool:
-    """check_efx(schedule, instance).holds, without witnesses or counts.
+def _efx_holds(rows: Iterable[_EnvyRow], instance: Instance) -> bool:
+    """check_efx(schedule, instance).holds, from the schedule's envy rows.
 
     As in _efk_holds, each envious agent is checked once, against the bundle
     it envies most: every single removal that lifts its value to that
@@ -175,7 +172,7 @@ def _efx_holds(schedule: Schedule, instance: Instance) -> bool:
     first that falls short.
     """
     additive = instance.valuations.is_additive
-    for i, bundle, values in _envy_rows(schedule, instance):
+    for i, bundle, values in rows:
         own, most = values[i], max(values)
         if own >= most:
             continue

@@ -5,7 +5,7 @@ Exit codes: 0 = success / criterion holds; 1 = criterion fails or no witness
 exists; 2 = input error; 3 = internal invariant violation or any other
 unexpected exception (a library bug).
 Results go to stdout (JSON is the stable machine format, text is for
-humans); diagnostics go to stderr.
+humans); closing it early changes no exit code.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from typing import Any, Callable, Optional
@@ -56,7 +57,12 @@ def _emit(
     dumps: Callable[[Any], str] = fileio._dumps,
 ) -> None:
     """Print dumps(payload()) for JSON, or text(), building only the form fmt asks for."""
-    print(dumps(payload()) if fmt == "json" else text())
+    out = dumps(payload()) if fmt == "json" else text()
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout: the rest, and the flush at exit, go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _schedule_text(schedule: Schedule) -> str:
@@ -267,9 +273,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
     if args.out:
         fileio.save_instance(instance, args.out)
-        print(args.out)
-    else:
-        print(fileio._dumps(fileio.instance_to_dict(instance)))
+    _emit("text" if args.out else "json", lambda: fileio.instance_to_dict(instance), lambda: args.out)
     return OK
 
 

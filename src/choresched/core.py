@@ -336,6 +336,8 @@ class Schedule:
     assignment: tuple[Optional[int], ...]
 
     def __post_init__(self) -> None:
+        if type(self.n_agents) is not int:
+            raise InputError(f"agent count must be an integer, got {self.n_agents!r}")
         if self.n_agents < 1:
             raise InputError("schedule needs at least one agent")
         assignment = tuple(self.assignment)
@@ -347,6 +349,8 @@ class Schedule:
 
     @classmethod
     def empty(cls, n_agents: int, m: int) -> "Schedule":
+        if m < 0:
+            raise InputError(f"chore count must be non-negative, got {m}")
         return cls(n_agents, (None,) * m)
 
     @classmethod
@@ -387,6 +391,8 @@ class Schedule:
 
     def assign(self, chore: int, agent: Optional[int]) -> "Schedule":
         """Return a copy with one chore reassigned (agent None unassigns)."""
+        if type(chore) is not int or not 0 <= chore < self.m:
+            raise InputError(f"unknown chore {chore}: the schedule has chores 0..{self.m - 1}")
         new = list(self.assignment)
         new[chore] = agent
         return Schedule(self.n_agents, tuple(new))

@@ -33,7 +33,7 @@ from itertools import product
 from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
-from .checkers import _rows_efk_hold, _rows_envy_graph, _value_rows, envy_graph, is_complete
+from .checkers import _efk_holds, _rows_envy_graph, _value_rows, envy_graph, is_complete
 from .core import (
     AdditiveValuations,
     Chore,
@@ -60,8 +60,6 @@ class MetaAgent:
     index: int
     members: tuple[int, ...]
     picks: list[int] = field(default_factory=list)
-    heavy_dummies: int = 0
-    light_dummies: int = 0
 
     @property
     def is_triple(self) -> bool:
@@ -147,56 +145,29 @@ def dichotomous_path_solution(
 
     # Phase 2: deal heavies then lights along the path to the picking pattern.
     path = path_component_order(graph, instance.chores, list(range(instance.m)))
-    heavies = [c for c in path if c in heavy_ids]
-    lights = [c for c in path if c not in heavy_ids]
     pattern = _picking_pattern(metas)
-    for t, chore in enumerate(heavies):
+    for t, chore in enumerate(sorted(path, key=lambda c: c not in heavy_ids)):
         metas[pattern[t % len(pattern)]].picks.append(chore)
-    offset = len(heavies)  # next slot after the last heavy pick
-    for t, chore in enumerate(lights):
-        metas[pattern[(offset + t) % len(pattern)]].picks.append(chore)
 
-    # Dummy padding: every pair reaches the same even heavy and light counts,
-    # the triple 1.5 times as many of each.
-    heavy_counts = {s.index: _kind_counts(s.picks, heavy_ids)[0] for s in metas}
-    light_counts = {s.index: len(s.picks) - heavy_counts[s.index] for s in metas}
-    pair_target_h = max(
-        [heavy_counts[s.index] for s in metas if not s.is_triple], default=0
-    )
-    pair_target_l = max(
-        [light_counts[s.index] for s in metas if not s.is_triple], default=0
-    )
-    triple = next((s for s in metas if s.is_triple), None)
-    if triple is not None:
-        pair_target_h = max(pair_target_h, -(-2 * heavy_counts[triple.index] // 3))
-        pair_target_l = max(pair_target_l, -(-2 * light_counts[triple.index] // 3))
-    pair_target_h = _round_up_even(pair_target_h)
-    pair_target_l = _round_up_even(pair_target_l)
-
+    # Dummy padding: every pair reaches the same even count of each kind
+    # (heavy, light), the triple 1.5 times as many.
+    counts = [_kind_counts(s.picks, heavy_ids) for s in metas]
+    weighed = [[-(-2 * k // 3) for k in c] if s.is_triple else c for s, c in zip(metas, counts)]
+    targets = [_round_up_even(max(kind)) for kind in zip(*weighed)]
     padded_chores = list(instance.chores)
     padded_values = list(vals.table[0])
-    dummy_ids: set[int] = set()
     base = max(c.finish for c in instance.chores) + 2
-
-    def add_dummy(value: int) -> int:
-        cid = len(padded_chores)
-        start = base + 3 * len(dummy_ids)
-        padded_chores.append(Chore(id=cid, start=start, finish=start + 1, label="dummy"))
-        padded_values.append(value)
-        dummy_ids.add(cid)
-        return cid
-
-    for meta in metas:
-        th = pair_target_h * 3 // 2 if meta.is_triple else pair_target_h
-        tl = pair_target_l * 3 // 2 if meta.is_triple else pair_target_l
-        meta.heavy_dummies = th - heavy_counts[meta.index]
-        meta.light_dummies = tl - light_counts[meta.index]
-        if meta.heavy_dummies < 0 or meta.light_dummies < 0:
-            raise InternalInvariantError("padding targets fell below the dealt counts")
-        for _ in range(meta.heavy_dummies):
-            meta.picks.append(add_dummy(heavy_value))
-        for _ in range(meta.light_dummies):
-            meta.picks.append(add_dummy(light_value))
+    for meta, dealt in zip(metas, counts):
+        for target, have, value in zip(targets, dealt, (heavy_value, light_value)):
+            need = (target * 3 // 2 if meta.is_triple else target) - have
+            if need < 0:
+                raise InternalInvariantError("padding targets fell below the dealt counts")
+            for cid in range(len(padded_chores), len(padded_chores) + need):
+                start = base + 3 * (cid - instance.m)
+                padded_chores.append(Chore(id=cid, start=start, finish=start + 1, label="dummy"))
+                padded_values.append(value)
+                meta.picks.append(cid)
+    dummy_ids = frozenset(range(instance.m, len(padded_chores)))
 
     # One row object for every agent, checked once.  The dummies take ids m
     # and up, start after every real chore and lie 3 apart, so they are
@@ -207,9 +178,7 @@ def dichotomous_path_solution(
         valuations=AdditiveValuations([tuple(padded_values)] * n),
     )
     padded_graph = graph.with_isolated(len(dummy_ids))
-    padded_heavy = set(heavy_ids) | {
-        c for c in dummy_ids if padded_values[c] == heavy_value
-    }
+    padded_heavy = heavy_ids | {c for c in dummy_ids if padded_values[c] == heavy_value}
 
     # Phase 3: conflict-free equal splits inside each meta agent.
     bundles: list[frozenset[int]] = [frozenset()] * n
@@ -237,19 +206,17 @@ def dichotomous_path_solution(
         raise InternalInvariantError("stripped schedule is not a complete feasible schedule")
     real_bundles = schedule.bundles()
     real_counts = [_kind_counts(b, heavy_ids) for b in real_bundles]
-    for kind in (0, 1):
-        spread = max(rc[kind] for rc in real_counts) - min(rc[kind] for rc in real_counts)
+    for kind, per_agent in zip(("heavy", "light"), zip(*real_counts)):
+        spread = max(per_agent) - min(per_agent)
         if spread > 1:
-            raise InternalInvariantError(
-                f"per-agent {'heavy' if kind == 0 else 'light'} counts differ by {spread}"
-            )
-    if not _rows_efk_hold(_value_rows(real_bundles, instance), instance, 1):
+            raise InternalInvariantError(f"per-agent {kind} counts differ by {spread}")
+    if not _efk_holds(_value_rows(real_bundles, instance), instance, 1):
         raise InternalInvariantError("weighted round robin produced a non-EF1 schedule")
     return DichotomousPathSolution(
         schedule=schedule,
         padded_instance=padded_instance,
         padded_schedule=padded_schedule,
-        dummy_ids=frozenset(dummy_ids),
+        dummy_ids=dummy_ids,
         meta_agents=tuple(metas),
         heavy_value=heavy_value,
         light_value=light_value,
@@ -566,6 +533,6 @@ def solve_identical_bounded_components(instance: Instance) -> Schedule:
         raise InternalInvariantError("burdens that ordered the turns differ from the bundle values")
     if not _rows_envy_graph(rows, n).is_acyclic():
         raise InternalInvariantError("envy graph has a cycle under identical valuations")
-    if not _rows_efk_hold(rows, instance, 1):
+    if not _efk_holds(rows, instance, 1):
         raise InternalInvariantError("component round robin produced a non-EF1 schedule")
     return schedule

@@ -38,6 +38,7 @@ from .checkers import (
     _efk_holds,
     _efx_holds,
     _utilities,
+    _value_rows,
     check_ef1,
     check_efk,
     check_efx,
@@ -203,23 +204,20 @@ def exists(query: ExistenceQuery) -> Optional[Schedule]:
     accept: "ef1+complete" searches the complete feasible schedules alone
     (every one is maximal), and the others every maximal schedule; "ef1+po"
     has its own two passes.  EF-k criteria decide through _efk_holds and
-    "efx" through _efx_holds, each envious agent once.
+    "efx" through _efx_holds, each envious agent once, from the bundles of a
+    leaf, which the search built feasible.
     """
     instance = query.instance
     guard = query.guard if query.guard is not None else 16
     criterion = query.criterion
     if criterion == "ef1+po":
         return _exists_ef1_po(instance, guard)
-    if criterion == "efx":
-        holds = _efx_holds
-    else:
-        holds = partial(
-            _efk_holds, k={"ef": 0, "ef1": 1, "efk": query.k, "ef1+complete": 1}[criterion]
-        )
+    k = {"ef": 0, "ef1": 1, "efk": query.k, "ef1+complete": 1}.get(criterion)
+    holds = _efx_holds if criterion == "efx" else partial(_efk_holds, k=k)
     n = instance.n
     for assignment, _ in _search(instance, guard, complete=criterion == "ef1+complete"):
         schedule = Schedule(n, tuple(assignment))
-        if holds(schedule, instance):
+        if holds(_value_rows(schedule.bundles(), instance), instance):
             return schedule
     return None
 
@@ -246,7 +244,7 @@ def _exists_ef1_po(instance: Instance, guard: int) -> Optional[Schedule]:
     for assignment, mine in _valued(instance, guard):
         if tuple(mine) in frontier:
             schedule = Schedule(n, tuple(assignment))
-            if _efk_holds(schedule, instance, 1):
+            if _efk_holds(_value_rows(schedule.bundles(), instance), instance, 1):
                 return schedule
     return None
 

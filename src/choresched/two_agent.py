@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NoReturn, Optional, Sequence
 
-from .checkers import _efk_holds, is_maximal
+from .checkers import _efk_holds, _envy_rows, _value_rows, is_maximal
 from .core import (
     Chore,
     ConflictGraph,
@@ -641,7 +641,10 @@ def select_ef1(sequence: ScheduleSequence, instance: Instance) -> Schedule:
     profile keeps both bundles as sets and makes two value queries per step.
     Only the flip pair, or the endpoints when there is no flip, are built as
     Schedules, and a swapped candidate only once every candidate before it
-    has failed EF1.
+    has failed EF1.  Each unswapped candidate is checked against the
+    instance, since a hand-built sequence reaches here unchecked; a swap is
+    feasible exactly when the schedule it swaps is, and that schedule was
+    tried before it, so a swap is valued from its own bundles.
     """
     _require_two_agents(instance)
     if sequence.initial.m != instance.m:
@@ -682,8 +685,12 @@ def select_ef1(sequence: ScheduleSequence, instance: Instance) -> Schedule:
         last = Schedule(2, tuple(assignment))
         candidates = ((first, False), (first, True), (last, False), (last, True))
     for schedule, swapped in candidates:
-        candidate = schedule.swap_agents() if swapped else schedule
-        if _efk_holds(candidate, instance, 1):
+        if swapped:
+            candidate = schedule.swap_agents()
+            rows = _value_rows(candidate.bundles(), instance)
+        else:
+            candidate, rows = schedule, _envy_rows(schedule, instance)
+        if _efk_holds(rows, instance, 1):
             if not is_maximal(candidate, graph):
                 raise InternalInvariantError("selected EF1 schedule is not maximal")
             return candidate

@@ -11,6 +11,7 @@ from choresched.checkers import (
     FairnessVerdict,
     _efk_holds,
     _efx_holds,
+    _envy_rows,
     _removal,
     check_ef,
     check_ef1,
@@ -203,10 +204,10 @@ def test_efk_decision_matches_the_verdict_on_criterion_8_pairs():
         ]
         for name, profile in profiles:
             for k in (0, 1, 2):
-                holds = _efk_holds(schedule, profile, k)
+                holds = _efk_holds(_envy_rows(schedule, profile), profile, k)
                 assert holds == check_efk(schedule, profile, k).holds
                 seen.add((name, k, holds))
-            holds = _efx_holds(schedule, profile)
+            holds = _efx_holds(_envy_rows(schedule, profile), profile)
             assert holds == check_efx(schedule, profile).holds
             seen.add((name, "efx", holds))
     assert len(seen) == 3 * 4 * 2
@@ -303,7 +304,8 @@ def test_envy_pass_matches_the_pairwise_reference():
             for k in (0, 1, 2):
                 verdict = check_efk(schedule, profile, k)
                 assert verdict == reference_efk(schedule, profile, k)
-                assert _efk_holds(schedule, profile, k) == reference_efk_holds(schedule, profile, k)
+                rows = _envy_rows(schedule, profile)
+                assert _efk_holds(rows, profile, k) == reference_efk_holds(schedule, profile, k)
                 seen.add((name, k, verdict.holds, empty))
             assert check_efx(schedule, profile) == reference_efx(schedule, profile)
             edges = {(i, j) for i, j, *_ in reference_envy_pairs(schedule, profile)}
@@ -316,7 +318,7 @@ def test_envy_pass_matches_the_pairwise_reference():
     [
         (check_ef1, lambda s, i: reference_efk(s, i, 1)),
         (check_efx, reference_efx),
-        (lambda s, i: _efk_holds(s, i, 1), lambda s, i: reference_efk_holds(s, i, 1)),
+        (lambda s, i: _efk_holds(_envy_rows(s, i), i, 1), lambda s, i: reference_efk_holds(s, i, 1)),
         (envy_graph, lambda s, i: list(reference_envy_pairs(s, i))),
     ],
     ids=["ef1", "efx", "efk_holds", "envy_graph"],
@@ -352,7 +354,8 @@ def test_efk_decision_searches_each_envious_agent_once():
     profile = MonotoneValuations(3, 12, counter.wrap(lambda i, b: -10 if pain.get(i) in b else 0))
     schedule = Schedule.from_bundles(3, 12, [range(6), range(6, 12), ()])
     counter.queries = 0
-    assert _efk_holds(schedule, Instance(3, chores, profile), 1)
+    instance = Instance(3, chores, profile)
+    assert _efk_holds(_envy_rows(schedule, instance), instance, 1)
     assert counter.queries == 2 * (3 + 6) <= removal_searches_bound(schedule, 1) == 27
 
     rng = random.Random(4242)
@@ -365,7 +368,7 @@ def test_efk_decision_searches_each_envious_agent_once():
             counted = Instance(n, inst.chores, MonotoneValuations(n, m, fn))
             for k in (0, 1, 2):
                 counter.queries = 0
-                _efk_holds(schedule, counted, k)
+                _efk_holds(_envy_rows(schedule, counted), counted, k)
                 assert counter.queries <= removal_searches_bound(schedule, k)
 
 

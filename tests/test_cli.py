@@ -1,6 +1,11 @@
 """Command-line surface: exit codes, formats, golden demos."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,7 @@ from choresched import cli
 from choresched.cli import main
 from choresched.io import load_instance, load_schedule, save_instance, save_schedule
 from choresched.core import AdditiveValuations, Chore, Instance, Schedule, path_instance
+from choresched.generate import random_interval_instance
 from conftest import independent_additive_failures
 
 
@@ -281,6 +287,41 @@ class TestExists:
         path = write_instance(tmp_path, [[-1, -1, -1, -4]] * 2)
         assert main(["exists", path, "--criterion", "ef1", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["exists"] is True
+
+
+class TestClosedStdout:
+    """A reader that closes stdout (say, `| head -c 100`) is no input error:
+    the command prints nothing to stderr and exits with its own code."""
+
+    @staticmethod
+    def run_into_a_closed_pipe(argv):
+        # The read end closes before the command starts, so its first write,
+        # whether inside print or in the flush at exit, meets EPIPE.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "choresched.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+
+    def test_sequence_exits_zero(self, tmp_path):
+        path = tmp_path / "big.json"
+        save_instance(random_interval_instance(random.Random(1), 2, 300), path)
+        done = self.run_into_a_closed_pipe(["sequence", str(path), "--format", "json"])
+        assert (done.returncode, done.stderr) == (0, b"")
+
+    def test_exists_without_a_witness_exits_one(self, tmp_path):
+        path = write_instance(tmp_path, [[-1, -1, -1, -4]] * 2)
+        done = self.run_into_a_closed_pipe(["exists", path, "--criterion", "efx", "--format", "json"])
+        assert (done.returncode, done.stderr) == (1, b"")
+
+    def test_generate_exits_zero(self):
+        done = self.run_into_a_closed_pipe(["generate", "--kind", "random-path", "--n", "2", "--m", "50"])
+        assert (done.returncode, done.stderr) == (0, b"")
 
 
 class TestParserReuse:

@@ -325,6 +325,36 @@ class TestSchedule:
         with pytest.raises(InputError, match="^chore count must be non-negative, got -1$"):
             Schedule.from_bundles(2, -1, [set(), set()])
 
+    def test_empty_rejects_a_negative_chore_count_as_from_bundles_does(self):
+        with pytest.raises(InputError, match="^chore count must be non-negative, got -1$"):
+            Schedule.empty(2, -1)
+        assert Schedule.empty(2, 0).assignment == ()
+
+    @pytest.mark.parametrize("n_agents", [2.5, 2.0, True, "2", None])
+    def test_non_integer_agent_count_rejected(self, n_agents):
+        # 2.5 used to pass the "at least one agent" test and leave bundles()
+        # to raise TypeError; True passed it as 1.
+        with pytest.raises(InputError, match="^agent count must be an integer, got "):
+            Schedule(n_agents, (None,))
+
+    @pytest.mark.parametrize("n_agents", [0, -1])
+    def test_agent_count_below_one_keeps_its_text(self, n_agents):
+        with pytest.raises(InputError, match="^schedule needs at least one agent$"):
+            Schedule(n_agents, ())
+        with pytest.raises(InputError, match="^schedule needs at least one agent$"):
+            Schedule.empty(n_agents, 3)
+
+    @pytest.mark.parametrize("chore", [-1, 3, True, 1.0])
+    def test_assign_rejects_a_chore_outside_the_schedule(self, chore):
+        # A negative id used to index from the end: assign(-1, 0) took chore 2.
+        with pytest.raises(InputError, match=f"^unknown chore {chore}: the schedule has chores 0..2$"):
+            Schedule.empty(2, 3).assign(chore, 0)
+
+    def test_assign_reassigns_and_unassigns_one_chore(self):
+        schedule = Schedule.empty(2, 3).assign(2, 1)
+        assert schedule.assignment == (None, None, 1)
+        assert schedule.assign(2, None) == Schedule.empty(2, 3)
+
     @pytest.mark.parametrize("make", [list, lambda a: (x for x in a)], ids=["list", "generator"])
     def test_assignment_stored_as_tuple(self, make):
         schedule = Schedule(2, make((0, None, 1)))

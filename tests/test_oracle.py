@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from choresched import checkers
 from choresched.checkers import (
     _utilities,
     check_ef1,
@@ -26,6 +27,7 @@ from choresched.core import (
 )
 from choresched.generate import random_interval_instance, random_path_instance
 from choresched.oracle import (
+    CRITERIA,
     ExistenceQuery,
     _frontier,
     _search,
@@ -275,6 +277,26 @@ class TestExists:
         assert answers == {(c, False) for c in references} | {
             ("ef", True), ("efx", True), ("ef1+complete", True)
         }
+
+    def test_no_leaf_is_proven_feasible_again(self, monkeypatch):
+        # The search builds every leaf feasible for the instance's agents, so
+        # no criterion checks a leaf against the instance again.
+        calls = []
+        require_feasible = checkers._require_feasible
+
+        def counted(schedule, instance):
+            calls.append(schedule)
+            require_feasible(schedule, instance)
+
+        monkeypatch.setattr(checkers, "_require_feasible", counted)
+        corpus = exists_corpus(random.Random(23))
+        # The golden and adversarial instances, random ones, monotone twins.
+        answers = [
+            exists(ExistenceQuery(instance=inst, criterion=criterion, k=2)) is None
+            for inst in corpus[:60] + corpus[-20:]
+            for criterion in CRITERIA
+        ]
+        assert calls == [] and set(answers) == {True, False}
 
     def test_efk_needs_k(self):
         inst = path_instance([[-1]] * 2)

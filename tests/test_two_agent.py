@@ -576,17 +576,19 @@ def test_flip_search_matches_the_reference_on_arbitrary_hand_built_sequences():
     }
 
 
-@pytest.mark.parametrize(
-    "intervals, table, verdicts",
-    [
-        # The flip pair's first step x is EF1.
-        ([(3, 7), (0, 3)], [[0, -1], [-1, -2]], [True]),
-        # x and y fail; x's swap, the first swapped candidate, wins.
-        ([(6, 10), (6, 10), (0, 3)], [[0, -1, -1], [-2, -1, -2]], [False, False, True]),
-        # Only y's swap, the last candidate, is EF1.
-        ([(3, 6), (0, 2), (1, 4), (6, 9)], [[-2, -2, -2, -4], [-4, -4, 0, -1]], [False] * 3 + [True]),
-    ],
-)
+# Flip pairs whose candidates, tried as x, y, x swapped, y swapped, give
+# these EF1 verdicts up to the winner.
+FLIP_CANDIDATE_CASES = [
+    # The flip pair's first step x is EF1.
+    ([(3, 7), (0, 3)], [[0, -1], [-1, -2]], [True]),
+    # x and y fail; x's swap, the first swapped candidate, wins.
+    ([(6, 10), (6, 10), (0, 3)], [[0, -1, -1], [-2, -1, -2]], [False, False, True]),
+    # Only y's swap, the last candidate, is EF1.
+    ([(3, 6), (0, 2), (1, 4), (6, 9)], [[-2, -2, -2, -4], [-4, -4, 0, -1]], [False] * 3 + [True]),
+]
+
+
+@pytest.mark.parametrize("intervals, table, verdicts", FLIP_CANDIDATE_CASES)
 def test_select_ef1_builds_a_swapped_candidate_only_when_it_is_tried(monkeypatch, intervals, table, verdicts):
     from choresched.core import AdditiveValuations
 
@@ -596,8 +598,8 @@ def test_select_ef1_builds_a_swapped_candidate_only_when_it_is_tried(monkeypatch
     tried, swaps = [], []
     efk_holds, swap_agents = two_agent._efk_holds, Schedule.swap_agents
 
-    def counted_efk_holds(schedule, instance, k):
-        tried.append(efk_holds(schedule, instance, k))
+    def counted_efk_holds(rows, instance, k):
+        tried.append(efk_holds(rows, instance, k))
         return tried[-1]
 
     def counted_swap_agents(self, *args):
@@ -611,6 +613,30 @@ def test_select_ef1_builds_a_swapped_candidate_only_when_it_is_tried(monkeypatch
     # Candidates 3 and 4 are the flip pair's swaps; the first two are not.
     assert len(swaps) == max(0, len(verdicts) - 2)
     assert chosen == reference_select_ef1(seq, inst)
+
+
+@pytest.mark.parametrize("intervals, table, verdicts", FLIP_CANDIDATE_CASES)
+def test_select_ef1_checks_only_unswapped_candidates_against_the_instance(
+    monkeypatch, intervals, table, verdicts
+):
+    # A swap is feasible exactly when the schedule it swaps is, and that
+    # schedule is tried first: x and y are the first two candidates.
+    from choresched import checkers
+    from choresched.core import AdditiveValuations
+
+    chores = tuple(Chore(id=i, start=s, finish=f) for i, (s, f) in enumerate(intervals))
+    inst = Instance(2, chores, AdditiveValuations(table))
+    seq = interval_sequence_ef1(inst)
+    calls = []
+    require_feasible = checkers._require_feasible
+
+    def counted(schedule, instance):
+        calls.append(schedule)
+        require_feasible(schedule, instance)
+
+    monkeypatch.setattr(checkers, "_require_feasible", counted)
+    select_ef1(seq, inst)
+    assert len(calls) <= min(len(verdicts), 2)
 
 
 def queries_within_bound(instance, counter):
@@ -760,6 +786,14 @@ class TestScheduleSequence:
             ScheduleSequence(steps=(Schedule(3, (2, 0)),), tags=("initial",))
         with pytest.raises(InputError, match="two-agent"):
             ScheduleSequence(steps=(Schedule(2, (0, 1)), Schedule(3, (1, 0))), tags=("a", "b"))
+
+    def test_selection_rejects_an_infeasible_hand_built_candidate(self):
+        # Agent 1 holds both overlapping chores: agent 0 does not envy, so
+        # the first candidate, the sequence's only step, is tried and rejected.
+        inst = path_instance([[-1, -2]] * 2)
+        seq = ScheduleSequence(steps=(Schedule(2, (1, 1)),), tags=("initial",))
+        with pytest.raises(InputError, match="^schedule is infeasible for the instance's conflict graph$"):
+            select_ef1(seq, inst)
 
     def test_selection_rejects_a_sequence_over_other_chores(self):
         inst = path_instance([[-1, -2]] * 2)
