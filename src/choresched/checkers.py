@@ -186,6 +186,8 @@ def _efx_holds(rows: Iterable[_EnvyRow], instance: Instance) -> bool:
 
 def check_efk(schedule: Schedule, instance: Instance, k: int) -> FairnessVerdict:
     """Envy-freeness up to k chores, over all ordered agent pairs."""
+    if type(k) is not int:
+        raise InputError(f"k must be an integer, got {k!r}")
     if k < 0:
         raise InputError("k must be non-negative")
     violations, witnesses = [], {}

@@ -83,23 +83,18 @@ class AdditiveValuations:
     is_additive = True
 
     def __init__(self, table: Sequence[Sequence[int]]):
-        rows = tuple(tuple(row) for row in table)
-        if not rows:
-            raise InputError("valuation table needs at least one agent row")
-        width = len(rows[0])
         # Equal rows share one object, so a row's id names a distinct row.
         distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # A row object passed again (tuple(row) is row for a tuple) is not
-        # scanned again: by id, the shared row it was checked into.
-        checked: dict[int, tuple[int, ...]] = {}
-        shared = []
-        for i, row in enumerate(rows):
-            first = checked.get(id(row))
-            if first is not None:
-                shared.append(first)
+        shared: list[tuple[int, ...]] = []
+        given = None
+        for i, row in enumerate(table):
+            if shared and row is given:
+                # The row object passed just before: converted and checked once.
+                shared.append(shared[-1])
                 continue
-            if len(row) != width:
-                raise InputError(f"valuation row {i} has length {len(row)}, expected {width}")
+            given, row = row, tuple(row)
+            if shared and len(row) != len(shared[0]):
+                raise InputError(f"valuation row {i} has length {len(row)}, expected {len(shared[0])}")
             # An equal row is valid only if plain ints: False == 0, -1.0 == -1.
             # A row of plain non-positive ints needs no per-value check; any
             # other row is checked value by value, for the first bad one.
@@ -113,8 +108,9 @@ class AdditiveValuations:
                         if v > 0:
                             raise InputError(f"value for agent {i}, chore {j} is positive; chores never are")
                 first = distinct[row] = row
-            checked[id(row)] = first
             shared.append(first)
+        if not shared:
+            raise InputError("valuation table needs at least one agent row")
         self.table = tuple(shared)
 
     @property
@@ -156,8 +152,12 @@ class MonotoneValuations:
     is_additive = False
 
     def __init__(self, n_agents: int, n_chores: int, fn: Callable[[int, frozenset[int]], int]):
+        if type(n_agents) is not int:
+            raise InputError(f"agent count must be an integer, got {n_agents!r}")
         if n_agents < 1:
             raise InputError("need at least one agent")
+        if type(n_chores) is not int or n_chores < 0:
+            raise InputError(f"chore count must be a non-negative integer, got {n_chores!r}")
         self._n_agents = n_agents
         self._n_chores = n_chores
         self._fn = fn
@@ -416,6 +416,8 @@ class Instance:
 
     def __post_init__(self) -> None:
         self.chores = tuple(self.chores)
+        if type(self.n) is not int:
+            raise InputError(f"agent count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InputError("instance needs at least one agent")
         ids = [c.id for c in self.chores]
@@ -472,7 +474,7 @@ def order_by_finish(chores: Sequence[Chore]) -> tuple[int, ...]:
     The id tie-break plays the role of an infinitesimal perturbation: it fixes
     a strict order deterministically and in exact integer arithmetic.
     """
-    return tuple(sorted((c.id for c in chores), key=lambda i: (chores[i].finish, i)))
+    return tuple(c.id for c in sorted(chores, key=lambda c: (c.finish, c.id)))
 
 
 def path_component_order(

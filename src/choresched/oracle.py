@@ -71,6 +71,8 @@ class ExistenceQuery:
     def __post_init__(self) -> None:
         if self.criterion not in CRITERIA:
             raise InputError(f"unknown criterion {self.criterion!r}; expected one of {CRITERIA}")
+        if self.k is not None and type(self.k) is not int:
+            raise InputError(f"k must be an integer, got {self.k!r}")
         if self.criterion == "efk" and (self.k is None or self.k < 0):
             raise InputError("criterion 'efk' needs a non-negative k")
 

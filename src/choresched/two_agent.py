@@ -39,6 +39,8 @@ RED, BLUE = 0, 1
 _SIGN = {RED: 1, BLUE: -1, None: 0}
 # One step of a sequence: (chore, new agent) for each chore whose agent changed.
 Delta = tuple[tuple[int, Optional[int]], ...]
+# Each agent spelled as itself, for ScheduleSequence._assignments.
+_AGENTS = {RED: RED, BLUE: BLUE, None: None}
 
 
 @dataclass(frozen=True, init=False)
@@ -83,13 +85,14 @@ class ScheduleSequence:
         seq.__dict__.update(initial=initial, deltas=tuple(deltas), tags=tuple(tags))
         return seq
 
-    def _assignments(self):
-        """Each step's assignment in turn, as one list updated in place."""
-        assignment = list(self.initial.assignment)
+    def _assignments(self, spell=_AGENTS):
+        """Each step's assignment in turn, each agent written as spell[agent],
+        as one list updated in place."""
+        assignment = [spell[a] for a in self.initial.assignment]
         yield assignment
         for delta in self.deltas:
             for c, agent in delta:
-                assignment[c] = agent
+                assignment[c] = spell[agent]
             yield assignment
 
     @cached_property
@@ -101,13 +104,7 @@ class ScheduleSequence:
 
     def _colors(self):
         """Each step's chore colors (R/B/N, in chore id order), one join per step."""
-        letters = {RED: "R", BLUE: "B", None: "N"}
-        colors = [letters[a] for a in self.initial.assignment]
-        yield "".join(colors)
-        for delta in self.deltas:
-            for c, agent in delta:
-                colors[c] = letters[agent]
-            yield "".join(colors)
+        return map("".join, self._assignments({RED: "R", BLUE: "B", None: "N"}))
 
     def trace_lines(self) -> list[str]:
         """One line per step: chore colors (R/B/N, in chore id order) plus the tag."""
@@ -256,11 +253,11 @@ def classify_chores(
 
 
 class _Coloring(list[Optional[int]]):
-    """Chore colors (RED, BLUE or None) by chore id, with one bitmask per color.
-
-    Each single-item write that changes a chore's color updates masks, so
-    masks[RED] and masks[BLUE] are always the two bundles, and appends the
-    chore to log, which _SequenceBuilder.emit takes as the step's delta."""
+    """Chore colors (RED, BLUE or None) by chore id: the only copy of a
+    sequence's current step.  Each single-item write that changes a color
+    updates masks, so masks[RED] and masks[BLUE] are always the two bundles,
+    and logs the chore's color from before its first write since the log was
+    cleared; _SequenceBuilder.emit reads the step's delta from that log."""
 
     def __init__(self, colors: Sequence[Optional[int]]):
         super().__init__(colors)
@@ -268,7 +265,7 @@ class _Coloring(list[Optional[int]]):
         for c, a in enumerate(self):
             if a is not None:
                 self.masks[a] |= 1 << c
-        self.log: list[int] = []
+        self.log: dict[int, Optional[int]] = {}
 
     def __setitem__(self, chore: int, color: Optional[int]) -> None:
         old = self[chore]
@@ -279,7 +276,7 @@ class _Coloring(list[Optional[int]]):
         if color is not None:
             self.masks[color] |= 1 << chore
         super().__setitem__(chore, color)
-        self.log.append(chore)
+        self.log.setdefault(chore, old)
 
     def assigned(self) -> int:
         return self.masks[RED] | self.masks[BLUE]
@@ -325,14 +322,14 @@ class _SequenceBuilder:
     for a two-agent sequence: each step is feasible, maximal when required,
     and adjacent to the one before, and the endpoints are bundle swaps.
 
-    The constructor records the coloring as the "initial" step, takes the
-    builder's own bundle masks from the full feasibility check of it, and
-    sets insertable, the mask of unassigned chores that still fit a bundle.
-    emit makes one loop over the coloring's log: it replays each change onto
-    the builder's own assignment and masks, records the changed chores with
-    their new colors as the step's delta, ORs their closed neighbourhoods
-    into the recheck region and counts each bundle's gains and losses.  It
-    then checks the new step only through that delta:
+    The constructor records the coloring as the "initial" step, requires the
+    full feasibility check of it to give the coloring's masks, and sets
+    insertable, the mask of unassigned chores that still fit a bundle.  emit
+    makes one loop over the coloring's log: a chore whose color differs from
+    its logged old color joins the step's delta with its new color, its
+    closed neighbourhood joins the recheck region, and each bundle's gains
+    and losses are counted.  It then checks the new step, through the
+    coloring's masks, only where it can differ from the one before:
 
     - feasible: every changed chore that is assigned is free of overlaps in
       its new bundle.  Two overlapping chores in one bundle that both kept
@@ -344,9 +341,9 @@ class _SequenceBuilder:
       adjacent() test restricted to the chores where the steps can differ.
 
     So a step fails here exactly when the full check of it (and of the pair
-    it forms with the previous step) fails.  sequence() requires the last
-    step to equal the coloring, which proves that no write escaped the log,
-    and the first and last steps to be bundle swaps.
+    it forms with the previous step) fails.  sequence() replays the deltas
+    once and requires the last state to equal the coloring, which proves
+    that no write escaped the log, and to be the bundle swap of the first.
     """
 
     def __init__(
@@ -357,12 +354,13 @@ class _SequenceBuilder:
         self.status = status
         self.require_maximal = require_maximal
         self.initial = Schedule(2, tuple(status))
-        self.masks = _bundle_masks(self.initial, graph)
-        if self.masks is None:
+        masks = _bundle_masks(self.initial, graph)
+        if masks is None:
             self._fail("initial produced an infeasible schedule")
+        if masks != status.masks:
+            self._fail("initial differs from the coloring's masks; a write escaped the step log")
         status.log.clear()
-        self.assignment = list(status)
-        nbr, (red, blue) = graph.neighbor_masks, self.masks
+        nbr, (red, blue) = graph.neighbor_masks, status.masks
         self.insertable = sum(
             1 << u for u, a in enumerate(status) if a is None and not (nbr[u] & red and nbr[u] & blue)
         )
@@ -377,23 +375,19 @@ class _SequenceBuilder:
     def emit(self, tag: str) -> None:
         """Take the coloring's log and record the coloring as the next step."""
         nbr = self.graph.neighbor_masks
-        status, assignment, masks = self.status, self.assignment, self.masks
+        status, masks = self.status, self.status.masks
         delta = []
         region = 0
         gained, lost = [0, 0], [0, 0]
-        for c in status.log:
-            old, new = assignment[c], status[c]
+        for c, old in status.log.items():
+            new = status[c]
             if old == new:
-                continue  # written back within the step, or logged before
-            assignment[c] = new
-            bit = 1 << c
+                continue  # written back within the step
             if old is not None:
-                masks[old] ^= bit
                 lost[old] += 1
             if new is not None:
-                masks[new] |= bit
                 gained[new] += 1
-            region |= nbr[c] | bit
+            region |= nbr[c] | 1 << c
             delta.append((c, new))
         status.log.clear()
         delta.sort()
@@ -431,8 +425,8 @@ class _SequenceBuilder:
             return None
         nbr = self.graph.neighbor_masks
         chore = min(_mask_bits(self.insertable), key=rank.__getitem__)
-        agent = RED if not nbr[chore] & self.masks[RED] else BLUE
-        masks = list(self.masks)
+        masks = list(self.status.masks)
+        agent = RED if not nbr[chore] & masks[RED] else BLUE
         masks[agent] |= 1 << chore
         rest = _mask_bits(self.insertable ^ 1 << chore)
         if not all(nbr[u] & masks[RED] and nbr[u] & masks[BLUE] for u in rest):
@@ -440,11 +434,13 @@ class _SequenceBuilder:
         return chore, agent
 
     def sequence(self) -> ScheduleSequence:
-        if self.assignment != self.status:
+        seq = ScheduleSequence._from_deltas(self.initial, self.deltas, self.tags)
+        *_, last = seq._assignments()
+        if last != self.status:
             self._fail("last step differs from the coloring; a write escaped the step log")
-        if [None if a is None else 1 - a for a in self.initial.assignment] != self.assignment:
+        if [None if a is None else 1 - a for a in self.initial.assignment] != last:
             self._fail("endpoints are not bundle swaps of each other")
-        return ScheduleSequence._from_deltas(self.initial, self.deltas, self.tags)
+        return seq
 
 
 def interval_sequence_ef2(

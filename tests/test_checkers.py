@@ -140,8 +140,13 @@ class TestCheckEfk:
         assert check_efk(schedule, inst, 2).holds
 
     def test_negative_k_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^k must be non-negative$"):
             check_efk(Schedule.empty(2, 5), EF1_PO_INSTANCE, -1)
+
+    @pytest.mark.parametrize("k", [1.5, 1.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(InputError, match=f"^k must be an integer, got {k!r}$"):
+            check_efk(Schedule.empty(2, 5), EF1_PO_INSTANCE, k)
 
     def test_monotone_oracle_matches_additive_shortcut(self):
         # same values, one profile opaque: verdict fields must agree

@@ -267,6 +267,23 @@ class TestOrderByFinish:
             assert sorted(order) == list(range(m))
             assert order == order_by_finish(chores)
 
+    def test_chores_are_ordered_by_their_own_finish_not_by_list_position(self):
+        assert order_by_finish([Chore(1, 0, 5), Chore(0, 0, 1)]) == (0, 1)
+        assert order_by_finish([Chore(5, 0, 1)]) == (5,)
+
+    def test_dense_ids_match_the_positional_lookup(self):
+        # Where ids are list positions, every library caller's case, the
+        # order is the one the positional lookup gave.
+        rng = random.Random(29)
+        for _ in range(200):
+            m = rng.randint(0, 12)
+            chores = [
+                Chore(id=i, start=(s := rng.randint(0, 6)), finish=s + rng.randint(1, 4))
+                for i in range(m)
+            ]
+            positional = tuple(sorted((c.id for c in chores), key=lambda i: (chores[i].finish, i)))
+            assert order_by_finish(chores) == positional
+
 
 class TestIsFeasible:
     def test_star_split(self):
@@ -460,6 +477,20 @@ class TestValuations:
     def test_one_row_object_is_shared_as_passed(self):
         row = (-2, 0, -1)
         assert all(shared is row for shared in AdditiveValuations([row] * 5).table)
+
+    def test_a_row_object_passed_again_at_once_is_read_once(self):
+        reads = []
+
+        class Row(list):
+            def __iter__(self):
+                reads.append(self)
+                return super().__iter__()
+
+        row = Row([-2, 0, -1])
+        vals = AdditiveValuations([row] * 4 + [[-2, 0, -1], row])
+        assert len({id(shared) for shared in vals.table}) == 1
+        assert vals.table[0] == (-2, 0, -1)
+        assert len(reads) == 2  # the first run of four, then the last row
         with pytest.raises(InputError, match="^value for agent 0, chore 1 is positive"):
             AdditiveValuations([(-1, 1)] * 4)
 
@@ -499,6 +530,22 @@ class TestValuations:
         with pytest.raises(InputError):
             MonotoneValuations(1, 2, lambda i, b: -1)
 
+    @pytest.mark.parametrize("n_agents", [True, 2.0])
+    def test_monotone_non_integer_agent_count_rejected(self, n_agents):
+        with pytest.raises(InputError, match=f"^agent count must be an integer, got {n_agents!r}$"):
+            MonotoneValuations(n_agents, 1, lambda i, b: 0)
+
+    def test_monotone_agent_count_below_one_keeps_its_text(self):
+        with pytest.raises(InputError, match="^need at least one agent$"):
+            MonotoneValuations(0, 1, lambda i, b: 0)
+
+    @pytest.mark.parametrize("n_chores", [-1, 1.0, False])
+    def test_monotone_chore_count_must_be_a_non_negative_integer(self, n_chores):
+        with pytest.raises(
+            InputError, match=f"^chore count must be a non-negative integer, got {n_chores!r}$"
+        ):
+            MonotoneValuations(2, n_chores, lambda i, b: 0)
+
     def test_monotone_value(self):
         vals = MonotoneValuations(2, 3, lambda i, b: -len(b) ** 2)
         assert vals.value(0, {0, 2}) == -4
@@ -531,6 +578,18 @@ class TestInstanceValidation:
         chores = (Chore(id=0, start=0, finish=1), Chore(id=2, start=2, finish=3))
         with pytest.raises(InputError):
             Instance(1, chores, AdditiveValuations([[-1, -1]]))
+
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_non_integer_agent_count_rejected(self, n):
+        # Accepted, either would fail later: 2.0 with a bare TypeError in the
+        # oracle, True at the first Schedule the oracle builds.
+        rows = [[-1]] * (1 if n is True else 2)
+        with pytest.raises(InputError, match=f"^agent count must be an integer, got {n!r}$"):
+            Instance(n, chores_from_intervals([(0, 1)]), AdditiveValuations(rows))
+
+    def test_agent_count_below_one_keeps_its_text(self):
+        with pytest.raises(InputError, match="^instance needs at least one agent$"):
+            Instance(0, chores_from_intervals([(0, 1)]), AdditiveValuations([[-1]]))
 
 
 def reference_components(graph, members):

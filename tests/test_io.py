@@ -69,6 +69,8 @@ class TestInstanceFiles:
             )
 
     def test_bools_are_not_integers(self):
+        with pytest.raises(InputError, match="^field 'agents' must be a positive integer$"):
+            instance_from_dict({"agents": True, "path": 1, "valuations": [[-1]]})
         with pytest.raises(InputError, match="path"):
             instance_from_dict({"agents": 1, "path": True, "valuations": [[-1]]})
         with pytest.raises(InputError, match=r"chores\[0\]: chore False: id must be an integer"):

@@ -304,6 +304,20 @@ class TestExists:
             ExistenceQuery(instance=inst, criterion="efk")
         assert exists(ExistenceQuery(instance=inst, criterion="efk", k=1)) is not None
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_k_rejected(self, k):
+        # Accepted, 1.5 would fail deep in the removal search with a bare
+        # TypeError, and True would be read as 1.
+        inst = path_instance([[-1]] * 2)
+        with pytest.raises(InputError, match=f"^k must be an integer, got {k!r}$"):
+            ExistenceQuery(instance=inst, criterion="efk", k=k)
+
+    @pytest.mark.parametrize("k", [None, -1])
+    def test_missing_or_negative_k_keeps_its_text(self, k):
+        inst = path_instance([[-1]] * 2)
+        with pytest.raises(InputError, match="^criterion 'efk' needs a non-negative k$"):
+            ExistenceQuery(instance=inst, criterion="efk", k=k)
+
     def test_unknown_criterion(self):
         inst = path_instance([[-1]] * 2)
         with pytest.raises(InputError):

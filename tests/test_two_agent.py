@@ -986,7 +986,7 @@ def test_step_checker_matches_full_checks_on_the_acceptance_corpus(two_agent_cor
                 assert probe_verdict(builder) == expected
                 verdicts[expected] += 1
             status, builder = y_probe
-            assert builder.assignment == list(y.assignment)
+            assert list(status) == list(y.assignment)
             assert builder.deltas[-1] == tuple(
                 (c, b) for c, (a, b) in enumerate(zip(x.assignment, y.assignment)) if a != b
             )
@@ -1037,6 +1037,28 @@ def test_builder_traps_the_initial_step_and_the_endpoints():
     builder.emit("step")
     with pytest.raises(InternalInvariantError, match="^probe: endpoints are not bundle swaps of each other$"):
         builder.sequence()
+
+
+def test_builder_traps_a_write_that_escaped_before_it_started():
+    # The coloring's list says RB, its masks still say RR.  Trusting the list
+    # would record RB, then a swap to BR, as a valid sequence.
+    graph = build_conflict_graph([Chore(0, 0, 1), Chore(1, 2, 3)])
+    status = _Coloring([RED, RED])
+    list.__setitem__(status, 1, BLUE)
+    with pytest.raises(
+        InternalInvariantError,
+        match="^probe: initial differs from the coloring's masks; a write escaped the step log$",
+    ):
+        builder = _SequenceBuilder(graph, "probe", status)
+        status[0], status[1] = BLUE, RED
+        builder.emit("step")
+        builder.sequence()
+
+
+def test_builder_keeps_no_copy_of_the_step():
+    # The coloring is the only copy of the current step.
+    builder = _SequenceBuilder(TRAP_GRAPH, "probe", _Coloring(RBRB))
+    assert not hasattr(builder, "assignment") and not hasattr(builder, "masks")
 
 
 def reference_completion_hint(step, graph, rank):
