@@ -18,7 +18,6 @@ from .checkers import (
     envy_graph,
     is_complete,
     is_maximal,
-    is_pareto_optimal,
 )
 from .core import (
     AdditiveValuations,
@@ -47,6 +46,7 @@ from .oracle import (
     demo_top_trading_envy_cycle,
     enumerate_maximal,
     exists,
+    is_pareto_optimal,
     max_utilitarian_maximal,
 )
 from .two_agent import (

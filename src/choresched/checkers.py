@@ -41,7 +41,6 @@ from .core import (
     InputError,
     Instance,
     Schedule,
-    SizeGuardError,
     _bundle_masks,
     is_feasible,
 )
@@ -245,26 +244,6 @@ def is_maximal(schedule: Schedule, graph: ConflictGraph) -> bool:
     return all(all(nbr & mask for mask in bundle_masks) for nbr in free)
 
 
-def is_pareto_optimal(schedule: Schedule, instance: Instance, guard: int = 16) -> bool:
-    """True iff no other maximal schedule Pareto-dominates the given one.
-
-    Pareto optimality is defined relative to ALL maximal schedules, so this
-    enumerates them; the guard keeps the enumeration desk-scale.  The input
-    must itself be maximal.
-    """
-    if instance.m > guard:
-        raise SizeGuardError(
-            f"Pareto check enumerates all maximal schedules; {instance.m} chores exceed the guard {guard}"
-        )
-    _require_agents(schedule, instance)
-    if not is_maximal(schedule, instance.graph()):
-        raise InputError("Pareto optimality is only defined for maximal schedules")
-    from .oracle import _valued  # lazy: oracle imports this module
-
-    own = _utilities(schedule, instance)
-    return not any(_dominates(tuple(other), own) for _, other in _valued(instance, guard))
-
-
 def _utilities(schedule: Schedule, instance: Instance) -> tuple[int, ...]:
     """Every agent's value of its own bundle."""
     return tuple(instance.value(i, bundle) for i, bundle in enumerate(schedule.bundles()))
@@ -315,7 +294,3 @@ def _rows_envy_graph(rows: Iterable[_EnvyRow], n: int) -> EnvyGraph:
     """envy_graph on rows the caller already holds."""
     return EnvyGraph(n=n, edges=frozenset((i, k) for i, k, *_ in _envy_pairs(rows)))
 
-
-def _dominates(better: tuple[int, ...], worse: tuple[int, ...]) -> bool:
-    """Pareto dominance of utility vectors: no worse anywhere, better somewhere."""
-    return better != worse and all(b >= w for b, w in zip(better, worse))

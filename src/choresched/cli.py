@@ -19,7 +19,7 @@ import sys
 from typing import Any, Callable, Optional
 
 from . import io as fileio
-from .checkers import _require_feasible, is_complete, is_maximal, is_pareto_optimal
+from .checkers import _require_feasible, is_complete, is_maximal
 from .core import InputError, Instance, InternalInvariantError, Schedule, path_instance
 from .generate import (
     random_bounded_components_instance,
@@ -30,12 +30,14 @@ from .generate import (
 from .n_agent import solve_identical_bounded_components, solve_identical_dichotomous_path
 from .oracle import (
     CRITERIA,
+    GUARD,
     ExistenceQuery,
     _envy_verdict,
     demo_round_robin,
     demo_top_trading_envy_cycle,
     enumerate_maximal,
     exists,
+    is_pareto_optimal,
 )
 from .two_agent import interval_sequence_ef1, path_sequence, select_ef1, solve_two_agents
 
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="ef1",
     )
     p.add_argument("--k", type=int, default=None, help="k for --criterion efk")
-    p.add_argument("--guard", type=int, default=16)
+    p.add_argument("--guard", type=int, default=GUARD)
     add_common(p)
     p.set_defaults(func=_cmd_check)
 
@@ -318,13 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--criterion", choices=CRITERIA, default="ef1")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--guard", type=int, default=16)
+    p.add_argument("--guard", type=int, default=GUARD)
     add_common(p)
     p.set_defaults(func=_cmd_exists)
 
     p = sub.add_parser("enumerate", help="list every maximal schedule")
     p.add_argument("instance")
-    p.add_argument("--guard", type=int, default=16)
+    p.add_argument("--guard", type=int, default=GUARD)
     add_common(p)
     p.set_defaults(func=_cmd_enumerate)
 

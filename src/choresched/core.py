@@ -87,12 +87,19 @@ class AdditiveValuations:
         distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
         shared: list[tuple[int, ...]] = []
         given = None
-        for i, row in enumerate(table):
+        try:
+            rows = enumerate(table)
+        except TypeError:
+            raise InputError(f"valuation table must be a sequence of rows, got {table!r}") from None
+        for i, row in rows:
             if shared and row is given:
                 # The row object passed just before: converted and checked once.
                 shared.append(shared[-1])
                 continue
-            given, row = row, tuple(row)
+            try:
+                given, row = row, tuple(row)
+            except TypeError:
+                raise InputError(f"valuation row {i} must be a sequence of values, got {row!r}") from None
             if shared and len(row) != len(shared[0]):
                 raise InputError(f"valuation row {i} has length {len(row)}, expected {len(shared[0])}")
             # An equal row is valid only if plain ints: False == 0, -1.0 == -1.
@@ -420,12 +427,20 @@ class Instance:
             raise InputError(f"agent count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InputError("instance needs at least one agent")
-        ids = [c.id for c in self.chores]
+        try:
+            ids = [c.id for c in self.chores]
+        except AttributeError:
+            bad = next(i for i, c in enumerate(self.chores) if not hasattr(c, "id"))
+            raise InputError(f"chores[{bad}] must be a Chore, got {self.chores[bad]!r}") from None
         if ids != list(range(len(ids))):
             repeated = [i for i, count in Counter(ids).items() if count > 1]
             if repeated:
                 raise InputError(f"chore id {repeated[0]} appears more than once")
             raise InputError("chore ids must be dense and sorted: 0..m-1")
+        if not isinstance(self.valuations, (AdditiveValuations, MonotoneValuations)):
+            raise InputError(
+                f"valuations must be AdditiveValuations or MonotoneValuations, got {self.valuations!r}"
+            )
         if self.valuations.n_agents != self.n:
             raise InputError(
                 f"valuation profile covers {self.valuations.n_agents} agents, instance has {self.n}"

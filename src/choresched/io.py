@@ -176,11 +176,10 @@ def instance_from_dict(data: Any) -> Instance:
     for idx, entry in enumerate(data["chores"]):
         if not isinstance(entry, dict):
             raise InputError(f"chores[{idx}] must be an object")
-        for key in ("id", "start", "finish"):
-            if key not in entry:
-                raise InputError(f"chores[{idx}] is missing field '{key}'")
         try:
             chore = Chore(entry["id"], entry["start"], entry["finish"], entry.get("label"))
+        except KeyError as exc:
+            raise InputError(f"chores[{idx}] is missing field '{exc.args[0]}'") from None
         except InputError as exc:
             raise InputError(f"chores[{idx}]: {exc}") from None
         chores.append(chore)

@@ -1,28 +1,26 @@
 """Exhaustive ground truth for small instances.
 
 enumerate_maximal walks every feasible-and-maximal schedule of an instance,
-exists() answers fairness-existence queries over that space, and the demo_*
+exists() answers fairness-existence queries over that space, and
+is_pareto_optimal compares one schedule with all of it.  The demo_*
 functions replay the classic round-robin and top-trading envy-cycle
 procedures whose EF1 guarantees break under conflict constraints.
 
-Everything here is desk-scale by design, with a size guard on the
-enumeration (default 16 chores).  One search, _search, serves every query.
-It checks a chore left out as soon as its last neighbour is decided and
-cuts the branch if some agent could still take it, so every leaf is a
-maximal schedule; it runs on one explicit stack and, under an additive
-profile, keeps every agent's bundle value as it goes.  The 98,304 maximal
-schedules of a 3-agent, 16-chore path take well under a second to
-enumerate.  The ef1+po query, the Pareto check and max_utilitarian_maximal
-read those running values instead of rebuilding bundles, and ef1+po keeps
-the distinct utility vectors rather than the schedules: on that path it
-takes about as long as the enumeration and a few MiB more memory.
+Everything here is desk-scale by design, with one size guard on the
+enumeration (GUARD, 16 chores, unless the caller gives another), which
+_search alone checks.  That one search serves every query.  It checks a
+chore left out as soon as its last neighbour is decided and cuts the branch
+if some agent could still take it, so every leaf is a maximal schedule: the
+98,304 of a 3-agent, 16-chore path take well under a second.  Under an
+additive profile it keeps every agent's bundle value as it goes, which the
+Pareto check, max_utilitarian_maximal and ef1+po read.
 
-exists() walks only the schedules a criterion can accept.  ef1+complete
-asks the search for complete schedules alone: it never leaves a chore out,
-so it cuts each branch at the first chore that fits no bundle and never
-walks the maximal schedules that leave chores out.  The envy criteria
-decide each leaf with the checkers' yes/no decisions, which look at each
-envious agent once and stop at the first that fails.
+exists() runs one loop over the leaves a criterion can accept: for
+ef1+complete the complete schedules alone, cut at the first chore that fits
+no bundle; for ef1+po those whose utility vector is on the Pareto frontier
+of a first pass's distinct vectors, which holds no schedule and takes about
+as long as the enumeration.  The checkers' yes/no decisions, which look at
+each envious agent once and stop at the first that fails, decide each leaf.
 """
 
 from __future__ import annotations
@@ -30,18 +28,20 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from operator import ge
+from operator import ge, itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .checkers import (
     FairnessVerdict,
     _efk_holds,
     _efx_holds,
+    _require_agents,
     _utilities,
     _value_rows,
     check_ef1,
     check_efk,
     check_efx,
+    is_maximal,
 )
 from .core import (
     InputError,
@@ -51,6 +51,7 @@ from .core import (
 )
 
 CRITERIA = ("ef", "ef1", "efx", "efk", "ef1+po", "ef1+complete")
+GUARD = 16
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class ExistenceQuery:
     criterion is one of CRITERIA; every criterion implicitly includes
     maximality (the search space is the maximal schedules, and for
     "ef1+complete" the complete ones, all of them maximal).  k is required
-    for "efk"; guard overrides the enumeration size guard.
+    for "efk"; guard, if given, replaces GUARD as the enumeration size guard.
     """
 
     instance: Instance
@@ -104,6 +105,8 @@ def _search(
     _valued).  Both lists are the search's own and change after each leaf:
     copy what is kept.
     """
+    if type(guard) is not int:
+        raise InputError(f"guard must be an integer, got {guard!r}")
     if instance.m > guard:
         raise SizeGuardError(
             f"enumeration over {instance.m} chores exceeds the guard {guard}"
@@ -187,7 +190,7 @@ def _valued(
     )
 
 
-def enumerate_maximal(instance: Instance, guard: int = 16) -> Iterator[Schedule]:
+def enumerate_maximal(instance: Instance, guard: int = GUARD) -> Iterator[Schedule]:
     """Yield every feasible-and-maximal schedule exactly once.
 
     The order is deterministic: lexicographic in the assignment vector with
@@ -202,23 +205,26 @@ def exists(query: ExistenceQuery) -> Optional[Schedule]:
 
     The answer is definitive: None means no maximal schedule of the instance
     satisfies the criterion.  The witness is the first such schedule in
-    enumeration order.  Each criterion walks only the schedules it can
-    accept: "ef1+complete" searches the complete feasible schedules alone
-    (every one is maximal), and the others every maximal schedule; "ef1+po"
-    has its own two passes.  EF-k criteria decide through _efk_holds and
-    "efx" through _efx_holds, each envious agent once, from the bundles of a
-    leaf, which the search built feasible.
+    enumeration order.  One loop decides the leaves a criterion can accept:
+    "ef1+complete" searches the complete feasible schedules alone (every one
+    is maximal), "ef1+po" keeps the leaves whose utility vector is on the
+    _frontier of a first pass's distinct vectors, and the others take every
+    maximal schedule.  EF-k criteria, ef1+po and ef1+complete among them,
+    decide through _efk_holds and "efx" through _efx_holds, each envious
+    agent once, from the bundles of a leaf, which the search built feasible.
     """
     instance = query.instance
-    guard = query.guard if query.guard is not None else 16
+    guard = GUARD if query.guard is None else query.guard
     criterion = query.criterion
-    if criterion == "ef1+po":
-        return _exists_ef1_po(instance, guard)
-    k = {"ef": 0, "ef1": 1, "efk": query.k, "ef1+complete": 1}.get(criterion)
+    k = {"ef": 0, "ef1": 1, "efk": query.k, "ef1+po": 1, "ef1+complete": 1}.get(criterion)
     holds = _efx_holds if criterion == "efx" else partial(_efk_holds, k=k)
-    n = instance.n
-    for assignment, _ in _search(instance, guard, complete=criterion == "ef1+complete"):
-        schedule = Schedule(n, tuple(assignment))
+    if criterion == "ef1+po":
+        frontier = _frontier({tuple(mine) for _, mine in _valued(instance, guard)})
+        leaves = (leaf for leaf in _valued(instance, guard) if tuple(leaf[1]) in frontier)
+    else:
+        leaves = _search(instance, guard, complete=criterion == "ef1+complete")
+    for assignment, _ in leaves:
+        schedule = Schedule(instance.n, tuple(assignment))
         if holds(_value_rows(schedule.bundles(), instance), instance):
             return schedule
     return None
@@ -231,24 +237,6 @@ def _envy_verdict(
     if criterion == "efx":
         return check_efx(schedule, instance)
     return check_efk(schedule, instance, {"ef": 0, "ef1": 1, "efk": k}[criterion])
-
-
-def _exists_ef1_po(instance: Instance, guard: int) -> Optional[Schedule]:
-    """EF1 among maximal schedules not Pareto-dominated by any maximal schedule.
-
-    Two passes of the search, and no schedule is kept between them.  The
-    first collects the distinct utility vectors, whose Pareto frontier
-    _frontier finds once.  The second stops at the first schedule, in
-    enumeration order, whose vector is on the frontier and that passes EF1.
-    """
-    n = instance.n
-    frontier = _frontier({tuple(mine) for _, mine in _valued(instance, guard)})
-    for assignment, mine in _valued(instance, guard):
-        if tuple(mine) in frontier:
-            schedule = Schedule(n, tuple(assignment))
-            if _efk_holds(_value_rows(schedule.bundles(), instance), instance, 1):
-                return schedule
-    return None
 
 
 def _frontier(vectors: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
@@ -284,21 +272,30 @@ def _frontier(vectors: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
     return frontier
 
 
-def max_utilitarian_maximal(instance: Instance, guard: int = 16) -> Schedule:
+def is_pareto_optimal(schedule: Schedule, instance: Instance, guard: int = GUARD) -> bool:
+    """True iff no other maximal schedule Pareto-dominates the given one.
+
+    Pareto optimality is defined relative to ALL maximal schedules, so this
+    walks them, under the guard, to the first that is at least as good for
+    every agent and not equal.  The input must itself be maximal.
+    """
+    _require_agents(schedule, instance)
+    if not is_maximal(schedule, instance.graph()):
+        raise InputError("Pareto optimality is only defined for maximal schedules")
+    own = _utilities(schedule, instance)
+    return not any(
+        all(map(ge, other, own)) and tuple(other) != own for _, other in _valued(instance, guard)
+    )
+
+
+def max_utilitarian_maximal(instance: Instance, guard: int = GUARD) -> Schedule:
     """A maximal schedule maximizing the sum of agents' utilities.
 
     Such a schedule is Pareto optimal.  Ties go to the first schedule in
-    enumeration order.
+    enumeration order, the one max keeps.
     """
-    best: Optional[tuple[Optional[int], ...]] = None
-    best_total = 0
-    for assignment, mine in _valued(instance, guard):
-        total = sum(mine)
-        if best is None or total > best_total:
-            best, best_total = tuple(assignment), total
-    if best is None:
-        raise AssertionError("every instance has at least one maximal schedule")
-    return Schedule(instance.n, best)
+    totals = ((sum(mine), tuple(assignment)) for assignment, mine in _valued(instance, guard))
+    return Schedule(instance.n, max(totals, key=itemgetter(0))[1])
 
 
 def demo_round_robin(

@@ -19,7 +19,6 @@ from choresched.checkers import (
     check_efx,
     is_complete,
     is_maximal,
-    is_pareto_optimal,
 )
 from choresched.core import (
     AdditiveValuations,
@@ -33,6 +32,7 @@ from choresched.core import (
     path_instance,
 )
 from choresched.generate import random_interval_instance, random_path_instance
+from choresched.oracle import is_pareto_optimal, max_utilitarian_maximal
 
 from conftest import (
     QueryCounter,
@@ -419,8 +419,6 @@ class TestIsComplete:
 
 class TestIsParetoOptimal:
     def test_utilitarian_optimum_is_pareto_optimal(self):
-        from choresched.oracle import max_utilitarian_maximal
-
         best = max_utilitarian_maximal(EF1_PO_INSTANCE)
         assert is_pareto_optimal(best, EF1_PO_INSTANCE)
 

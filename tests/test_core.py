@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 from typing import Optional
 
 import pytest
@@ -506,6 +507,20 @@ class TestValuations:
         with pytest.raises(InputError, match="^value for agent 2, chore 1 is not an integer"):
             AdditiveValuations([[-1, 0], [-1, 0], [-1, bad]])
 
+    @pytest.mark.parametrize(
+        "table,text",
+        [
+            (5, "valuation table must be a sequence of rows, got 5"),
+            ([5], "valuation row 0 must be a sequence of values, got 5"),
+            ([[-1], 3], "valuation row 1 must be a sequence of values, got 3"),
+            ([[-1], [-1], None], "valuation row 2 must be a sequence of values, got None"),
+        ],
+        ids=["table", "first-row", "second-row", "third-row"],
+    )
+    def test_non_iterable_table_or_row_named(self, table, text):
+        with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+            AdditiveValuations(table)
+
     def test_identical_and_dichotomy_detection(self):
         vals = AdditiveValuations([[-5, -1, -5], [-5, -1, -5]])
         assert vals.is_identical()
@@ -586,6 +601,23 @@ class TestInstanceValidation:
         rows = [[-1]] * (1 if n is True else 2)
         with pytest.raises(InputError, match=f"^agent count must be an integer, got {n!r}$"):
             Instance(n, chores_from_intervals([(0, 1)]), AdditiveValuations(rows))
+
+    @pytest.mark.parametrize(
+        "chores,bad",
+        [
+            ([(0, 0, 1)], "chores[0] must be a Chore, got (0, 0, 1)"),
+            ([Chore(0, 0, 1), 1], "chores[1] must be a Chore, got 1"),
+        ],
+        ids=["tuple", "int"],
+    )
+    def test_non_chore_entry_named(self, chores, bad):
+        with pytest.raises(InputError, match=f"^{re.escape(bad)}$"):
+            Instance(1, chores, AdditiveValuations([[-1] * len(chores)]))
+
+    def test_non_profile_valuations_named(self):
+        text = "valuations must be AdditiveValuations or MonotoneValuations, got [[-1]]"
+        with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+            Instance(1, (), [[-1]])
 
     def test_agent_count_below_one_keeps_its_text(self):
         with pytest.raises(InputError, match="^instance needs at least one agent$"):

@@ -68,6 +68,21 @@ class TestInstanceFiles:
                 {"agents": 1, "chores": [{"id": 0, "start": 0}], "valuations": [[-1]]}
             )
 
+    @pytest.mark.parametrize(
+        "entry,missing",
+        [
+            ({"start": 0, "finish": 1}, "id"),
+            ({"id": 0, "finish": 1}, "start"),
+            ({"id": 0, "start": 0}, "finish"),
+            ({"id": 0}, "start"),
+            ({"id": "x", "finish": 1, "label": 5}, "start"),
+        ],
+    )
+    def test_missing_chore_field_named_before_any_value_check(self, entry, missing):
+        data = {"agents": 1, "chores": [{"id": 0, "start": 0, "finish": 1}, entry], "valuations": [[-1, -1]]}
+        with pytest.raises(InputError, match=rf"^chores\[1\] is missing field '{missing}'$"):
+            instance_from_dict(data)
+
     def test_bools_are_not_integers(self):
         with pytest.raises(InputError, match="^field 'agents' must be a positive integer$"):
             instance_from_dict({"agents": True, "path": 1, "valuations": [[-1]]})

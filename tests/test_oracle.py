@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,6 @@ from choresched.checkers import (
     check_efx,
     is_complete,
     is_maximal,
-    is_pareto_optimal,
 )
 from choresched.core import (
     Chore,
@@ -36,6 +36,7 @@ from choresched.oracle import (
     demo_top_trading_envy_cycle,
     enumerate_maximal,
     exists,
+    is_pareto_optimal,
     max_utilitarian_maximal,
 )
 
@@ -326,6 +327,48 @@ class TestExists:
 
 def _dominated_by(theirs, mine):
     return theirs != mine and all(t >= o for t, o in zip(theirs, mine))
+
+
+def _alternating(inst):
+    """The maximal schedule of a two-agent path that alternates its agents."""
+    return Schedule.from_bundles(2, inst.m, [range(0, inst.m, 2), range(1, inst.m, 2)])
+
+
+# Every public entry that enumerates, as a call on an instance with the
+# guard passed through, or left at its default.
+GUARDED = [
+    *(
+        pytest.param(
+            lambda inst, c=c, **guard: exists(ExistenceQuery(inst, c, k=1, **guard)),
+            id=f"exists-{c}",
+        )
+        for c in CRITERIA
+    ),
+    pytest.param(lambda inst, **guard: list(enumerate_maximal(inst, **guard)), id="enumerate"),
+    pytest.param(
+        lambda inst, **guard: is_pareto_optimal(_alternating(inst), inst, **guard), id="pareto"
+    ),
+    pytest.param(max_utilitarian_maximal, id="max-utilitarian"),
+]
+
+
+@pytest.mark.parametrize("entry", GUARDED)
+@pytest.mark.parametrize(
+    "guard,error,text",
+    [
+        ({}, SizeGuardError, "enumeration over 17 chores exceeds the guard 16"),
+        ({"guard": True}, InputError, "guard must be an integer, got True"),
+        ({"guard": 2.5}, InputError, "guard must be an integer, got 2.5"),
+        ({"guard": "16"}, InputError, "guard must be an integer, got '16'"),
+    ],
+    ids=["default", "bool", "float", "str"],
+)
+def test_every_entry_checks_its_guard_in_the_search(entry, guard, error, text):
+    # One check in _search serves every entry: an int at least the chore
+    # count.  Unchecked, True read as 1 and 2.5 compared as a number.
+    inst = path_instance([[-1] * 17] * 2)
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        entry(inst, **guard)
 
 
 class TestSearch:
