@@ -244,9 +244,9 @@ def is_maximal(schedule: Schedule, graph: ConflictGraph) -> bool:
     return all(all(nbr & mask for mask in bundle_masks) for nbr in free)
 
 
-def _utilities(schedule: Schedule, instance: Instance) -> tuple[int, ...]:
+def _utilities(bundles: Sequence[frozenset[int]], instance: Instance) -> tuple[int, ...]:
     """Every agent's value of its own bundle."""
-    return tuple(instance.value(i, bundle) for i, bundle in enumerate(schedule.bundles()))
+    return tuple(instance.value(i, bundle) for i, bundle in enumerate(bundles))
 
 
 @dataclass(frozen=True)

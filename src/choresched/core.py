@@ -384,11 +384,7 @@ class Schedule:
         return frozenset(c for c, a in enumerate(self.assignment) if a == agent)
 
     def bundles(self) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set() for _ in range(self.n_agents)]
-        for c, a in enumerate(self.assignment):
-            if a is not None:
-                out[a].add(c)
-        return tuple(frozenset(b) for b in out)
+        return _bundles(self.n_agents, self.assignment)
 
     def assigned(self) -> frozenset[int]:
         return frozenset(c for c, a in enumerate(self.assignment) if a is not None)
@@ -413,6 +409,15 @@ class Schedule:
         )
 
 
+def _bundles(n_agents: int, assignment: Iterable[Optional[int]]) -> tuple[frozenset[int], ...]:
+    """Each agent's bundle under an assignment whose agents are all below n_agents."""
+    out: list[set[int]] = [set() for _ in range(n_agents)]
+    for c, a in enumerate(assignment):
+        if a is not None:
+            out[a].add(c)
+    return tuple(frozenset(b) for b in out)
+
+
 @dataclass
 class Instance:
     """A chore scheduling problem: agents, timed chores, and a valuation profile."""
@@ -422,16 +427,19 @@ class Instance:
     valuations: ValuationProfile
 
     def __post_init__(self) -> None:
-        self.chores = tuple(self.chores)
+        try:
+            self.chores = tuple(self.chores)
+        except TypeError:
+            raise InputError(f"chores must be a sequence of Chore objects, got {self.chores!r}") from None
         if type(self.n) is not int:
             raise InputError(f"agent count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InputError("instance needs at least one agent")
-        try:
-            ids = [c.id for c in self.chores]
-        except AttributeError:
-            bad = next(i for i, c in enumerate(self.chores) if not hasattr(c, "id"))
-            raise InputError(f"chores[{bad}] must be a Chore, got {self.chores[bad]!r}") from None
+        # One type test per distinct entry type, not per entry.
+        if not all(issubclass(kind, Chore) for kind in set(map(type, self.chores))):
+            bad = next(i for i, c in enumerate(self.chores) if not isinstance(c, Chore))
+            raise InputError(f"chores[{bad}] must be a Chore, got {self.chores[bad]!r}")
+        ids = [c.id for c in self.chores]
         if ids != list(range(len(ids))):
             repeated = [i for i, count in Counter(ids).items() if count > 1]
             if repeated:

@@ -48,10 +48,12 @@ from .core import (
     Instance,
     Schedule,
     SizeGuardError,
+    _bundles,
 )
 
 CRITERIA = ("ef", "ef1", "efx", "efk", "ef1+po", "ef1+complete")
 GUARD = 16
+_K = {"ef": 0, "ef1": 1, "ef1+po": 1, "ef1+complete": 1}  # the k of each EF-k criterion but "efk"
 
 
 @dataclass(frozen=True)
@@ -178,16 +180,13 @@ def _valued(
     """_search with every agent's value of its own bundle at each leaf.
 
     An additive profile's values come from the search; a monotone profile
-    is valued at each leaf, the one place the oracle rebuilds bundles.
+    is valued at each leaf, from the leaf's bundles.
     """
     leaves = _search(instance, guard)
     if instance.valuations.is_additive:
         return leaves
     n = instance.n
-    return (
-        (assignment, _utilities(Schedule(n, tuple(assignment)), instance))
-        for assignment, _ in leaves
-    )
+    return ((assignment, _utilities(_bundles(n, assignment), instance)) for assignment, _ in leaves)
 
 
 def enumerate_maximal(instance: Instance, guard: int = GUARD) -> Iterator[Schedule]:
@@ -212,21 +211,20 @@ def exists(query: ExistenceQuery) -> Optional[Schedule]:
     maximal schedule.  EF-k criteria, ef1+po and ef1+complete among them,
     decide through _efk_holds and "efx" through _efx_holds, each envious
     agent once, from the bundles of a leaf, which the search built feasible.
+    Only the witness is built as a Schedule.
     """
     instance = query.instance
     guard = GUARD if query.guard is None else query.guard
     criterion = query.criterion
-    k = {"ef": 0, "ef1": 1, "efk": query.k, "ef1+po": 1, "ef1+complete": 1}.get(criterion)
-    holds = _efx_holds if criterion == "efx" else partial(_efk_holds, k=k)
+    holds = _efx_holds if criterion == "efx" else partial(_efk_holds, k=_K.get(criterion, query.k))
     if criterion == "ef1+po":
         frontier = _frontier({tuple(mine) for _, mine in _valued(instance, guard)})
         leaves = (leaf for leaf in _valued(instance, guard) if tuple(leaf[1]) in frontier)
     else:
         leaves = _search(instance, guard, complete=criterion == "ef1+complete")
     for assignment, _ in leaves:
-        schedule = Schedule(instance.n, tuple(assignment))
-        if holds(_value_rows(schedule.bundles(), instance), instance):
-            return schedule
+        if holds(_value_rows(_bundles(instance.n, assignment), instance), instance):
+            return Schedule(instance.n, tuple(assignment))
     return None
 
 
@@ -236,7 +234,7 @@ def _envy_verdict(
     """The verdict of the envy criterion "ef", "ef1", "efx" or "efk" (with k)."""
     if criterion == "efx":
         return check_efx(schedule, instance)
-    return check_efk(schedule, instance, {"ef": 0, "ef1": 1, "efk": k}[criterion])
+    return check_efk(schedule, instance, _K.get(criterion, k))
 
 
 def _frontier(vectors: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
@@ -282,7 +280,7 @@ def is_pareto_optimal(schedule: Schedule, instance: Instance, guard: int = GUARD
     _require_agents(schedule, instance)
     if not is_maximal(schedule, instance.graph()):
         raise InputError("Pareto optimality is only defined for maximal schedules")
-    own = _utilities(schedule, instance)
+    own = _utilities(schedule.bundles(), instance)
     return not any(
         all(map(ge, other, own)) and tuple(other) != own for _, other in _valued(instance, guard)
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NoReturn, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from .checkers import _efk_holds, _envy_rows, _value_rows, is_maximal
 from .core import (
@@ -26,7 +26,6 @@ from .core import (
     Instance,
     InternalInvariantError,
     Schedule,
-    _bundle_masks,
     _mask_bits,
     build_conflict_graph,
     is_feasible,  # not called here, but perfbench/tracing.py spans two_agent.is_feasible by name
@@ -146,10 +145,10 @@ def path_sequence(instance: Instance) -> ScheduleSequence:
     swaps the chore at position i-1 and leaves position i unassigned; the last
     step swaps the final two.  A single chore degenerates to red, then blue.
 
-    It is a construction of its own, not a call to interval_sequence_ef1:
-    on a connected path the two sequences agree step for step, but on a
-    disjoint union of paths this one finishes each component's run before
-    starting the next, so its steps and trace differ there.
+    It is a construction of its own, not a call to interval_sequence_ef1,
+    whose steps it repeats only on a connected path whose finish order is
+    its path order, as on every path_instance: on the path 0-1-2 with chore
+    1 finishing last it gives RBR, BNR, BRB and that one RNB, BRB, BNR.
     """
     _require_two_agents(instance)
     graph = instance.graph()
@@ -158,11 +157,12 @@ def path_sequence(instance: Instance) -> ScheduleSequence:
     comps = sorted(graph.components(), key=lambda comp: min(rank[c] for c in comp))
     paths = [path_component_order(graph, chores, comp) for comp in comps]
 
-    status = _Coloring([None] * graph.m)
+    colors: list[Optional[int]] = [None] * graph.m
     for path in paths:
         for h, c in enumerate(path):
-            status[c] = h % 2
-    builder = _SequenceBuilder(graph, "path_sequence", status)
+            colors[c] = h % 2
+    builder = _SequenceBuilder(graph, "path_sequence", colors)
+    status = builder.status
     for path in paths:
         for i in range(1, len(path) - 1):
             status[path[i - 1]] = i % 2
@@ -322,14 +322,16 @@ class _SequenceBuilder:
     for a two-agent sequence: each step is feasible, maximal when required,
     and adjacent to the one before, and the endpoints are bundle swaps.
 
-    The constructor records the coloring as the "initial" step, requires the
-    full feasibility check of it to give the coloring's masks, and sets
-    insertable, the mask of unassigned chores that still fit a bundle.  emit
-    makes one loop over the coloring's log: a chore whose color differs from
-    its logged old color joins the step's delta with its new color, its
-    closed neighbourhood joins the recheck region, and each bundle's gains
-    and losses are counted.  It then checks the new step, through the
-    coloring's masks, only where it can differ from the one before:
+    The constructor makes the coloring from the given colors and records
+    it as the "initial" step.  _check checks each step through the
+    coloring's masks: every chore the step places must fit its bundle, and
+    insertable, the unassigned chores that still fit a bundle, is recomputed
+    over its old chores and a region, every chore for the initial step.
+    emit makes one loop over the coloring's log: a chore whose color
+    differs from its logged old color joins the step's delta with its new
+    color and its closed neighbourhood the region, and each bundle's gains
+    and losses are counted.  So a later step is checked only where it can
+    differ from the one before:
 
     - feasible: every changed chore that is assigned is free of overlaps in
       its new bundle.  Two overlapping chores in one bundle that both kept
@@ -347,35 +349,43 @@ class _SequenceBuilder:
     """
 
     def __init__(
-        self, graph: ConflictGraph, context: str, status: _Coloring, require_maximal: bool = True
+        self, graph: ConflictGraph, context: str, colors: Sequence[Optional[int]], require_maximal: bool = True
     ):
         self.graph = graph
         self.context = context
-        self.status = status
+        self.status = status = _Coloring(colors)
         self.require_maximal = require_maximal
         self.initial = Schedule(2, tuple(status))
-        masks = _bundle_masks(self.initial, graph)
-        if masks is None:
-            self._fail("initial produced an infeasible schedule")
-        if masks != status.masks:
-            self._fail("initial differs from the coloring's masks; a write escaped the step log")
-        status.log.clear()
-        nbr, (red, blue) = graph.neighbor_masks, status.masks
-        self.insertable = sum(
-            1 << u for u, a in enumerate(status) if a is None and not (nbr[u] & red and nbr[u] & blue)
-        )
-        if require_maximal and self.insertable:
-            self._fail("initial produced a non-maximal schedule")
+        self.insertable = 0
+        self._check("initial", enumerate(status), (1 << graph.m) - 1)
         self.deltas: list[Delta] = []
         self.tags = ["initial"]
 
     def _fail(self, what: str) -> NoReturn:
         raise InternalInvariantError(f"{self.context}: {what}")
 
+    def _check(self, tag: str, placed: Iterable[tuple[int, Optional[int]]], region: int) -> None:
+        """Check the coloring as step tag: each placed (chore, color), then insertable."""
+        nbr, masks = self.graph.neighbor_masks, self.status.masks
+        for c, new in placed:
+            if new is not None and nbr[c] & masks[new]:
+                self._fail(f"{tag} produced an infeasible schedule")
+        red, blue = masks
+        region = (region | self.insertable) & ~(red | blue)
+        insertable = 0
+        while region:
+            low = region & -region
+            u = low.bit_length() - 1
+            if not (nbr[u] & red and nbr[u] & blue):
+                insertable |= low
+            region ^= low
+        self.insertable = insertable
+        if self.require_maximal and insertable:
+            self._fail(f"{tag} produced a non-maximal schedule")
+
     def emit(self, tag: str) -> None:
         """Take the coloring's log and record the coloring as the next step."""
-        nbr = self.graph.neighbor_masks
-        status, masks = self.status, self.status.masks
+        nbr, status = self.graph.neighbor_masks, self.status
         delta = []
         region = 0
         gained, lost = [0, 0], [0, 0]
@@ -391,21 +401,7 @@ class _SequenceBuilder:
             delta.append((c, new))
         status.log.clear()
         delta.sort()
-        for c, new in delta:
-            if new is not None and nbr[c] & masks[new]:
-                self._fail(f"{tag} produced an infeasible schedule")
-        red, blue = masks
-        region = (region | self.insertable) & ~(red | blue)
-        insertable = 0
-        while region:
-            low = region & -region
-            u = low.bit_length() - 1
-            if not (nbr[u] & red and nbr[u] & blue):
-                insertable |= low
-            region ^= low
-        self.insertable = insertable
-        if self.require_maximal and insertable:
-            self._fail(f"{tag} produced a non-maximal schedule")
+        self._check(tag, delta, region)
         if gained[RED] > 1 or gained[BLUE] > 1 or lost[RED] > 1 or lost[BLUE] > 1:
             self._fail(f"{tag} broke adjacency")
         self.deltas.append(tuple(delta))
@@ -463,8 +459,9 @@ def interval_sequence_ef2(
     graph = instance.graph()
     cls = classify_chores(instance.chores, graph)
     marked = cls.marked
-    status = _Coloring([cls.source_color.get(c) for c in range(graph.m)])
-    builder = _SequenceBuilder(graph, "interval_sequence_ef2", status, require_maximal=False)
+    colors = [cls.source_color.get(c) for c in range(graph.m)]
+    builder = _SequenceBuilder(graph, "interval_sequence_ef2", colors, require_maximal=False)
+    status = builder.status
     hints = [builder.completion_hint(cls.rank)]
     for i in range(2, len(marked)):
         c_i, c_prev, c_next = marked[i - 1], marked[i - 2], marked[i]
@@ -505,8 +502,8 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
     marked = cls.marked
     nbr = graph.neighbor_masks
     source = [cls.source_color.get(c) for c in range(graph.m)]
-    status = _Coloring(source)
-    builder = _SequenceBuilder(graph, "interval_sequence_ef1", status)
+    builder = _SequenceBuilder(graph, "interval_sequence_ef1", source)
+    status = builder.status
 
     # Phase 2: support every unassigned chore, bucket by bucket, right to left.
     for i in sorted(cls.buckets, reverse=True):

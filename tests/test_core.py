@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import re
+from types import SimpleNamespace
 from typing import Optional
 
 import pytest
@@ -613,6 +614,24 @@ class TestInstanceValidation:
     def test_non_chore_entry_named(self, chores, bad):
         with pytest.raises(InputError, match=f"^{re.escape(bad)}$"):
             Instance(1, chores, AdditiveValuations([[-1] * len(chores)]))
+
+    def test_non_iterable_chore_list_rejected(self):
+        with pytest.raises(InputError, match="^chores must be a sequence of Chore objects, got 5$"):
+            Instance(1, 5, AdditiveValuations([[-1]]))
+
+    def test_entry_with_an_id_but_not_a_chore_rejected(self):
+        # It has everything the id check reads, and was accepted until a
+        # search read its start and finish.
+        entry = SimpleNamespace(id=0)
+        with pytest.raises(InputError, match=f"^{re.escape(f'chores[0] must be a Chore, got {entry!r}')}$"):
+            Instance(1, [entry], AdditiveValuations([[-1]]))
+
+    def test_chore_subclass_accepted(self):
+        class TaggedChore(Chore):
+            pass
+
+        inst = Instance(1, [TaggedChore(0, 0, 1)], AdditiveValuations([[-1]]))
+        assert inst.m == 1
 
     def test_non_profile_valuations_named(self):
         text = "valuations must be AdditiveValuations or MonotoneValuations, got [[-1]]"

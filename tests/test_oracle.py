@@ -240,7 +240,7 @@ class TestExists:
             inst = random_interval_instance(rng, n, rng.randint(4, 7), vmin=-2, vmax=-1)
             inst = Instance(n, inst.chores, AdditiveValuations([inst.valuations.table[0]] * n))
             schedules = list(enumerate_maximal(inst))
-            utilities = [_utilities(s, inst) for s in schedules]
+            utilities = [_utilities(s.bundles(), inst) for s in schedules]
             distinct = set(utilities)
             undominated = {
                 mine for mine in distinct if not any(_dominated_by(w, mine) for w in distinct)
@@ -298,6 +298,26 @@ class TestExists:
             for criterion in CRITERIA
         ]
         assert calls == [] and set(answers) == {True, False}
+
+    def test_only_the_witness_is_built_as_a_schedule(self, monkeypatch):
+        # Each leaf is decided from bundles of the search's assignment: one
+        # Schedule is built, the witness returned, and none for a None answer.
+        built = []
+        post_init = Schedule.__post_init__
+
+        def counted(schedule):
+            built.append(schedule)
+            post_init(schedule)
+
+        monkeypatch.setattr(Schedule, "__post_init__", counted)
+        answers = set()
+        for inst in exists_corpus(random.Random(19)):
+            for criterion in CRITERIA:
+                built.clear()
+                witness = exists(ExistenceQuery(instance=inst, criterion=criterion, k=2))
+                assert [id(s) for s in built] == ([] if witness is None else [id(witness)])
+                answers.add(witness is None)
+        assert answers == {True, False}
 
     def test_efk_needs_k(self):
         inst = path_instance([[-1]] * 2)
@@ -383,7 +403,7 @@ class TestSearch:
             leaves = [(tuple(a), tuple(u)) for a, u in _search(inst, 16)]
             assert [Schedule(inst.n, a) for a, _ in leaves] == list(enumerate_maximal(inst))
             for assignment, utilities in leaves:
-                assert utilities == _utilities(Schedule(inst.n, assignment), inst)
+                assert utilities == _utilities(Schedule(inst.n, assignment).bundles(), inst)
 
     def test_complete_search_yields_exactly_the_complete_leaves(self):
         for inst in exists_corpus(random.Random(23)):
@@ -394,7 +414,7 @@ class TestSearch:
     def test_monotone_profile_is_valued_at_each_leaf(self):
         inst = monotone_twin(random_interval_instance(random.Random(2), 3, 7), worst_chore_times_count)
         for assignment, utilities in _valued(inst, 16):
-            assert utilities == _utilities(Schedule(3, tuple(assignment)), inst)
+            assert utilities == _utilities(Schedule(3, tuple(assignment)).bundles(), inst)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_frontier_matches_pairwise_dominance(self, n):
@@ -423,7 +443,7 @@ class TestSearch:
         instances += [monotone_twin(inst, additive_minus_squared_count) for inst in instances[:20]]
         for inst in instances:
             schedules = list(enumerate_maximal(inst))
-            utilities = [_utilities(s, inst) for s in schedules]
+            utilities = [_utilities(s.bundles(), inst) for s in schedules]
             totals = [sum(u) for u in utilities]
             assert max_utilitarian_maximal(inst) == schedules[totals.index(max(totals))]
             for k in rng.sample(range(len(schedules)), min(len(schedules), 8)):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from choresched.checkers import check_ef1, is_maximal
 from choresched.core import (
+    AdditiveValuations,
     Chore,
     InputError,
     Instance,
@@ -18,6 +19,8 @@ from choresched.core import (
     Schedule,
     build_conflict_graph,
     is_feasible,
+    order_by_finish,
+    path_component_order,
     path_instance,
 )
 from choresched.generate import random_interval_instance, random_path_instance
@@ -34,7 +37,6 @@ from choresched.two_agent import (
     BLUE,
     RED,
     ScheduleSequence,
-    _Coloring,
     _SequenceBuilder,
     adjacent,
     classify_chores,
@@ -975,8 +977,8 @@ def test_step_checker_matches_full_checks_on_the_acceptance_corpus(two_agent_cor
         for x, y in zip(seq.steps, seq.steps[1:]):
             for candidate in [y] + mutated_successors(rng, y, graph):
                 expected = full_failure(x, candidate, graph, require_maximal)
-                status = _Coloring(x.assignment)
-                builder = _SequenceBuilder(graph, "probe", status, require_maximal)
+                builder = _SequenceBuilder(graph, "probe", x.assignment, require_maximal)
+                status = builder.status
                 write(status, candidate.assignment)
                 if candidate is y:
                     c = rng.randrange(inst.m)
@@ -1025,39 +1027,100 @@ def test_step_checker_passes_full_checks_at_large_m(eager):
 def test_builder_traps_the_initial_step_and_the_endpoints():
     graph = path_instance([[-1] * 3] * 2).graph()  # chores 0 - 1 - 2
     with pytest.raises(InternalInvariantError, match="^probe: initial produced an infeasible schedule$"):
-        _SequenceBuilder(graph, "probe", _Coloring([RED, RED, None]))
+        _SequenceBuilder(graph, "probe", [RED, RED, None])
     # Chores 0 and 2 are blocked in blue only, so each still fits red.
     with pytest.raises(InternalInvariantError, match="^probe: initial produced a non-maximal schedule$"):
-        _SequenceBuilder(graph, "probe", _Coloring([None, BLUE, None]))
-    builder = _SequenceBuilder(graph, "probe", _Coloring([None, BLUE, None]), require_maximal=False)
+        _SequenceBuilder(graph, "probe", [None, BLUE, None])
+    builder = _SequenceBuilder(graph, "probe", [None, BLUE, None], require_maximal=False)
     assert builder.insertable == 0b101
-    status = _Coloring([RED, BLUE, RED])
-    builder = _SequenceBuilder(graph, "probe", status)
+    builder = _SequenceBuilder(graph, "probe", [RED, BLUE, RED])
+    status = builder.status
     status[0], status[1] = BLUE, None
     builder.emit("step")
     with pytest.raises(InternalInvariantError, match="^probe: endpoints are not bundle swaps of each other$"):
         builder.sequence()
 
 
-def test_builder_traps_a_write_that_escaped_before_it_started():
-    # The coloring's list says RB, its masks still say RR.  Trusting the list
-    # would record RB, then a swap to BR, as a valid sequence.
-    graph = build_conflict_graph([Chore(0, 0, 1), Chore(1, 2, 3)])
-    status = _Coloring([RED, RED])
-    list.__setitem__(status, 1, BLUE)
-    with pytest.raises(
-        InternalInvariantError,
-        match="^probe: initial differs from the coloring's masks; a write escaped the step log$",
-    ):
-        builder = _SequenceBuilder(graph, "probe", status)
-        status[0], status[1] = BLUE, RED
-        builder.emit("step")
-        builder.sequence()
+def test_builder_checks_its_first_step_as_the_full_checks_do():
+    # The first step goes through the check every later step gets, with
+    # every chore placed and every chore in the recheck region.  On random
+    # colorings, infeasible and non-maximal ones among them, the builder
+    # fails exactly when is_feasible, or with require_maximal is_maximal,
+    # fails, and otherwise starts with insertable holding every unassigned
+    # chore that fits a bundle.
+    rng = random.Random(26)
+    outcomes = Counter()
+    for _ in range(4000):
+        inst = random_interval_instance(rng, 2, rng.randint(1, 12))
+        graph = inst.graph()
+        if rng.random() < 0.5:
+            schedule = Schedule(2, tuple(rng.choice((RED, BLUE, None)) for _ in range(inst.m)))
+        else:
+            schedule = random_feasible_schedule(rng, inst)
+        colors = list(schedule.assignment)
+        feasible = is_feasible(schedule, graph)
+        maximal = feasible and is_maximal(schedule, graph)
+        for require_maximal in (True, False):
+            if not feasible:
+                expected = "probe: initial produced an infeasible schedule"
+            elif require_maximal and not maximal:
+                expected = "probe: initial produced a non-maximal schedule"
+            else:
+                expected = None
+            try:
+                builder = _SequenceBuilder(graph, "probe", colors, require_maximal)
+            except InternalInvariantError as exc:
+                assert str(exc) == expected
+            else:
+                assert expected is None
+                assert builder.initial == schedule and list(builder.status) == colors
+                fits = [
+                    c
+                    for c in range(inst.m)
+                    if colors[c] is None
+                    and any(is_feasible(schedule.assign(c, agent), graph) for agent in (RED, BLUE))
+                ]
+                assert builder.insertable == sum(1 << c for c in fits)
+            outcomes[expected] += 1
+    assert len(outcomes) == 3
+
+
+def test_path_and_interval_sequences_differ_on_a_path_out_of_finish_order():
+    # The path 0 - 1 - 2 whose middle chore finishes last: the interval
+    # construction marks chores 0 and 2 only and colors them in finish order.
+    chores = (Chore(0, 0, 2), Chore(1, 1, 10), Chore(2, 3, 5))
+    inst = Instance(2, chores, AdditiveValuations([[-1] * 3] * 2))
+    assert inst.graph().is_path
+    assert path_sequence(inst).trace_lines() == ["RBR initial", "BNR path-shift", "BRB path-shift"]
+    assert interval_sequence_ef1(inst).trace_lines() == [
+        "RNB initial",
+        "BRB phase2-case-ii",
+        "BNR phase3",
+    ]
+
+
+def test_path_and_interval_sequences_agree_where_finish_order_is_path_order(two_agent_corpus):
+    # Every path_instance of the corpus, and the connected paths among random
+    # interval instances: the two give the same steps exactly when the finish
+    # order is the path order.
+    rng = random.Random(7)
+    randoms = [random_interval_instance(rng, 2, rng.randint(1, 12)) for _ in range(3000)]
+    in_order = Counter()
+    for inst in two_agent_corpus.paths + randoms:
+        graph = inst.graph()
+        if not graph.is_path:
+            continue
+        path = path_component_order(graph, inst.chores, range(inst.m))
+        ordered = list(order_by_finish(inst.chores)) == path
+        steps = [s.assignment for s in path_sequence(inst).steps]
+        assert (steps == [s.assignment for s in interval_sequence_ef1(inst).steps]) == ordered
+        in_order[ordered] += 1
+    assert in_order[True] > len(two_agent_corpus.paths) and in_order[False] > 0
 
 
 def test_builder_keeps_no_copy_of_the_step():
     # The coloring is the only copy of the current step.
-    builder = _SequenceBuilder(TRAP_GRAPH, "probe", _Coloring(RBRB))
+    builder = _SequenceBuilder(TRAP_GRAPH, "probe", RBRB)
     assert not hasattr(builder, "assignment") and not hasattr(builder, "masks")
 
 
@@ -1122,12 +1185,12 @@ def test_ef2_hints_match_the_materialized_reference(two_agent_corpus, eager):
         if k >= 2000:
             continue
         for x in steps:
-            status = _Coloring(random_feasible_schedule(rng, inst).assignment)
-            probes = [(_SequenceBuilder(graph, "probe", status, False), Schedule(2, tuple(status)))]
+            builder = _SequenceBuilder(graph, "probe", random_feasible_schedule(rng, inst).assignment, False)
+            probes = [(builder, Schedule(2, tuple(builder.status)))]
             for y in mutated_successors(rng, x, graph):
                 if is_feasible(y, graph) and adjacent(x, y):
-                    status = _Coloring(x.assignment)
-                    builder = _SequenceBuilder(graph, "probe", status, False)
+                    builder = _SequenceBuilder(graph, "probe", x.assignment, False)
+                    status = builder.status
                     write(status, y.assignment)
                     builder.emit("probe")
                     probes.append((builder, y))
@@ -1163,8 +1226,8 @@ BUILDER_MESSAGES = {
 
 def build_steps(steps, require_maximal=True):
     """A builder that started at the first step and emitted the others."""
-    status = _Coloring(steps[0])
-    builder = _SequenceBuilder(TRAP_GRAPH, "test", status, require_maximal)
+    builder = _SequenceBuilder(TRAP_GRAPH, "test", steps[0], require_maximal)
+    status = builder.status
     for s in steps[1:]:
         write(status, s)
         builder.emit("test")
