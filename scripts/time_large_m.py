@@ -7,6 +7,7 @@ the best of --repeats wall-clock times, in seconds, of:
 
 - graph_s: build_conflict_graph alone on the chores of the two-agent
   instance random_interval_instance(Random(seed), 2, m);
+- classify_s: classify_chores on those chores and the graph built there;
 - sequence_s: interval_sequence_ef1 on a fresh copy of that instance,
   conflict-graph build included;
 - select_s: select_ef1 on that sequence;
@@ -27,8 +28,11 @@ the best of --repeats wall-clock times, in seconds, of:
 
 It also prints the step count, the SHA-256 of each solve output (so runs on
 two checkouts can be compared for byte identity), and peak_rss_mib: the peak
-resident set size in MiB of this process after all in-process stages
-("in_process") and of the new interpreter behind cli_process_s
+resident set size in MiB of this process so far right after the graph_s,
+classify_s and sequence_s stages ("after_graph", "after_classify",
+"after_sequence"; the graph built by the first stays alive through the
+second, and the sequence stage builds its own), after all in-process stages
+("in_process"), and of the new interpreter behind cli_process_s
 ("cli_process").
 """
 
@@ -55,7 +59,12 @@ from choresched import cli  # noqa: E402
 from choresched.core import Instance, build_conflict_graph  # noqa: E402
 from choresched.generate import random_interval_instance  # noqa: E402
 from choresched.io import load_instance, save_instance  # noqa: E402
-from choresched.two_agent import interval_sequence_ef1, interval_sequence_ef2, select_ef1  # noqa: E402
+from choresched.two_agent import (  # noqa: E402
+    classify_chores,
+    interval_sequence_ef1,
+    interval_sequence_ef2,
+    select_ef1,
+)
 
 
 def best_time(repeats: int, fn):
@@ -95,11 +104,16 @@ def main() -> None:
     args = parser.parse_args()
 
     inst = random_interval_instance(random.Random(args.seed), 2, args.m)
-    graph_s, _ = best_time(args.repeats, lambda: build_conflict_graph(inst.chores))
+    graph_s, graph = best_time(args.repeats, lambda: build_conflict_graph(inst.chores))
+    rss = {"after_graph": peak_rss_mib(resource.RUSAGE_SELF)}
+    classify_s, classification = best_time(args.repeats, lambda: classify_chores(inst.chores, graph))
+    rss["after_classify"] = peak_rss_mib(resource.RUSAGE_SELF)
+    del graph, classification
     sequence_s, seq = best_time(
         args.repeats,
         lambda: interval_sequence_ef1(Instance(2, inst.chores, inst.valuations)),
     )
+    rss["after_sequence"] = peak_rss_mib(resource.RUSAGE_SELF)
     select_s, _ = best_time(args.repeats, lambda: select_ef1(seq, inst))
     ef2_s, _ = best_time(
         args.repeats,
@@ -121,6 +135,7 @@ def main() -> None:
             "seed": args.seed,
             "steps": len(seq),
             "graph_s": round(graph_s, 4),
+            "classify_s": round(classify_s, 4),
             "sequence_s": round(sequence_s, 4),
             "select_s": round(select_s, 4),
             "ef2_s": round(ef2_s, 4),
@@ -141,6 +156,7 @@ def main() -> None:
             report[f"{name}_sha256"] = hashlib.sha256(output.encode()).hexdigest()
 
     report["peak_rss_mib"] = {
+        **rss,
         "in_process": peak_rss_mib(resource.RUSAGE_SELF),
         "cli_process": peak_rss_mib(resource.RUSAGE_CHILDREN),
     }

@@ -37,6 +37,14 @@ class InternalInvariantError(RuntimeError):
     """
 
 
+def _require_count(what: str, count: int) -> None:
+    """InputError unless count is a non-negative int (a bool is not one)."""
+    if type(count) is not int:
+        raise InputError(f"{what} must be an integer, got {count!r}")
+    if count < 0:
+        raise InputError(f"{what} must be non-negative, got {count}")
+
+
 @dataclass(frozen=True, init=False)
 class Chore:
     """A task occupying the half-open time interval [start, finish)."""
@@ -226,6 +234,7 @@ class ConflictGraph:
         chores that overlap nothing: an empty mask each, and a path only if
         no vertex was added or there is at most one in all.
         """
+        _require_count("isolated vertex count", count)
         m = self.m + count
         return ConflictGraph(
             m=m,
@@ -356,14 +365,12 @@ class Schedule:
 
     @classmethod
     def empty(cls, n_agents: int, m: int) -> "Schedule":
-        if m < 0:
-            raise InputError(f"chore count must be non-negative, got {m}")
+        _require_count("chore count", m)
         return cls(n_agents, (None,) * m)
 
     @classmethod
     def from_bundles(cls, n_agents: int, m: int, bundles: Sequence[Iterable[int]]) -> "Schedule":
-        if m < 0:
-            raise InputError(f"chore count must be non-negative, got {m}")
+        _require_count("chore count", m)
         if len(bundles) != n_agents:
             raise InputError(f"expected {n_agents} bundles, got {len(bundles)}")
         assignment: list[Optional[int]] = [None] * m
@@ -418,7 +425,17 @@ def _bundles(n_agents: int, assignment: Iterable[Optional[int]]) -> tuple[frozen
     return tuple(frozenset(b) for b in out)
 
 
-@dataclass
+def _require_positional_ids(chores: Sequence[Chore]) -> None:
+    """InputError unless each chore's id is its position in the list."""
+    ids = [c.id for c in chores]
+    if ids != list(range(len(ids))):
+        repeated = [i for i, count in Counter(ids).items() if count > 1]
+        if repeated:
+            raise InputError(f"chore id {repeated[0]} appears more than once")
+        raise InputError("chore ids must be dense and sorted: 0..m-1")
+
+
+@dataclass(frozen=True)
 class Instance:
     """A chore scheduling problem: agents, timed chores, and a valuation profile."""
 
@@ -428,7 +445,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         try:
-            self.chores = tuple(self.chores)
+            object.__setattr__(self, "chores", tuple(self.chores))
         except TypeError:
             raise InputError(f"chores must be a sequence of Chore objects, got {self.chores!r}") from None
         if type(self.n) is not int:
@@ -439,12 +456,7 @@ class Instance:
         if not all(issubclass(kind, Chore) for kind in set(map(type, self.chores))):
             bad = next(i for i, c in enumerate(self.chores) if not isinstance(c, Chore))
             raise InputError(f"chores[{bad}] must be a Chore, got {self.chores[bad]!r}")
-        ids = [c.id for c in self.chores]
-        if ids != list(range(len(ids))):
-            repeated = [i for i, count in Counter(ids).items() if count > 1]
-            if repeated:
-                raise InputError(f"chore id {repeated[0]} appears more than once")
-            raise InputError("chore ids must be dense and sorted: 0..m-1")
+        _require_positional_ids(self.chores)
         if not isinstance(self.valuations, (AdditiveValuations, MonotoneValuations)):
             raise InputError(
                 f"valuations must be AdditiveValuations or MonotoneValuations, got {self.valuations!r}"
@@ -457,7 +469,7 @@ class Instance:
             raise InputError(
                 f"valuation profile covers {self.valuations.n_chores} chores, instance has {len(self.chores)}"
             )
-        self._graph: Optional[ConflictGraph] = None
+        object.__setattr__(self, "_graph", None)
 
     @property
     def m(self) -> int:
@@ -465,7 +477,7 @@ class Instance:
 
     def graph(self) -> ConflictGraph:
         if self._graph is None:
-            self._graph = build_conflict_graph(self.chores)
+            object.__setattr__(self, "_graph", build_conflict_graph(self.chores))
         return self._graph
 
     def value(self, agent: int, bundle: Iterable[int]) -> int:
@@ -479,7 +491,11 @@ def path_instance(values_per_agent: Sequence[Sequence[int]]) -> Instance:
     time slot and non-consecutive chores are disjoint.  One value row per
     agent; ragged rows are rejected.
     """
-    rows = [tuple(row) for row in values_per_agent]
+    try:
+        rows = [tuple(row) for row in values_per_agent]
+    except TypeError:
+        AdditiveValuations(values_per_agent)  # raises the InputError naming the table or row at fault
+        raise  # reached only by a one-shot iterator, whose rows are then used up
     if not rows:
         raise InputError("need at least one agent row")
     m = len(rows[0])

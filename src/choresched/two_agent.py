@@ -27,6 +27,7 @@ from .core import (
     InternalInvariantError,
     Schedule,
     _mask_bits,
+    _require_positional_ids,
     build_conflict_graph,
     is_feasible,  # not called here, but perfbench/tracing.py spans two_agent.is_feasible by name
     order_by_finish,
@@ -65,7 +66,7 @@ class ScheduleSequence:
         if not steps:
             raise InputError("a sequence has at least one step")
         first = steps[0]
-        if any(s.n_agents != 2 for s in steps):
+        if any(not isinstance(s, Schedule) or s.n_agents != 2 for s in steps):
             raise InputError("the steps of a sequence must be two-agent schedules")
         if any(s.m != first.m for s in steps):
             raise InputError("the steps of a sequence cover different chores")
@@ -162,14 +163,13 @@ def path_sequence(instance: Instance) -> ScheduleSequence:
         for h, c in enumerate(path):
             colors[c] = h % 2
     builder = _SequenceBuilder(graph, "path_sequence", colors)
-    status = builder.status
     for path in paths:
         for i in range(1, len(path) - 1):
-            status[path[i - 1]] = i % 2
-            status[path[i]] = None
+            builder[path[i - 1]] = i % 2
+            builder[path[i]] = None
             builder.emit("path-shift")
         for h in range(len(path))[-2:]:
-            status[path[h]] = 1 - h % 2
+            builder[path[h]] = 1 - h % 2
         builder.emit("path-shift")
     return builder.sequence()
 
@@ -213,7 +213,8 @@ class ChoreClassification:
 def classify_chores(
     chores: Sequence[Chore], graph: Optional[ConflictGraph] = None
 ) -> ChoreClassification:
-    """Run the marking scan and bucket the unmarked chores."""
+    """Run the marking scan and bucket the unmarked chores, whose ids must be their positions."""
+    _require_positional_ids(chores)
     if graph is None:
         graph = build_conflict_graph(chores)
     if graph.m != len(chores):
@@ -252,37 +253,9 @@ def classify_chores(
     )
 
 
-class _Coloring(list[Optional[int]]):
-    """Chore colors (RED, BLUE or None) by chore id: the only copy of a
-    sequence's current step.  Each single-item write that changes a color
-    updates masks, so masks[RED] and masks[BLUE] are always the two bundles,
-    and logs the chore's color from before its first write since the log was
-    cleared; _SequenceBuilder.emit reads the step's delta from that log."""
-
-    def __init__(self, colors: Sequence[Optional[int]]):
-        super().__init__(colors)
-        self.masks = [0, 0]
-        for c, a in enumerate(self):
-            if a is not None:
-                self.masks[a] |= 1 << c
-        self.log: dict[int, Optional[int]] = {}
-
-    def __setitem__(self, chore: int, color: Optional[int]) -> None:
-        old = self[chore]
-        if old == color:
-            return
-        if old is not None:
-            self.masks[old] &= ~(1 << chore)
-        if color is not None:
-            self.masks[color] |= 1 << chore
-        super().__setitem__(chore, color)
-        self.log.setdefault(chore, old)
-
-    def assigned(self) -> int:
-        return self.masks[RED] | self.masks[BLUE]
-
-
-def _is_supported(chore: int, status: _Coloring, cls: ChoreClassification) -> bool:
+def _is_supported(
+    chore: int, colors: Sequence[Optional[int]], masks: Sequence[int], cls: ChoreClassification
+) -> bool:
     """Supported-ness of an unassigned chore under the current schedule.
 
     Condition 1: three or more assigned overlaps with earlier finish.
@@ -292,15 +265,15 @@ def _is_supported(chore: int, status: _Coloring, cls: ChoreClassification) -> bo
     outside every bucket.)
     Condition 3: two or more assigned overlaps with later finish.
     """
-    assigned = status.assigned()
+    assigned = masks[RED] | masks[BLUE]
     later = cls.later[chore]
     if (cls.earlier[chore] & assigned).bit_count() >= 3 or (later & assigned).bit_count() >= 2:
         return True
     i = cls.bucket_of.get(chore)
     if i is None:
         return False
-    anchor_color = status[cls.marked[i - 1]]
-    return anchor_color is not None and bool(later & status.masks[1 - anchor_color])
+    anchor_color = colors[cls.marked[i - 1]]
+    return anchor_color is not None and bool(later & masks[1 - anchor_color])
 
 
 def classify_supported(
@@ -309,29 +282,30 @@ def classify_supported(
     """Supported flags for every unassigned chore of the schedule."""
     if schedule.n_agents != 2 or schedule.m != classification.graph.m:
         raise InputError("the schedule must be a two-agent schedule of the classified chores")
-    status = _Coloring(schedule.assignment)
-    return {
-        c: _is_supported(c, status, classification)
-        for c, color in enumerate(status)
-        if color is None
-    }
+    colors = schedule.assignment
+    masks = [sum(1 << c for c in bundle) for bundle in schedule.bundles()]
+    return {c: _is_supported(c, colors, masks, classification) for c, a in enumerate(colors) if a is None}
 
 
-class _SequenceBuilder:
-    """Records the states of one _Coloring as step deltas and is the bug trap
-    for a two-agent sequence: each step is feasible, maximal when required,
-    and adjacent to the one before, and the endpoints are bundle swaps.
+class _SequenceBuilder(list[Optional[int]]):
+    """The chore colors (RED, BLUE or None, by chore id) of a two-agent
+    sequence's current step, the record of its earlier steps as deltas, and
+    its bug trap: each step is feasible, maximal when required, and adjacent
+    to the one before, and the endpoints are bundle swaps.
 
-    The constructor makes the coloring from the given colors and records
-    it as the "initial" step.  _check checks each step through the
-    coloring's masks: every chore the step places must fit its bundle, and
-    insertable, the unassigned chores that still fit a bundle, is recomputed
-    over its old chores and a region, every chore for the initial step.
-    emit makes one loop over the coloring's log: a chore whose color
-    differs from its logged old color joins the step's delta with its new
-    color and its closed neighbourhood the region, and each bundle's gains
-    and losses are counted.  So a later step is checked only where it can
-    differ from the one before:
+    The constructions write colors into the builder itself; it is the only
+    copy of the current step.  Each single-item write that changes a color
+    updates masks, so masks[RED] and masks[BLUE] are always the two bundles,
+    and logs the chore's color from before its first write since the last
+    step.  The constructor records the given colors as the "initial" step.
+    _check checks each step through the masks: every chore the step places
+    must fit its bundle, and insertable, the unassigned chores that still
+    fit a bundle, is recomputed over its old chores and a region, every
+    chore for the initial step.  emit makes one loop over the log: a chore
+    whose color differs from its logged old color joins the step's delta
+    with its new color and its closed neighbourhood the region, and each
+    bundle's gains and losses are counted.  So a later step is checked only
+    where it can differ from the one before:
 
     - feasible: every changed chore that is assigned is free of overlaps in
       its new bundle.  Two overlapping chores in one bundle that both kept
@@ -344,29 +318,43 @@ class _SequenceBuilder:
 
     So a step fails here exactly when the full check of it (and of the pair
     it forms with the previous step) fails.  sequence() replays the deltas
-    once and requires the last state to equal the coloring, which proves
-    that no write escaped the log, and to be the bundle swap of the first.
+    once and requires the last state to equal the builder's colors, which
+    proves that no write escaped the log, and to be the bundle swap of the
+    first.
     """
 
     def __init__(
         self, graph: ConflictGraph, context: str, colors: Sequence[Optional[int]], require_maximal: bool = True
     ):
+        super().__init__(colors)
         self.graph = graph
         self.context = context
-        self.status = status = _Coloring(colors)
         self.require_maximal = require_maximal
-        self.initial = Schedule(2, tuple(status))
+        self.initial = Schedule(2, tuple(self))
+        self.masks = [sum(1 << c for c, a in enumerate(self) if a == agent) for agent in (RED, BLUE)]
+        self.log: dict[int, Optional[int]] = {}
         self.insertable = 0
-        self._check("initial", enumerate(status), (1 << graph.m) - 1)
+        self._check("initial", enumerate(self), (1 << graph.m) - 1)
         self.deltas: list[Delta] = []
         self.tags = ["initial"]
+
+    def __setitem__(self, chore: int, color: Optional[int]) -> None:
+        old = self[chore]
+        if old == color:
+            return
+        if old is not None:
+            self.masks[old] &= ~(1 << chore)
+        if color is not None:
+            self.masks[color] |= 1 << chore
+        super().__setitem__(chore, color)
+        self.log.setdefault(chore, old)
 
     def _fail(self, what: str) -> NoReturn:
         raise InternalInvariantError(f"{self.context}: {what}")
 
     def _check(self, tag: str, placed: Iterable[tuple[int, Optional[int]]], region: int) -> None:
-        """Check the coloring as step tag: each placed (chore, color), then insertable."""
-        nbr, masks = self.graph.neighbor_masks, self.status.masks
+        """Check the current step as step tag: each placed (chore, color), then insertable."""
+        nbr, masks = self.graph.neighbor_masks, self.masks
         for c, new in placed:
             if new is not None and nbr[c] & masks[new]:
                 self._fail(f"{tag} produced an infeasible schedule")
@@ -384,13 +372,13 @@ class _SequenceBuilder:
             self._fail(f"{tag} produced a non-maximal schedule")
 
     def emit(self, tag: str) -> None:
-        """Take the coloring's log and record the coloring as the next step."""
-        nbr, status = self.graph.neighbor_masks, self.status
+        """Take the log and record the current colors as the next step."""
+        nbr = self.graph.neighbor_masks
         delta = []
         region = 0
         gained, lost = [0, 0], [0, 0]
-        for c, old in status.log.items():
-            new = status[c]
+        for c, old in self.log.items():
+            new = self[c]
             if old == new:
                 continue  # written back within the step
             if old is not None:
@@ -399,7 +387,7 @@ class _SequenceBuilder:
                 gained[new] += 1
             region |= nbr[c] | 1 << c
             delta.append((c, new))
-        status.log.clear()
+        self.log.clear()
         delta.sort()
         self._check(tag, delta, region)
         if gained[RED] > 1 or gained[BLUE] > 1 or lost[RED] > 1 or lost[BLUE] > 1:
@@ -421,7 +409,7 @@ class _SequenceBuilder:
             return None
         nbr = self.graph.neighbor_masks
         chore = min(_mask_bits(self.insertable), key=rank.__getitem__)
-        masks = list(self.status.masks)
+        masks = list(self.masks)
         agent = RED if not nbr[chore] & masks[RED] else BLUE
         masks[agent] |= 1 << chore
         rest = _mask_bits(self.insertable ^ 1 << chore)
@@ -432,7 +420,7 @@ class _SequenceBuilder:
     def sequence(self) -> ScheduleSequence:
         seq = ScheduleSequence._from_deltas(self.initial, self.deltas, self.tags)
         *_, last = seq._assignments()
-        if last != self.status:
+        if last != self:
             self._fail("last step differs from the coloring; a write escaped the step log")
         if [None if a is None else 1 - a for a in self.initial.assignment] != last:
             self._fail("endpoints are not bundle swaps of each other")
@@ -461,23 +449,22 @@ def interval_sequence_ef2(
     marked = cls.marked
     colors = [cls.source_color.get(c) for c in range(graph.m)]
     builder = _SequenceBuilder(graph, "interval_sequence_ef2", colors, require_maximal=False)
-    status = builder.status
     hints = [builder.completion_hint(cls.rank)]
     for i in range(2, len(marked)):
         c_i, c_prev, c_next = marked[i - 1], marked[i - 2], marked[i]
-        status[c_prev] = cls.target_color(c_prev)
+        builder[c_prev] = cls.target_color(c_prev)
         hits_next = graph.has_edge(c_i, c_next)
         if hits_next and graph.has_edge(c_i, c_prev):
-            status[c_i] = None
+            builder[c_i] = None
         elif hits_next:
-            status[c_i] = status[c_prev]
+            builder[c_i] = builder[c_prev]
         else:
-            status[c_i] = status[c_next]
+            builder[c_i] = builder[c_next]
         builder.emit("shift")
         hints.append(builder.completion_hint(cls.rank))
     if marked:
         for c in marked[-2:]:
-            status[c] = cls.target_color(c)
+            builder[c] = cls.target_color(c)
         builder.emit("shift")
         hints.append(builder.completion_hint(cls.rank))
     return builder.sequence(), tuple(hints)
@@ -503,7 +490,7 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
     nbr = graph.neighbor_masks
     source = [cls.source_color.get(c) for c in range(graph.m)]
     builder = _SequenceBuilder(graph, "interval_sequence_ef1", source)
-    status = builder.status
+    masks = builder.masks
 
     # Phase 2: support every unassigned chore, bucket by bucket, right to left.
     for i in sorted(cls.buckets, reverse=True):
@@ -511,7 +498,7 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
         rounds = 0
         while True:
             unsupported = [
-                u for u in bucket if status[u] is None and not _is_supported(u, status, cls)
+                u for u in bucket if builder[u] is None and not _is_supported(u, builder, masks, cls)
             ]
             if not unsupported:
                 break
@@ -521,32 +508,32 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
             u_star = max(unsupported, key=lambda u: cls.rank[u])
             c_i, c_prev = marked[i - 1], marked[i - 2]
             c_prev2 = marked[i - 3] if i >= 3 else None
-            if status[c_i] is None or status[c_prev] is None:
+            if builder[c_i] is None or builder[c_prev] is None:
                 raise InternalInvariantError(
                     f"interval_sequence_ef1: bucket {i} reached with its anchors unassigned"
                 )
             if graph.has_edge(c_prev, c_i):
                 # (i): the unsupported chore takes the earlier anchor's color
                 # and that anchor goes unassigned.
-                status[u_star] = status[c_prev]
-                status[c_prev] = None
+                builder[u_star] = builder[c_prev]
+                builder[c_prev] = None
                 builder.emit("phase2-case-i")
             elif c_prev2 is None or not graph.has_edge(c_prev2, c_prev):
                 # (ii): anchors are isolated from each other; shift colors along.
-                status[u_star] = status[c_prev]
-                status[c_prev] = status[c_i]
+                builder[u_star] = builder[c_prev]
+                builder[c_prev] = builder[c_i]
                 builder.emit("phase2-case-ii")
             else:
-                loose = [u for u in unsupported if not cls.later[u] & status.assigned()]
+                loose = [u for u in unsupported if not cls.later[u] & (masks[RED] | masks[BLUE])]
                 if loose:
                     # (iii a): a fully loose unsupported chore swaps roles with c_i.
                     u_prime = max(loose, key=lambda u: cls.rank[u])
-                    status[u_prime] = status[c_i]
-                    status[c_i] = status[c_prev]
+                    builder[u_prime] = builder[c_i]
+                    builder[c_i] = builder[c_prev]
                     builder.emit("phase2-case-iiia")
                 else:
                     # (iii b): recolor c_i next to its predecessor.
-                    status[c_i] = status[c_prev]
+                    builder[c_i] = builder[c_prev]
                     builder.emit("phase2-case-iiib")
                     # Chores blocked solely by the same-color triple that (iii b)
                     # just created would come loose mid-way through phase 3.
@@ -554,20 +541,20 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
                     stranded = [
                         u
                         for u in bucket
-                        if status[u] is None
-                        and nbr[u] & status.assigned() == anchors
-                        and _is_supported(u, status, cls)
+                        if builder[u] is None
+                        and nbr[u] & (masks[RED] | masks[BLUE]) == anchors
+                        and _is_supported(u, builder, masks, cls)
                     ]
                     if stranded:
                         # (iii c): break the same-color triple those chores see.
                         u_prime = max(stranded, key=lambda u: cls.rank[u])
-                        status[u_prime] = status[c_prev2]
-                        status[c_prev2] = None
+                        builder[u_prime] = builder[c_prev2]
+                        builder[c_prev2] = None
                         builder.emit("phase2-case-iiic")
 
     target = [None if color is None else 1 - color for color in source]
-    untargeted = [c for c in cls.order if status[c] != target[c]]
-    _assert_phase2_postconditions(status, untargeted, target, cls)
+    untargeted = [c for c in cls.order if builder[c] != target[c]]
+    _assert_phase2_postconditions(builder, untargeted, target, cls)
 
     # Phase 3: march every untargeted chore to its target, left to right.  Rounds
     # write only the first two untargeted chores, which leave the list on target.
@@ -579,16 +566,16 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
             raise InternalInvariantError("interval_sequence_ef1: phase 3 did not terminate")
         first = untargeted[head]
         head += 1
-        status[first] = target[first]
+        builder[first] = target[first]
         if head < len(untargeted):
             # second takes the first of these colors no neighbour holds, or none.
             second = untargeted[head]
             color = None
-            for option in (target[second], status[second], RED, BLUE):
-                if option is not None and not nbr[second] & status.masks[option]:
+            for option in (target[second], builder[second], RED, BLUE):
+                if option is not None and not nbr[second] & masks[option]:
                     color = option
                     break
-            status[second] = color
+            builder[second] = color
             if color == target[second]:
                 head += 1
         builder.emit("phase3")
@@ -597,7 +584,7 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
 
 
 def _assert_phase2_postconditions(
-    status: _Coloring, untargeted: list[int], target: list[Optional[int]], cls: ChoreClassification
+    builder: _SequenceBuilder, untargeted: list[int], target: list[Optional[int]], cls: ChoreClassification
 ) -> None:
     """Bug trap for the guarantees phase 3 relies on.
 
@@ -606,14 +593,14 @@ def _assert_phase2_postconditions(
     currently holding its target color, only the next chore of untargeted
     (the chores off target, in finish order).
     """
-    for c, color in enumerate(status):
-        if color is None and not _is_supported(c, status, cls):
+    for c, color in enumerate(builder):
+        if color is None and not _is_supported(c, builder, builder.masks, cls):
             raise InternalInvariantError(f"phase 2 ended with unsupported unassigned chore {c}")
     following = [*(1 << u for u in untargeted[1:]), 0]
     for c, next_bit in zip(untargeted, following):
-        if status[c] is None or target[c] is None:
+        if builder[c] is None or target[c] is None:
             continue
-        clash = cls.later[c] & status.masks[target[c]] & ~next_bit
+        clash = cls.later[c] & builder.masks[target[c]] & ~next_bit
         if clash:
             x = (clash & -clash).bit_length() - 1
             raise InternalInvariantError(f"phase 2 left chore {c} overlapping {x} of its target color")

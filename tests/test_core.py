@@ -213,6 +213,21 @@ class TestBuildConflictGraph:
                 rebuilt = build_conflict_graph(chores_from_intervals(intervals + extra))
                 assert graph.with_isolated(count) == rebuilt
 
+    @pytest.mark.parametrize(
+        "count, text",
+        [
+            (-1, "isolated vertex count must be non-negative, got -1"),
+            (True, "isolated vertex count must be an integer, got True"),
+            (1.0, "isolated vertex count must be an integer, got 1.0"),
+        ],
+        ids=["negative", "bool", "float"],
+    )
+    def test_with_isolated_rejects_a_bad_count(self, count, text):
+        # -1 gave a graph of m = 1 over two masks; True added a vertex.
+        graph = path_instance([[-1, -1]] * 2).graph()
+        with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+            graph.with_isolated(count)
+
 
 class TestPathInstance:
     def test_known_counterexample_shape(self):
@@ -234,6 +249,19 @@ class TestPathInstance:
     def test_ragged_rows_rejected(self):
         with pytest.raises(InputError):
             path_instance([[-1, -2], [-1]])
+
+    @pytest.mark.parametrize(
+        "table, text",
+        [
+            (5, "valuation table must be a sequence of rows, got 5"),
+            ([5], "valuation row 0 must be a sequence of values, got 5"),
+            ([[-1], None], "valuation row 1 must be a sequence of values, got None"),
+        ],
+        ids=["table", "first-row", "second-row"],
+    )
+    def test_non_iterable_table_or_row_named_as_the_valuations_name_it(self, table, text):
+        with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+            path_instance(table)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 3))
@@ -343,6 +371,14 @@ class TestSchedule:
     def test_negative_chore_count_rejected(self):
         with pytest.raises(InputError, match="^chore count must be non-negative, got -1$"):
             Schedule.from_bundles(2, -1, [set(), set()])
+
+    @pytest.mark.parametrize("m", [2.5, True])
+    @pytest.mark.parametrize("build", ["empty", "from_bundles"])
+    def test_non_integer_chore_count_rejected(self, build, m):
+        # 2.5 raised a bare TypeError; True made a one-chore schedule.
+        make = Schedule.empty if build == "empty" else lambda n, m: Schedule.from_bundles(n, m, [[], []])
+        with pytest.raises(InputError, match=f"^chore count must be an integer, got {m!r}$"):
+            make(2, m)
 
     def test_empty_rejects_a_negative_chore_count_as_from_bundles_does(self):
         with pytest.raises(InputError, match="^chore count must be non-negative, got -1$"):
@@ -641,6 +677,17 @@ class TestInstanceValidation:
     def test_agent_count_below_one_keeps_its_text(self):
         with pytest.raises(InputError, match="^instance needs at least one agent$"):
             Instance(0, chores_from_intervals([(0, 1)]), AdditiveValuations([[-1]]))
+
+    def test_every_field_assignment_raises(self):
+        # Assigning chores after graph() left m and the cached graph disagreeing.
+        inst = path_instance([[-1] * 3] * 2)
+        graph = inst.graph()
+        for field in dataclasses.fields(Instance):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(inst, field.name, getattr(inst, field.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.chores = (Chore(0, 0, 1),)
+        assert inst.m == 3 and inst.graph() is graph
 
 
 def reference_components(graph, members):

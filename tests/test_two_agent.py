@@ -1,6 +1,7 @@
 """Two-agent sequence constructions and the EF1 selection."""
 
 import random
+import re
 import time
 from collections import Counter
 
@@ -181,6 +182,20 @@ class TestClassification:
         with pytest.raises(InputError, match="two-agent schedule of the classified chores"):
             classify_supported(schedule, cls)
 
+    @pytest.mark.parametrize(
+        "chores, text",
+        [
+            # Read by id, chore 0 overlapped chore 2.
+            ([Chore(1, 1, 3), Chore(0, 0, 2), Chore(2, 2, 4)], "chore ids must be dense and sorted: 0..m-1"),
+            ([Chore(5, 0, 1)], "chore ids must be dense and sorted: 0..m-1"),  # was an IndexError
+            ([Chore(0, 0, 2), Chore(0, 1, 3)], "chore id 0 appears more than once"),
+        ],
+        ids=["permuted", "out-of-range", "repeated"],
+    )
+    def test_ids_must_be_positions_as_in_an_instance(self, chores, text):
+        with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+            classify_chores(chores)
+
     @pytest.mark.parametrize("graph_m, chores_m", [(2, 3), (3, 2)])
     def test_graph_of_other_chores_rejected(self, graph_m, chores_m):
         chores = path_instance([[-1] * 3] * 2).chores
@@ -237,6 +252,7 @@ def reference_support(chore, assignment, cls):
 def test_classify_supported_matches_the_neighbour_walk():
     rng = random.Random(89)
     conditions = Counter()
+    infeasible = 0
     for k in range(2400):
         m = rng.randint(1, 30)
         if k % 3 == 0:
@@ -253,6 +269,10 @@ def test_classify_supported_matches_the_neighbour_walk():
             assert cls.later[c] == sum(1 << x for x in graph.neighbors(c) - earlier)
         schedules = [random_feasible_schedule(rng, inst) for _ in range(3)]
         schedules += interval_sequence_ef1(inst).steps
+        # Any assignment at all, infeasible ones included.
+        drawn = [Schedule(2, tuple(rng.choice((RED, BLUE, None)) for _ in range(m))) for _ in range(2)]
+        infeasible += sum(not is_feasible(s, graph) for s in drawn)
+        schedules += drawn
         for schedule in schedules:
             expected = {
                 c: reference_support(c, schedule.assignment, cls)
@@ -261,8 +281,9 @@ def test_classify_supported_matches_the_neighbour_walk():
             }
             conditions.update(expected.values())
             assert classify_supported(schedule, cls) == {c: v > 0 for c, v in expected.items()}
-    # Each condition decides some chore, and some chores are unsupported.
-    assert set(conditions) == {0, 1, 2, 3}
+    # Each condition decides some chore, some chores are unsupported, and
+    # some of the assignments are infeasible.
+    assert set(conditions) == {0, 1, 2, 3} and infeasible > 0
 
 
 class TestIntervalSequenceEf2:
@@ -511,11 +532,11 @@ def eager(monkeypatch):
 
     def snapshot_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        eager.append([Schedule(2, tuple(self.status))])
+        eager.append([Schedule(2, tuple(self))])
 
     def snapshot_emit(self, tag):
         emit(self, tag)
-        eager[-1].append(Schedule(2, tuple(self.status)))
+        eager[-1].append(Schedule(2, tuple(self)))
 
     monkeypatch.setattr(_SequenceBuilder, "__init__", snapshot_init)
     monkeypatch.setattr(_SequenceBuilder, "emit", snapshot_emit)
@@ -789,6 +810,11 @@ class TestScheduleSequence:
         with pytest.raises(InputError, match="two-agent"):
             ScheduleSequence(steps=(Schedule(2, (0, 1)), Schedule(3, (1, 0))), tags=("a", "b"))
 
+    def test_steps_must_be_schedules(self):
+        # An assignment tuple in place of a Schedule raised a bare AttributeError.
+        with pytest.raises(InputError, match="^the steps of a sequence must be two-agent schedules$"):
+            ScheduleSequence([(0,)], ["a"])
+
     def test_selection_rejects_an_infeasible_hand_built_candidate(self):
         # Agent 1 holds both overlapping chores: agent 0 does not envy, so
         # the first candidate, the sequence's only step, is tried and rejected.
@@ -978,7 +1004,7 @@ def test_step_checker_matches_full_checks_on_the_acceptance_corpus(two_agent_cor
             for candidate in [y] + mutated_successors(rng, y, graph):
                 expected = full_failure(x, candidate, graph, require_maximal)
                 builder = _SequenceBuilder(graph, "probe", x.assignment, require_maximal)
-                status = builder.status
+                status = builder
                 write(status, candidate.assignment)
                 if candidate is y:
                     c = rng.randrange(inst.m)
@@ -1034,7 +1060,7 @@ def test_builder_traps_the_initial_step_and_the_endpoints():
     builder = _SequenceBuilder(graph, "probe", [None, BLUE, None], require_maximal=False)
     assert builder.insertable == 0b101
     builder = _SequenceBuilder(graph, "probe", [RED, BLUE, RED])
-    status = builder.status
+    status = builder
     status[0], status[1] = BLUE, None
     builder.emit("step")
     with pytest.raises(InternalInvariantError, match="^probe: endpoints are not bundle swaps of each other$"):
@@ -1073,7 +1099,7 @@ def test_builder_checks_its_first_step_as_the_full_checks_do():
                 assert str(exc) == expected
             else:
                 assert expected is None
-                assert builder.initial == schedule and list(builder.status) == colors
+                assert builder.initial == schedule and list(builder) == colors
                 fits = [
                     c
                     for c in range(inst.m)
@@ -1119,9 +1145,9 @@ def test_path_and_interval_sequences_agree_where_finish_order_is_path_order(two_
 
 
 def test_builder_keeps_no_copy_of_the_step():
-    # The coloring is the only copy of the current step.
+    # The builder's own colors are the only copy of the current step.
     builder = _SequenceBuilder(TRAP_GRAPH, "probe", RBRB)
-    assert not hasattr(builder, "assignment") and not hasattr(builder, "masks")
+    assert not hasattr(builder, "status") and not hasattr(builder, "assignment")
 
 
 def reference_completion_hint(step, graph, rank):
@@ -1186,11 +1212,11 @@ def test_ef2_hints_match_the_materialized_reference(two_agent_corpus, eager):
             continue
         for x in steps:
             builder = _SequenceBuilder(graph, "probe", random_feasible_schedule(rng, inst).assignment, False)
-            probes = [(builder, Schedule(2, tuple(builder.status)))]
+            probes = [(builder, Schedule(2, tuple(builder)))]
             for y in mutated_successors(rng, x, graph):
                 if is_feasible(y, graph) and adjacent(x, y):
                     builder = _SequenceBuilder(graph, "probe", x.assignment, False)
-                    status = builder.status
+                    status = builder
                     write(status, y.assignment)
                     builder.emit("probe")
                     probes.append((builder, y))
@@ -1227,7 +1253,7 @@ BUILDER_MESSAGES = {
 def build_steps(steps, require_maximal=True):
     """A builder that started at the first step and emitted the others."""
     builder = _SequenceBuilder(TRAP_GRAPH, "test", steps[0], require_maximal)
-    status = builder.status
+    status = builder
     for s in steps[1:]:
         write(status, s)
         builder.emit("test")
