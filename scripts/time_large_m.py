@@ -32,8 +32,9 @@ resident set size in MiB of this process so far right after the graph_s,
 classify_s and sequence_s stages ("after_graph", "after_classify",
 "after_sequence"; the graph built by the first stays alive through the
 second, and the sequence stage builds its own), after all in-process stages
-("in_process"), and of the new interpreter behind cli_process_s
-("cli_process").
+("in_process"), and of one more run of cli_process_s's command
+("cli_process"), started from a small helper interpreter that reports the
+peak of the one child it waited for.
 """
 
 from __future__ import annotations
@@ -89,6 +90,27 @@ def peak_rss_mib(who: int) -> float:
     return round(resource.getrusage(who).ru_maxrss / 1024, 1)
 
 
+# Runs the command in its arguments and prints its peak RSS in KiB.
+PEAK_HELPER = (
+    "import resource, subprocess, sys\n"
+    "subprocess.run(sys.argv[1:], check=True, capture_output=True)\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+)
+
+
+def child_peak_rss_mib(command: list[str], env: dict[str, str]) -> float:
+    """Peak resident set size in MiB of one run of command.
+
+    A child started from this process would report this process's peak, not
+    its own: subprocess starts it by vfork, and Linux carries the high-water
+    RSS of the shared address space through exec.  The helper's own peak is
+    that of a bare interpreter, below any solve's.
+    """
+    helper = [sys.executable, "-c", PEAK_HELPER, *command]
+    kib = subprocess.run(helper, env=env, check=True, capture_output=True, text=True).stdout
+    return round(int(kib) / 1024, 1)
+
+
 def solve_in_process(path: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -130,6 +152,7 @@ def main() -> None:
         cli_process_s, _ = best_time(
             args.repeats, lambda: subprocess.run(command, env=env, check=True, capture_output=True)
         )
+        cli_process_rss = child_peak_rss_mib(command, env)
         report = {
             "m": args.m,
             "seed": args.seed,
@@ -158,7 +181,7 @@ def main() -> None:
     report["peak_rss_mib"] = {
         **rss,
         "in_process": peak_rss_mib(resource.RUSAGE_SELF),
-        "cli_process": peak_rss_mib(resource.RUSAGE_CHILDREN),
+        "cli_process": cli_process_rss,
     }
     print(json.dumps(report))
 

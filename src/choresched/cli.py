@@ -43,13 +43,18 @@ from .two_agent import interval_sequence_ef1, path_sequence, select_ef1, solve_t
 
 OK, FAILS, BAD_INPUT, BUG = 0, 1, 2, 3
 
-ALGORITHMS = (
-    "auto",
-    "two-agent-interval",
-    "two-agent-path",
-    "dichotomous-path",
-    "bounded-components",
-)
+# Each solver's schedule is EF1 and maximal: select_ef1 raises
+# InternalInvariantError unless it checked both, and the n-agent solvers
+# unless they checked EF1, completeness and feasibility, so callers need not
+# check it again.  Each entry looks its solver up when it runs, so a name
+# replaced in this module (by a test or a tracer) is the one called.
+_SOLVERS: dict[str, Callable[[Instance], Schedule]] = {
+    "two-agent-interval": lambda instance: solve_two_agents(instance),
+    "two-agent-path": lambda instance: select_ef1(path_sequence(instance), instance),
+    "dichotomous-path": lambda instance: solve_identical_dichotomous_path(instance),
+    "bounded-components": lambda instance: solve_identical_bounded_components(instance),
+}
+ALGORITHMS = ("auto", *_SOLVERS)
 
 
 def _emit(
@@ -96,20 +101,8 @@ def _pick_algorithm(instance: Instance, requested: str) -> str:
 
 
 def _solve(instance: Instance, algo: str) -> Schedule:
-    """The schedule of the requested (or picked) algorithm, EF1 and maximal.
-
-    Every solver called here raises InternalInvariantError unless its result
-    is both: select_ef1 checks EF1 and maximality, the n-agent solvers EF1,
-    completeness and feasibility.  Callers need not check it again.
-    """
-    algo = _pick_algorithm(instance, algo)
-    if algo == "two-agent-interval":
-        return solve_two_agents(instance)
-    if algo == "two-agent-path":
-        return select_ef1(path_sequence(instance), instance)
-    if algo == "dichotomous-path":
-        return solve_identical_dichotomous_path(instance)
-    return solve_identical_bounded_components(instance)
+    """The schedule of the requested (or picked) algorithm, EF1 and maximal."""
+    return _SOLVERS[_pick_algorithm(instance, algo)](instance)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -199,26 +192,24 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
     return OK
 
 
-GOLDEN_DEMOS = ("efx-maximal", "ef1-po", "ef1-complete", "round-robin", "envy-cycle")
-
-
-def _demo_instance(name: str) -> Instance:
-    rows = {
-        "efx-maximal": [-1, -1, -1, -4],
-        "ef1-po": [-2, -10, -1, -10, -2],
-        "ef1-complete": [-1, -3, -1, -3],
-        "round-robin": [0, -7, -2, -1, -3, -8, -9, -10],
-        "envy-cycle": [-10, -1, -10, -3, -2],
-    }[name]
-    return path_instance([rows, rows])
+# name: (both agents' values along a path, then the criterion that no maximal
+# schedule meets and None, or the procedure and the bundles it published).
+_DEMOS: dict[str, tuple[list[int], Any, Optional[tuple[set[int], ...]]]] = {
+    "efx-maximal": ([-1, -1, -1, -4], "efx", None),
+    "ef1-po": ([-2, -10, -1, -10, -2], "ef1+po", None),
+    "ef1-complete": ([-1, -3, -1, -3], "ef1+complete", None),
+    "round-robin": ([0, -7, -2, -1, -3, -8, -9, -10], demo_round_robin, ({0, 2, 4, 6}, {1, 3, 5, 7})),
+    "envy-cycle": ([-10, -1, -10, -3, -2], demo_top_trading_envy_cycle, ({1, 3}, {0, 2, 4})),
+}
+GOLDEN_DEMOS = tuple(_DEMOS)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     name = args.name
-    instance = _demo_instance(name)
-    values = list(instance.valuations.table[0])
-    if name in ("efx-maximal", "ef1-po", "ef1-complete"):
-        criterion = {"efx-maximal": "efx", "ef1-po": "ef1+po", "ef1-complete": "ef1+complete"}[name]
+    values, run, expected = _DEMOS[name]
+    instance = path_instance([values, values])
+    if expected is None:
+        criterion = run
         witness = exists(ExistenceQuery(instance=instance, criterion=criterion))
         if witness is not None:
             raise InternalInvariantError(f"demo {name}: expected no witness, found one")
@@ -231,12 +222,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             ),
         )
         return OK
-    if name == "round-robin":
-        schedule, verdict = demo_round_robin(instance)
-        expected = ({0, 2, 4, 6}, {3, 1, 5, 7})
-    else:
-        schedule, verdict = demo_top_trading_envy_cycle(instance)
-        expected = ({1, 3}, {0, 2, 4})
+    schedule, verdict = run(instance)
     if schedule.bundles() != expected or verdict.holds:
         raise InternalInvariantError(f"demo {name} did not reproduce its published run")
     _emit(
@@ -261,18 +247,18 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return OK
 
 
+_GENERATORS: dict[str, Callable[[random.Random, argparse.Namespace], Instance]] = {
+    "random-intervals": lambda rng, a: random_interval_instance(rng, a.n, a.m, a.vmin, a.vmax),
+    "random-path": lambda rng, a: random_path_instance(rng, a.n, a.m, a.vmin, a.vmax),
+    "random-dichotomous-path": lambda rng, a: random_dichotomous_path_instance(rng, a.n, a.m, a.vmin),
+    "bounded-components": lambda rng, a: random_bounded_components_instance(
+        rng, a.n, a.m, a.max_component, a.vmin, a.vmax
+    ),
+}
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
-    if args.kind == "random-intervals":
-        instance = random_interval_instance(rng, args.n, args.m, args.vmin, args.vmax)
-    elif args.kind == "random-path":
-        instance = random_path_instance(rng, args.n, args.m, args.vmin, args.vmax)
-    elif args.kind == "random-dichotomous-path":
-        instance = random_dichotomous_path_instance(rng, args.n, args.m, args.vmin)
-    else:  # bounded-components
-        instance = random_bounded_components_instance(
-            rng, args.n, args.m, args.max_component, args.vmin, args.vmax
-        )
+    instance = _GENERATORS[args.kind](random.Random(args.seed), args)
     if args.out:
         fileio.save_instance(instance, args.out)
     _emit("text" if args.out else "json", lambda: fileio.instance_to_dict(instance), lambda: args.out)
@@ -342,16 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("generate", help="write a random instance file")
-    p.add_argument(
-        "--kind",
-        choices=(
-            "random-intervals",
-            "random-path",
-            "random-dichotomous-path",
-            "bounded-components",
-        ),
-        required=True,
-    )
+    p.add_argument("--kind", choices=tuple(_GENERATORS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -247,25 +247,34 @@ class ConflictGraph:
 
         With within, the components of the subgraph induced by those chores.
         """
-        members = range(self.m) if within is None else sorted(set(within))
-        if members and (members[0] < 0 or members[-1] >= self.m):
-            raise InputError(f"within holds chore ids outside 0..{self.m - 1}")
+        members = range(self.m) if within is None else _sorted_chore_ids(within, self.m)
         allowed = sum(1 << c for c in members)
         seen = 0
         comps = []
         for root in members:
             if seen >> root & 1:
                 continue
-            comp, stack = [], [root]
+            comp = [root]
             seen |= 1 << root
-            while stack:
-                v = stack.pop()
-                comp.append(v)
+            for v in comp:  # the walk's queue: comp grows as it is read
                 fresh = self.neighbor_masks[v] & allowed & ~seen
-                seen |= fresh
-                stack.extend(_mask_bits(fresh))
+                if fresh:
+                    seen |= fresh
+                    comp.extend(_mask_bits(fresh))
             comps.append(sorted(comp))
         return comps
+
+
+def _sorted_chore_ids(within: Iterable[int], m: int) -> list[int]:
+    """The distinct ids in within, sorted; each must be an int in 0..m-1."""
+    ids = set(within)
+    if not set(map(type, ids)) <= {int}:
+        bad = sorted(repr(c) for c in ids if type(c) is not int)
+        raise InputError(f"within holds chore ids that are not integers: {', '.join(bad)}")
+    members = sorted(ids)
+    if members and (members[0] < 0 or members[-1] >= m):
+        raise InputError(f"within holds chore ids outside 0..{m - 1}")
+    return members
 
 
 def _mask_bits(mask: int):
@@ -489,22 +498,13 @@ def path_instance(values_per_agent: Sequence[Sequence[int]]) -> Instance:
 
     Chore j gets the interval [j, j+2), so consecutive chores overlap in one
     time slot and non-consecutive chores are disjoint.  One value row per
-    agent; ragged rows are rejected.
+    agent, checked as AdditiveValuations checks any table.
     """
-    try:
-        rows = [tuple(row) for row in values_per_agent]
-    except TypeError:
-        AdditiveValuations(values_per_agent)  # raises the InputError naming the table or row at fault
-        raise  # reached only by a one-shot iterator, whose rows are then used up
-    if not rows:
-        raise InputError("need at least one agent row")
-    m = len(rows[0])
-    if m < 1:
+    valuations = AdditiveValuations(values_per_agent)
+    if valuations.n_chores < 1:
         raise InputError("need at least one chore")
-    if any(len(row) != m for row in rows):
-        raise InputError("ragged valuation rows")
-    chores = tuple(Chore(id=j, start=j, finish=j + 2) for j in range(m))
-    return Instance(n=len(rows), chores=chores, valuations=AdditiveValuations(rows))
+    chores = tuple(Chore(id=j, start=j, finish=j + 2) for j in range(valuations.n_chores))
+    return Instance(n=valuations.n_agents, chores=chores, valuations=valuations)
 
 
 def order_by_finish(chores: Sequence[Chore]) -> tuple[int, ...]:

@@ -38,8 +38,6 @@ def random_path_instance(
 ) -> Instance:
     """A path conflict graph with independent random values per agent."""
     _check_value_range(vmin, vmax)
-    if m < 1:
-        raise InputError("need at least one chore")
     table = [[rng.randint(vmin, vmax) for _ in range(m)] for _ in range(n)]
     return path_instance(table)
 

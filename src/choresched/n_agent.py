@@ -43,6 +43,7 @@ from .core import (
     InternalInvariantError,
     Schedule,
     _path_order,
+    _sorted_chore_ids,
     is_feasible,
     path_component_order,
 )
@@ -277,9 +278,7 @@ def split_pair_bundle(
     the two odd leftover dummies, when both kinds have one, on different
     halves so no agent collects both).
     """
-    picked = sorted(set(picked))
-    if picked and (picked[0] < 0 or picked[-1] >= graph.m):
-        raise InputError(f"within holds chore ids outside 0..{graph.m - 1}")
+    picked = _sorted_chore_ids(picked, graph.m)
     # Each chore's neighbours among the picked: none makes it isolated, one
     # that sees only it makes an edge, recorded from its lower end.
     masks = graph.neighbor_masks

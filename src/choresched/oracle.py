@@ -72,6 +72,8 @@ class ExistenceQuery:
     guard: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.instance, Instance):
+            raise InputError(f"instance must be an Instance, got {self.instance!r}")
         if self.criterion not in CRITERIA:
             raise InputError(f"unknown criterion {self.criterion!r}; expected one of {CRITERIA}")
         if self.k is not None and type(self.k) is not int:

@@ -253,6 +253,19 @@ class TestPathInstance:
     @pytest.mark.parametrize(
         "table, text",
         [
+            ([], "valuation table needs at least one agent row"),
+            ([[-1, -2], [-1]], "valuation row 1 has length 1, expected 2"),
+            ([[], []], "need at least one chore"),
+        ],
+        ids=["empty", "ragged", "no-chore"],
+    )
+    def test_table_texts_are_the_valuations_texts(self, table, text):
+        with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+            path_instance(table)
+
+    @pytest.mark.parametrize(
+        "table, text",
+        [
             (5, "valuation table must be a sequence of rows, got 5"),
             ([5], "valuation row 0 must be a sequence of values, got 5"),
             ([[-1], None], "valuation row 1 must be a sequence of values, got None"),
@@ -759,6 +772,17 @@ class TestGraphWalks:
     def test_components_within_unknown_chores_rejected(self, within):
         graph = path_instance([[-1] * 3]).graph()
         with pytest.raises(InputError, match="^within holds chore ids outside 0..2$"):
+            graph.components(within=within)
+
+    @pytest.mark.parametrize(
+        "within, bad",
+        [([True, 2], "True"), ([0.0, 2], "0.0"), (["1", 2], "'1'"), ([False, 2.5], "2.5, False")],
+        ids=["bool", "float", "str", "two"],
+    )
+    def test_components_within_non_integer_ids_rejected(self, within, bad):
+        graph = path_instance([[-1] * 4] * 2).graph()
+        text = f"within holds chore ids that are not integers: {bad}"
+        with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
             graph.components(within=within)
 
     @settings(max_examples=400, deadline=None)

@@ -2,9 +2,11 @@
 
 Any change to what `solve` or `sequence` prints for two agents (a different
 schedule, step, tag, trace letter or JSON layout) changes the first digest;
-any change to what `solve` prints for the n-agent solvers changes the second.
-A refactor that keeps the output byte-identical leaves them alone.  If the
-output is meant to change, the change must say so and record the new digest.
+any change to what `solve` prints for the n-agent solvers changes the second;
+any change to what a `demo`, a `generate` kind or a `solve --algo` choice
+prints, or to its exit code, changes the third.  A refactor that keeps the
+output byte-identical leaves them alone.  If the output is meant to change,
+the change must say so and record the new digest.
 """
 
 import hashlib
@@ -16,11 +18,16 @@ from choresched.generate import (
     random_bounded_components_instance,
     random_dichotomous_path_instance,
     random_interval_instance,
+    random_path_instance,
 )
 from choresched.io import save_instance
 
 GOLDEN_SHA256 = "1c318f6e517c9e48111d17d4effab97df1a83e4bce5d216bf147bddbfeafc94e"
 N_AGENT_GOLDEN_SHA256 = "2a2df9b2040aeb7377a0f8deab81b34ba66ce0184b8168cd018d6be3ec74f19a"
+CHOICES_GOLDEN_SHA256 = "f675ac0581733828c0b8e92a872bf0ae5ebd2a454f93c51df21df4a6b53bd451"
+
+DEMOS = ("efx-maximal", "ef1-po", "ef1-complete", "round-robin", "envy-cycle")
+KINDS = ("random-intervals", "random-path", "random-dichotomous-path", "bounded-components")
 
 
 def disjoint_paths_instance(rng: random.Random, m: int) -> Instance:
@@ -126,3 +133,27 @@ def test_n_agent_cli_output_digest(tmp_path, capsys):
         digest.update(f"{index} exit {code}\n".encode())
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == N_AGENT_GOLDEN_SHA256
+
+
+def test_cli_choices_output_digest(tmp_path, capsys):
+    """Every demo in both formats, every generate kind and every solve algorithm."""
+    runs = [["demo", name, "--format", fmt] for name in DEMOS for fmt in ("text", "json")]
+    runs += [["generate", "--kind", kind, "--n", "4", "--m", "9", "--seed", "3"] for kind in KINDS]
+    rng = random.Random(3)
+    for algo, inst in (
+        ("auto", random_interval_instance(rng, 2, 9)),
+        ("two-agent-interval", random_interval_instance(rng, 2, 9)),
+        ("two-agent-path", random_path_instance(rng, 2, 9)),
+        ("dichotomous-path", random_dichotomous_path_instance(rng, 5, 9)),
+        ("bounded-components", random_bounded_components_instance(rng, 4, 9)),
+    ):
+        path = tmp_path / f"{algo}.json"
+        save_instance(inst, path)
+        runs.append(["solve", str(path), "--algo", algo, "--format", "json"])
+    digest = hashlib.sha256()
+    for argv in runs:
+        code = main(argv)
+        label = " ".join(arg for arg in argv if not arg.startswith(str(tmp_path)))
+        digest.update(f"{label} exit {code}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CHOICES_GOLDEN_SHA256

@@ -1,6 +1,7 @@
 """Weighted round robin, bundle splits, and the bounded-component solver."""
 
 import random
+import re
 
 import pytest
 
@@ -81,6 +82,16 @@ class TestSplitPairBundle:
         )
         with pytest.raises(InputError, match=r"^within holds chore ids outside 0\.\.3$"):
             split_pair_bundle([0, 1, 2, bad], graph, heavy, dummies)
+
+    @pytest.mark.parametrize("bad, text", [(True, "True"), (1.0, "1.0")], ids=["bool", "float"])
+    def test_non_integer_chore_ids_rejected(self, bad, text):
+        # A bool was read as chore 1, and a float raised a bare TypeError.
+        graph, heavy, dummies = self.build(
+            [(0, 2), (1, 3), (10, 12), (11, 13)], heavy=[0, 2]
+        )
+        text = f"within holds chore ids that are not integers: {text}"
+        with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+            split_pair_bundle([0, bad, 2, 3], graph, heavy, dummies)
 
     def test_two_edges_split_across(self):
         # two H-L edges, no isolated chores
@@ -195,6 +206,16 @@ class TestSplitTripleBundle:
         )
         parts = split_triple_bundle(range(6), graph, heavy, dummies)
         assert {len(p & {0, 1, 2}) for p in parts} == {1}
+
+    def test_a_bool_chore_id_is_an_input_error(self):
+        graph, heavy, dummies = self.build(
+            [(0, 2), (1, 3), (2, 4), (10, 11), (13, 14), (16, 17)],
+            heavy=[0, 2, 3],
+            dummies=[3, 4, 5],
+        )
+        text = "^within holds chore ids that are not integers: True$"
+        with pytest.raises(InputError, match=text):
+            split_triple_bundle([0, True, 2, 3, 4, 5], graph, heavy, dummies)
 
     def test_four_chore_path_alternating(self):
         # H, L, H, L along the path: someone takes the two non-adjacent ends

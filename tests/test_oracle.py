@@ -333,6 +333,13 @@ class TestExists:
         with pytest.raises(InputError, match=f"^k must be an integer, got {k!r}$"):
             ExistenceQuery(instance=inst, criterion="efk", k=k)
 
+    @pytest.mark.parametrize("instance", [[1, 2], None, "path"])
+    def test_non_instance_rejected(self, instance):
+        # [1, 2] used to pass and fail in the search with a bare AttributeError.
+        text = f"instance must be an Instance, got {instance!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+            ExistenceQuery(instance, "ef1")
+
     @pytest.mark.parametrize("k", [None, -1])
     def test_missing_or_negative_k_keeps_its_text(self, k):
         inst = path_instance([[-1]] * 2)
