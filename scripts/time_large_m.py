@@ -28,13 +28,14 @@ the best of --repeats wall-clock times, in seconds, of:
 
 It also prints the step count, the SHA-256 of each solve output (so runs on
 two checkouts can be compared for byte identity), and peak_rss_mib: the peak
-resident set size in MiB of this process so far right after the graph_s,
-classify_s and sequence_s stages ("after_graph", "after_classify",
-"after_sequence"; the graph built by the first stays alive through the
-second, and the sequence stage builds its own), after all in-process stages
-("in_process"), and of one more run of cli_process_s's command
-("cli_process"), started from a small helper interpreter that reports the
-peak of the one child it waited for.
+resident set size in MiB of one fresh interpreter per stage, each started
+from a small helper interpreter that reports the peak of the one child it
+waited for.  "after_graph", "after_classify" and "after_sequence" regenerate
+the two-agent instance from the seed and run the graph_s stage, the graph_s
+and classify_s stages, or the sequence_s stage (which builds its own graph);
+"cli_process" is one more run of cli_process_s's command.  A peak read in
+this process would also hold whatever the earlier stages left behind, and
+would move with the code's memory layout more than with the work.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import io
 import json
 import os
 import random
-import resource
 import subprocess
 import sys
 import tempfile
@@ -85,16 +85,28 @@ N_AGENT_RUNS = (
 )
 
 
-def peak_rss_mib(who: int) -> float:
-    """Peak resident set size in MiB (Linux reports ru_maxrss in KiB)."""
-    return round(resource.getrusage(who).ru_maxrss / 1024, 1)
-
-
 # Runs the command in its arguments and prints its peak RSS in KiB.
 PEAK_HELPER = (
     "import resource, subprocess, sys\n"
     "subprocess.run(sys.argv[1:], check=True, capture_output=True)\n"
     "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+)
+
+
+# Regenerates the two-agent instance from m and the seed and runs one stage.
+STAGE = (
+    "import random, sys\n"
+    "from choresched.core import build_conflict_graph\n"
+    "from choresched.generate import random_interval_instance\n"
+    "from choresched.two_agent import classify_chores, interval_sequence_ef1\n"
+    "stage, m, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])\n"
+    "inst = random_interval_instance(random.Random(seed), 2, m)\n"
+    "if stage == 'sequence':\n"
+    "    interval_sequence_ef1(inst)\n"
+    "else:\n"
+    "    graph = build_conflict_graph(inst.chores)\n"
+    "    if stage == 'classify':\n"
+    "        classify_chores(inst.chores, graph)\n"
 )
 
 
@@ -127,15 +139,12 @@ def main() -> None:
 
     inst = random_interval_instance(random.Random(args.seed), 2, args.m)
     graph_s, graph = best_time(args.repeats, lambda: build_conflict_graph(inst.chores))
-    rss = {"after_graph": peak_rss_mib(resource.RUSAGE_SELF)}
-    classify_s, classification = best_time(args.repeats, lambda: classify_chores(inst.chores, graph))
-    rss["after_classify"] = peak_rss_mib(resource.RUSAGE_SELF)
-    del graph, classification
+    classify_s, _ = best_time(args.repeats, lambda: classify_chores(inst.chores, graph))
+    del graph
     sequence_s, seq = best_time(
         args.repeats,
         lambda: interval_sequence_ef1(Instance(2, inst.chores, inst.valuations)),
     )
-    rss["after_sequence"] = peak_rss_mib(resource.RUSAGE_SELF)
     select_s, _ = best_time(args.repeats, lambda: select_ef1(seq, inst))
     ef2_s, _ = best_time(
         args.repeats,
@@ -152,7 +161,13 @@ def main() -> None:
         cli_process_s, _ = best_time(
             args.repeats, lambda: subprocess.run(command, env=env, check=True, capture_output=True)
         )
-        cli_process_rss = child_peak_rss_mib(command, env)
+        peaks = {
+            f"after_{stage}": child_peak_rss_mib(
+                [sys.executable, "-c", STAGE, stage, str(args.m), str(args.seed)], env
+            )
+            for stage in ("graph", "classify", "sequence")
+        }
+        peaks["cli_process"] = child_peak_rss_mib(command, env)
         report = {
             "m": args.m,
             "seed": args.seed,
@@ -178,11 +193,7 @@ def main() -> None:
             report[f"{name}_solve_s"] = round(solve_s, 4)
             report[f"{name}_sha256"] = hashlib.sha256(output.encode()).hexdigest()
 
-    report["peak_rss_mib"] = {
-        **rss,
-        "in_process": peak_rss_mib(resource.RUSAGE_SELF),
-        "cli_process": cli_process_rss,
-    }
+    report["peak_rss_mib"] = peaks
     print(json.dumps(report))
 
 

@@ -42,6 +42,7 @@ from .core import (
     Instance,
     Schedule,
     _bundle_masks,
+    _require_instance,
     is_feasible,
 )
 
@@ -87,6 +88,7 @@ def _removal(
 
 
 def _require_agents(schedule: Schedule, instance: Instance) -> None:
+    _require_instance(instance)
     if schedule.n_agents != instance.n:
         raise InputError(f"schedule has {schedule.n_agents} agents, the instance {instance.n}")
 

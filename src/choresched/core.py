@@ -332,12 +332,13 @@ def _path_order(
     """The members in order along the simple path they induce, or None.
 
     The walk starts from the endpoint with the smaller key and must reach
-    every member, each through the one neighbour not yet walked.
+    every member, each through the one neighbour not yet walked.  No members
+    make the empty path.
     """
     allowed = sum(1 << c for c in members)
     ends = [c for c in members if (neighbor_masks[c] & allowed).bit_count() <= 1]
     if len(ends) not in (1, 2):
-        return None
+        return None if members else []
     order = [min(ends, key=key)]
     left = allowed ^ 1 << order[0]
     while left:
@@ -491,6 +492,11 @@ class Instance:
 
     def value(self, agent: int, bundle: Iterable[int]) -> int:
         return self.valuations.value(agent, bundle)
+
+
+def _require_instance(instance: Any) -> None:
+    if not isinstance(instance, Instance):
+        raise InputError(f"instance must be an Instance, got {instance!r}")
 
 
 def path_instance(values_per_agent: Sequence[Sequence[int]]) -> Instance:

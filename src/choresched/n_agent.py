@@ -3,12 +3,13 @@
 Two constructions live here:
 
 * A weighted round robin for identical dichotomous valuations on a path
-  graph with n >= 4 agents.  Agents are grouped into meta agents (pairs,
-  plus one triple when n is odd) that take turns picking the leftmost
-  available heavy chore, then the leftmost available light chore.  Dummy
-  isolated chores pad every meta agent to the same heavy and light counts,
-  the meta bundles are split conflict-free among their members, and the
-  dummies are stripped, leaving a complete EF1 schedule.
+  graph with n >= 4 agents (one value makes every chore heavy).  Agents
+  are grouped into meta agents (pairs, plus one triple when n is odd) that
+  take turns picking the leftmost available heavy chore, then the leftmost
+  available light chore.  Dummy isolated chores pad every meta agent to the
+  same heavy and light counts, the meta bundles are split conflict-free
+  among their members, and the dummies are stripped, leaving a complete
+  EF1 schedule.
 
 * A component-wise round robin for identical additive valuations on any
   graph whose connected components have at most n vertices.  For each
@@ -43,6 +44,7 @@ from .core import (
     InternalInvariantError,
     Schedule,
     _path_order,
+    _require_instance,
     _sorted_chore_ids,
     is_feasible,
     path_component_order,
@@ -89,23 +91,19 @@ def _round_up_even(x: int) -> int:
     return x if x % 2 == 0 else x + 1
 
 
-def solve_identical_dichotomous_path(
-    instance: Instance, *, allow_uniform: bool = False
-) -> Schedule:
+def solve_identical_dichotomous_path(instance: Instance) -> Schedule:
     """A complete and EF1 schedule for identical dichotomous values on a path.
 
     Requires n >= 4 agents, a path conflict graph, and an identical additive
-    profile taking exactly two distinct values H < L <= 0 (heavy and light).
-    A profile with a single value is accepted only with allow_uniform=True,
-    in which case every chore counts as heavy.
+    profile taking at most two distinct values H <= L <= 0 (heavy and light).
+    A profile with a single value makes every chore heavy.
     """
-    return dichotomous_path_solution(instance, allow_uniform=allow_uniform).schedule
+    return dichotomous_path_solution(instance).schedule
 
 
-def dichotomous_path_solution(
-    instance: Instance, *, allow_uniform: bool = False
-) -> DichotomousPathSolution:
+def dichotomous_path_solution(instance: Instance) -> DichotomousPathSolution:
     """solve_identical_dichotomous_path with the padded run exposed."""
+    _require_instance(instance)
     n = instance.n
     if n < 4:
         raise InputError(f"weighted round robin needs at least four agents, got {n}")
@@ -119,29 +117,14 @@ def dichotomous_path_solution(
         raise InputError("weighted round robin needs a path conflict graph")
     metas = _group_meta_agents(n)
 
-    if instance.m == 0:
-        empty = Schedule.empty(n, 0)
-        return DichotomousPathSolution(
-            schedule=empty,
-            padded_instance=instance,
-            padded_schedule=empty,
-            dummy_ids=frozenset(),
-            meta_agents=tuple(metas),
-            heavy_value=0,
-            light_value=0,
-        )
-
-    # The rows are identical, so row 0 holds every value of the profile.
-    values = sorted(set(vals.table[0]))
-    if len(values) == 2:
-        heavy_value, light_value = values
-    elif len(values) == 1 and allow_uniform:
-        heavy_value = light_value = values[0]
-    else:
+    # The rows are identical, so row 0 holds every value of the profile; an
+    # empty row reads as the single value 0.  One value makes every chore heavy.
+    values = sorted(set(vals.table[0])) or [0]
+    if len(values) > 2:
         raise InputError(
-            "weighted round robin needs a dichotomous profile (exactly two distinct values)"
+            "weighted round robin needs a dichotomous profile (at most two distinct values)"
         )
-    # A uniform profile makes every chore heavy.
+    heavy_value, light_value = values[0], values[-1]
     heavy_ids = {c for c, v in enumerate(vals.table[0]) if v == heavy_value}
 
     # Phase 2: deal heavies then lights along the path to the picking pattern.
@@ -157,7 +140,7 @@ def dichotomous_path_solution(
     targets = [_round_up_even(max(kind)) for kind in zip(*weighed)]
     padded_chores = list(instance.chores)
     padded_values = list(vals.table[0])
-    base = max(c.finish for c in instance.chores) + 2
+    base = max((c.finish for c in instance.chores), default=0) + 2
     for meta, dealt in zip(metas, counts):
         for target, have, value in zip(targets, dealt, (heavy_value, light_value)):
             need = (target * 3 // 2 if meta.is_triple else target) - have
@@ -499,6 +482,7 @@ def solve_identical_bounded_components(instance: Instance) -> Schedule:
     a component overlaps one inside it, so every remaining chore fits the
     agent whose turn it is.
     """
+    _require_instance(instance)
     vals = instance.valuations
     if not vals.is_additive:
         raise InputError("bounded-component round robin needs an additive profile")

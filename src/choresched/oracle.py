@@ -49,6 +49,7 @@ from .core import (
     Schedule,
     SizeGuardError,
     _bundles,
+    _require_instance,
 )
 
 CRITERIA = ("ef", "ef1", "efx", "efk", "ef1+po", "ef1+complete")
@@ -72,8 +73,7 @@ class ExistenceQuery:
     guard: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.instance, Instance):
-            raise InputError(f"instance must be an Instance, got {self.instance!r}")
+        _require_instance(self.instance)
         if self.criterion not in CRITERIA:
             raise InputError(f"unknown criterion {self.criterion!r}; expected one of {CRITERIA}")
         if self.k is not None and type(self.k) is not int:
@@ -109,6 +109,7 @@ def _search(
     _valued).  Both lists are the search's own and change after each leaf:
     copy what is kept.
     """
+    _require_instance(instance)
     if type(guard) is not int:
         raise InputError(f"guard must be an integer, got {guard!r}")
     if instance.m > guard:
@@ -197,8 +198,9 @@ def enumerate_maximal(instance: Instance, guard: int = GUARD) -> Iterator[Schedu
     The order is deterministic: lexicographic in the assignment vector with
     agent 0 < agent 1 < ... < unassigned (see _search).
     """
+    leaves = _search(instance, guard)
     n = instance.n
-    return (Schedule(n, tuple(assignment)) for assignment, _ in _search(instance, guard))
+    return (Schedule(n, tuple(assignment)) for assignment, _ in leaves)
 
 
 def exists(query: ExistenceQuery) -> Optional[Schedule]:
@@ -309,6 +311,7 @@ def demo_round_robin(
     feasible chore passes.  The process stops when a full cycle passes.
     Returns the schedule and its EF1 verdict.
     """
+    _require_instance(instance)
     if not instance.valuations.is_additive:
         raise InputError("round robin demo needs an additive profile")
     order = tuple(agent_order) if agent_order is not None else tuple(range(instance.n))
@@ -340,6 +343,7 @@ def demo_top_trading_envy_cycle(instance: Instance):
     highest-valued one; ties go to the lowest agent id and lowest chore id.
     Returns the schedule and its EF1 verdict.
     """
+    _require_instance(instance)
     if not (instance.valuations.is_additive and instance.valuations.is_identical()):
         raise InputError(
             "envy-cycle demo needs identical additive valuations (cycle resolution is out of scope)"

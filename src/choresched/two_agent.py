@@ -27,6 +27,7 @@ from .core import (
     InternalInvariantError,
     Schedule,
     _mask_bits,
+    _require_instance,
     _require_positional_ids,
     build_conflict_graph,
     is_feasible,  # not called here, but perfbench/tracing.py spans two_agent.is_feasible by name
@@ -124,6 +125,7 @@ def adjacent(x: Schedule, y: Schedule) -> bool:
 
 
 def _require_two_agents(instance: Instance) -> None:
+    _require_instance(instance)
     if instance.n != 2:
         raise InputError(f"this construction needs exactly two agents, got {instance.n}")
 

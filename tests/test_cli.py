@@ -39,6 +39,19 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ef1"] and payload["maximal"]
 
+    def test_one_valued_path_needs_the_dichotomous_path_choice(self, tmp_path, capsys):
+        # auto routes by AdditiveValuations.dichotomy(), which needs two
+        # values, so it runs bounded-components and that rejects the path.
+        path = str(tmp_path / "uniform.json")
+        args = ["--kind", "random-path", "--n", "5", "--m", "40", "--vmin", "-3", "--vmax", "-3"]
+        assert main(["generate", *args, "--out", path]) == 0
+        assert main(["solve", path]) == 2
+        out = tmp_path / "schedule.json"
+        capsys.readouterr()
+        assert main(["solve", path, "--algo", "dichotomous-path", "--out", str(out)]) == 0
+        for criterion in ("ef1", "maximal", "complete"):
+            assert main(["check", path, str(out), "--criterion", criterion]) == 0
+
     def test_bounded_components_dispatch(self, tmp_path, capsys):
         path = write_instance(tmp_path, [[-5, -1, -5]] * 3)
         assert main(["solve", path, "--format", "json"]) == 0

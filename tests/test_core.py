@@ -847,8 +847,52 @@ class TestPathComponentOrder:
         assert graph.is_path
         assert path_component_order(graph, chores, [0, 1, 2]) == [0, 1, 2]
 
+    def test_no_members_make_the_empty_path(self):
+        graph = build_conflict_graph(())
+        assert path_component_order(graph, (), []) == []
+
     def test_non_path_rejected(self):
         chores = chores_from_intervals([(0, 3), (0, 1), (1, 2), (2, 3)])
         graph = build_conflict_graph(chores)
         with pytest.raises(InputError):
             path_component_order(graph, chores, [0, 1, 2, 3])
+
+
+def _entries_taking_an_instance():
+    """Each public entry that takes an instance, by name, as a call on the instance alone."""
+    from choresched import checkers, n_agent, oracle, two_agent
+
+    good = path_instance([[-1, -1]] * 2)
+    schedule = Schedule.from_bundles(2, 2, [{0}, {1}])
+    sequence = two_agent.interval_sequence_ef1(good)
+    calls = {
+        "path_sequence": two_agent.path_sequence,
+        "interval_sequence_ef1": two_agent.interval_sequence_ef1,
+        "interval_sequence_ef2": two_agent.interval_sequence_ef2,
+        "select_ef1": lambda bad: two_agent.select_ef1(sequence, bad),
+        "solve_two_agents": two_agent.solve_two_agents,
+        "envy_graph": lambda bad: checkers.envy_graph(schedule, bad),
+        "is_pareto_optimal": lambda bad: oracle.is_pareto_optimal(schedule, bad),
+        "enumerate_maximal": oracle.enumerate_maximal,
+        "max_utilitarian_maximal": oracle.max_utilitarian_maximal,
+        "ExistenceQuery": lambda bad: oracle.ExistenceQuery(bad, "ef1"),
+        "solve_identical_dichotomous_path": n_agent.solve_identical_dichotomous_path,
+        "dichotomous_path_solution": n_agent.dichotomous_path_solution,
+        "solve_identical_bounded_components": n_agent.solve_identical_bounded_components,
+        "demo_round_robin": oracle.demo_round_robin,
+        "demo_top_trading_envy_cycle": oracle.demo_top_trading_envy_cycle,
+    }
+    for name in ("check_ef", "check_ef1", "check_efx"):
+        calls[name] = lambda bad, check=getattr(checkers, name): check(schedule, bad)
+    calls["check_efk"] = lambda bad: checkers.check_efk(schedule, bad, 1)
+    return calls
+
+
+ENTRIES = _entries_taking_an_instance()
+
+
+@pytest.mark.parametrize("call", ENTRIES.values(), ids=ENTRIES.keys())
+def test_every_entry_rejects_a_non_instance(call):
+    # On a list each of these used to fail with a bare AttributeError.
+    with pytest.raises(InputError, match=r"^instance must be an Instance, got \[1, 2\]$"):
+        call([1, 2])

@@ -4,27 +4,31 @@ Any change to what `solve` or `sequence` prints for two agents (a different
 schedule, step, tag, trace letter or JSON layout) changes the first digest;
 any change to what `solve` prints for the n-agent solvers changes the second;
 any change to what a `demo`, a `generate` kind or a `solve --algo` choice
-prints, or to its exit code, changes the third.  A refactor that keeps the
-output byte-identical leaves them alone.  If the output is meant to change,
-the change must say so and record the new digest.
+prints, or to its exit code, changes the third; and any change to what
+`check`, `exists` or `enumerate` prints, or to its exit code, changes the
+fourth.  A refactor that keeps the output byte-identical leaves them alone.
+If the output is meant to change, the change must say so and record the new
+digest.
 """
 
 import hashlib
 import random
 
-from choresched.cli import main
-from choresched.core import AdditiveValuations, Chore, Instance
+from choresched.cli import _DEMOS, main
+from choresched.core import AdditiveValuations, Chore, Instance, path_instance
 from choresched.generate import (
     random_bounded_components_instance,
     random_dichotomous_path_instance,
     random_interval_instance,
     random_path_instance,
 )
-from choresched.io import save_instance
+from choresched.io import load_instance, save_instance, save_schedule
+from choresched.oracle import CRITERIA, demo_round_robin
 
 GOLDEN_SHA256 = "1c318f6e517c9e48111d17d4effab97df1a83e4bce5d216bf147bddbfeafc94e"
 N_AGENT_GOLDEN_SHA256 = "2a2df9b2040aeb7377a0f8deab81b34ba66ce0184b8168cd018d6be3ec74f19a"
 CHOICES_GOLDEN_SHA256 = "f675ac0581733828c0b8e92a872bf0ae5ebd2a454f93c51df21df4a6b53bd451"
+QUERIES_GOLDEN_SHA256 = "187edf722c576b0874152c7fad34ccf3006677763846fbf4d966cdb1f1f03b57"
 
 DEMOS = ("efx-maximal", "ef1-po", "ef1-complete", "round-robin", "envy-cycle")
 KINDS = ("random-intervals", "random-path", "random-dichotomous-path", "bounded-components")
@@ -157,3 +161,45 @@ def test_cli_choices_output_digest(tmp_path, capsys):
         digest.update(f"{label} exit {code}\n".encode())
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == CHOICES_GOLDEN_SHA256
+
+
+def test_cli_queries_output_digest(tmp_path, capsys):
+    """check, exists and enumerate on the demo paths and three small interval
+    instances: every check criterion on the solved schedule, where one is
+    solved, and on the round-robin schedule, non-EF1 on its own demo path."""
+    instances = [path_instance([values, values]) for values, _, _ in _DEMOS.values()]
+    for seed in ("1", "2", "3"):
+        out = tmp_path / f"intervals{seed}.json"
+        kind = ["--kind", "random-intervals", "--n", "3", "--m", "7"]
+        main(["generate", *kind, "--seed", seed, "--out", str(out)])
+        instances.append(load_instance(out))
+
+    def criterion_args(criterion):
+        return ["--criterion", criterion, *(["--k", "1"] if criterion == "efk" else [])]
+
+    formats = ("text", "json")
+    runs = []
+    for index, inst in enumerate(instances):
+        path = str(tmp_path / f"instance{index}.json")
+        save_instance(inst, path)
+        solved = str(tmp_path / f"solved{index}.json")
+        schedules = [solved] if main(["solve", path, "--out", solved]) == 0 else []
+        robin = str(tmp_path / f"robin{index}.json")
+        save_schedule(demo_round_robin(inst)[0], robin)
+        schedules.append(robin)
+        for schedule in schedules:
+            for criterion in ("ef", "ef1", "efx", "efk", "maximal", "complete", "po"):
+                args = ["check", path, schedule, *criterion_args(criterion), "--format"]
+                runs += [[*args, fmt] for fmt in formats]
+        for criterion in CRITERIA:
+            args = ["exists", path, *criterion_args(criterion), "--format"]
+            runs += [[*args, fmt] for fmt in formats]
+        runs += [["enumerate", path, "--format", fmt] for fmt in formats]
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for argv in runs:
+        code = main(argv)
+        label = " ".join(arg.removeprefix(str(tmp_path)) for arg in argv)
+        digest.update(f"{label} exit {code}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == QUERIES_GOLDEN_SHA256

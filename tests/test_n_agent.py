@@ -1,5 +1,6 @@
 """Weighted round robin, bundle splits, and the bounded-component solver."""
 
+import hashlib
 import random
 import re
 
@@ -271,19 +272,63 @@ class TestSplitTripleBundle:
             split_triple_bundle(range(len(intervals)), graph, heavy, dummies)
 
 
+# SHA-256 over every field of the weighted-round-robin records of 400
+# two-valued paths: random_dichotomous_path_instance(random.Random(7), n, m)
+# for n = 4..11 and m = 2..49, 100 and 333, in that order.
+TWO_VALUED_RECORDS_SHA256 = "ac169d9f04223bddb0d4dc4bafce5256626d87a52d9bf775b9f5f31064d801d6"
+
+
+def solution_record(sol) -> str:
+    """Every field of a DichotomousPathSolution, as one line of text."""
+    padded = sol.padded_instance
+    return repr((
+        sol.schedule,
+        padded.n,
+        [(c.id, c.start, c.finish, c.label) for c in padded.chores],
+        padded.valuations.table,
+        sol.padded_schedule,
+        sorted(sol.dummy_ids),
+        [(s.index, s.members, s.picks) for s in sol.meta_agents],
+        sol.heavy_value,
+        sol.light_value,
+    )) + "\n"
+
+
 class TestDichotomousPath:
+    def test_two_valued_records_unchanged(self):
+        rng = random.Random(7)
+        digest = hashlib.sha256()
+        for n in range(4, 12):
+            for m in [*range(2, 50), 100, 333]:
+                sol = dichotomous_path_solution(random_dichotomous_path_instance(rng, n, m))
+                digest.update(solution_record(sol).encode())
+        assert digest.hexdigest() == TWO_VALUED_RECORDS_SHA256
+
     def test_eight_heavy_chores_two_each(self):
         inst = path_instance([[-5] * 8] * 4)
-        schedule = solve_identical_dichotomous_path(inst, allow_uniform=True)
+        schedule = solve_identical_dichotomous_path(inst)
         assert is_complete(schedule)
         assert all(len(schedule.bundle(i)) == 2 for i in range(4))
         assert check_ef(schedule, inst).holds
 
+    def test_one_valued_paths_make_every_chore_heavy(self):
+        for n in range(4, 12):
+            for m in [*range(1, 61), 333, 1000]:
+                for value in (0, -1, -7):
+                    inst = path_instance([[value] * m] * n)
+                    sol = dichotomous_path_solution(inst)
+                    assert sol.heavy_value == sol.light_value == value
+                    assert is_complete(sol.schedule)
+                    assert is_maximal(sol.schedule, inst.graph())
+                    assert check_ef1(sol.schedule, inst).holds
+
     def test_empty_instance(self):
         inst = Instance(4, (), AdditiveValuations([[]] * 4))
-        schedule = solve_identical_dichotomous_path(inst)
-        assert schedule.m == 0
-        assert is_complete(schedule)
+        sol = dichotomous_path_solution(inst)
+        assert sol.schedule == sol.padded_schedule == Schedule.empty(4, 0)
+        assert sol.padded_instance.m == 0 and sol.dummy_ids == frozenset()
+        assert sol.heavy_value == sol.light_value == 0
+        assert [s.members for s in sol.meta_agents] == [(0, 1), (2, 3)]
 
     def test_distinct_rejections(self):
         with pytest.raises(InputError, match="four agents"):
@@ -302,9 +347,9 @@ class TestDichotomousPath:
         with pytest.raises(InputError, match="dichotomous"):
             solve_identical_dichotomous_path(triple_valued)
         uniform = path_instance([[-1, -1]] * 4)
-        with pytest.raises(InputError, match="dichotomous"):
-            solve_identical_dichotomous_path(uniform)
-        assert is_complete(solve_identical_dichotomous_path(uniform, allow_uniform=True))
+        schedule = solve_identical_dichotomous_path(uniform)
+        assert is_complete(schedule)
+        assert check_ef1(schedule, uniform).holds
 
     def test_padded_run_is_envy_free_and_tagged(self):
         rng = random.Random(9)
@@ -349,14 +394,13 @@ class TestDichotomousPath:
 
     def test_every_heavy_light_pattern_up_to_ten_chores(self):
         # exhaustive over chore-type patterns: every way of labeling a path
-        # of 2..10 chores heavy/light, for an even and an odd agent count
+        # of 2..10 chores heavy/light, one kind alone included, for an even
+        # and an odd agent count
         import itertools
 
         for n in (4, 5):
             for m in range(2, 11):
                 for bits in itertools.product((0, 1), repeat=m):
-                    if len(set(bits)) == 1:
-                        continue  # needs both values to be dichotomous
                     row = [-7 if b else -2 for b in bits]
                     inst = path_instance([row] * n)
                     sol = dichotomous_path_solution(inst)
