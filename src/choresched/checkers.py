@@ -43,6 +43,7 @@ from .core import (
     Schedule,
     _bundle_masks,
     _require_instance,
+    _require_schedule,
     is_feasible,
 )
 
@@ -89,6 +90,7 @@ def _removal(
 
 def _require_agents(schedule: Schedule, instance: Instance) -> None:
     _require_instance(instance)
+    _require_schedule(schedule)
     if schedule.n_agents != instance.n:
         raise InputError(f"schedule has {schedule.n_agents} agents, the instance {instance.n}")
 
@@ -231,6 +233,7 @@ def check_efx(schedule: Schedule, instance: Instance) -> FairnessVerdict:
 
 def is_complete(schedule: Schedule) -> bool:
     """True iff every chore is assigned."""
+    _require_schedule(schedule)
     return all(a is not None for a in schedule.assignment)
 
 

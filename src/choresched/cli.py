@@ -27,7 +27,7 @@ from .generate import (
     random_interval_instance,
     random_path_instance,
 )
-from .n_agent import solve_identical_bounded_components, solve_identical_dichotomous_path
+from .n_agent import _auto_algorithm, solve_identical_bounded_components, solve_identical_dichotomous_path
 from .oracle import (
     CRITERIA,
     GUARD,
@@ -49,12 +49,13 @@ OK, FAILS, BAD_INPUT, BUG = 0, 1, 2, 3
 # check it again.  Each entry looks its solver up when it runs, so a name
 # replaced in this module (by a test or a tracer) is the one called.
 _SOLVERS: dict[str, Callable[[Instance], Schedule]] = {
+    "auto": lambda inst: _SOLVERS["two-agent-interval" if inst.n == 2 else _auto_algorithm(inst)](inst),
     "two-agent-interval": lambda instance: solve_two_agents(instance),
     "two-agent-path": lambda instance: select_ef1(path_sequence(instance), instance),
     "dichotomous-path": lambda instance: solve_identical_dichotomous_path(instance),
     "bounded-components": lambda instance: solve_identical_bounded_components(instance),
 }
-ALGORITHMS = ("auto", *_SOLVERS)
+ALGORITHMS = tuple(_SOLVERS)
 
 
 def _emit(
@@ -82,32 +83,9 @@ def _schedule_text(schedule: Schedule) -> str:
     return "\n".join(parts)
 
 
-def _pick_algorithm(instance: Instance, requested: str) -> str:
-    if requested != "auto":
-        return requested
-    vals = instance.valuations
-    if instance.n == 2:
-        return "two-agent-interval"
-    # Instance files only hold additive profiles, so is_identical is defined.
-    if not vals.is_identical():
-        raise InputError(
-            "no algorithm applies: need 2 agents, or identical dichotomous values on a path "
-            "with n >= 4, or identical values with components of at most n chores"
-        )
-    if instance.n >= 4 and instance.graph().is_path and vals.dichotomy() is not None:
-        return "dichotomous-path"
-    # The solver itself rejects a component of more than n chores.
-    return "bounded-components"
-
-
-def _solve(instance: Instance, algo: str) -> Schedule:
-    """The schedule of the requested (or picked) algorithm, EF1 and maximal."""
-    return _SOLVERS[_pick_algorithm(instance, algo)](instance)
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = fileio.load_instance(args.instance)
-    schedule = _solve(instance, args.algo)
+    schedule = _SOLVERS[args.algo](instance)
     if args.out:
         fileio.save_schedule(schedule, args.out)
     _emit(

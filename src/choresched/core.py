@@ -499,6 +499,11 @@ def _require_instance(instance: Any) -> None:
         raise InputError(f"instance must be an Instance, got {instance!r}")
 
 
+def _require_schedule(schedule: Any) -> None:
+    if not isinstance(schedule, Schedule):
+        raise InputError(f"schedule must be a Schedule, got {schedule!r}")
+
+
 def path_instance(values_per_agent: Sequence[Sequence[int]]) -> Instance:
     """Build an instance whose conflict graph is exactly the path c_0 - c_1 - ... - c_{m-1}.
 
@@ -546,6 +551,9 @@ def is_feasible(schedule: Schedule, graph: ConflictGraph) -> bool:
 
 def _bundle_masks(schedule: Schedule, graph: ConflictGraph) -> Optional[list[int]]:
     """One bitmask per agent's bundle, or None if a bundle holds overlapping chores."""
+    _require_schedule(schedule)
+    if not isinstance(graph, ConflictGraph):
+        raise InputError(f"graph must be a ConflictGraph, got {graph!r}")
     if schedule.m != graph.m:
         raise InputError(f"schedule covers {schedule.m} chores, graph has {graph.m}")
     bundle_masks = [0] * schedule.n_agents

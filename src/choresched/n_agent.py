@@ -101,30 +101,50 @@ def solve_identical_dichotomous_path(instance: Instance) -> Schedule:
     return dichotomous_path_solution(instance).schedule
 
 
-def dichotomous_path_solution(instance: Instance) -> DichotomousPathSolution:
-    """solve_identical_dichotomous_path with the padded run exposed."""
+def _round_robin_values(instance: Instance) -> tuple[int, int]:
+    """The (heavy, light) values of an instance the weighted round robin takes,
+    or InputError naming the first of its conditions that fails.  The rows are
+    identical, so row 0 holds every value; an empty row reads as the value 0."""
     _require_instance(instance)
-    n = instance.n
-    if n < 4:
-        raise InputError(f"weighted round robin needs at least four agents, got {n}")
+    if instance.n < 4:
+        raise InputError(f"weighted round robin needs at least four agents, got {instance.n}")
     vals = instance.valuations
     if not vals.is_additive:
         raise InputError("weighted round robin needs an additive profile")
     if not vals.is_identical():
         raise InputError("weighted round robin needs identical valuations")
-    graph = instance.graph()
-    if not graph.is_path:
+    if not instance.graph().is_path:
         raise InputError("weighted round robin needs a path conflict graph")
-    metas = _group_meta_agents(n)
-
-    # The rows are identical, so row 0 holds every value of the profile; an
-    # empty row reads as the single value 0.  One value makes every chore heavy.
     values = sorted(set(vals.table[0])) or [0]
     if len(values) > 2:
         raise InputError(
             "weighted round robin needs a dichotomous profile (at most two distinct values)"
         )
-    heavy_value, light_value = values[0], values[-1]
+    return values[0], values[-1]
+
+
+def _auto_algorithm(instance: Instance) -> str:
+    """The solver `solve --algo auto` runs for n != 2 agents: dichotomous-path
+    on what the round robin takes, save a one-valued path of at most n chores,
+    which keeps its older bounded-components schedule; else bounded-components."""
+    if not instance.valuations.is_identical():
+        raise InputError(
+            "no algorithm applies: need 2 agents, or identical dichotomous values on a path "
+            "with n >= 4, or identical values with components of at most n chores"
+        )
+    try:
+        heavy_value, light_value = _round_robin_values(instance)
+    except InputError:
+        return "bounded-components"
+    one_value_fits = heavy_value == light_value and instance.m <= instance.n
+    return "bounded-components" if one_value_fits else "dichotomous-path"
+
+
+def dichotomous_path_solution(instance: Instance) -> DichotomousPathSolution:
+    """solve_identical_dichotomous_path with the padded run exposed."""
+    heavy_value, light_value = _round_robin_values(instance)
+    n, vals, graph = instance.n, instance.valuations, instance.graph()
+    metas = _group_meta_agents(n)
     heavy_ids = {c for c, v in enumerate(vals.table[0]) if v == heavy_value}
 
     # Phase 2: deal heavies then lights along the path to the picking pattern.

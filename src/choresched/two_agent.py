@@ -29,6 +29,7 @@ from .core import (
     _mask_bits,
     _require_instance,
     _require_positional_ids,
+    _require_schedule,
     build_conflict_graph,
     is_feasible,  # not called here, but perfbench/tracing.py spans two_agent.is_feasible by name
     order_by_finish,
@@ -114,6 +115,8 @@ class ScheduleSequence:
 
 def adjacent(x: Schedule, y: Schedule) -> bool:
     """True iff each bundle of y differs from x's by <= 1 addition and <= 1 removal."""
+    _require_schedule(x)
+    _require_schedule(y)
     if x.n_agents != 2 or y.n_agents != 2:
         raise InputError("adjacency is defined for two-agent schedules")
     if x.m != y.m:
@@ -282,6 +285,7 @@ def classify_supported(
     schedule: Schedule, classification: ChoreClassification
 ) -> dict[int, bool]:
     """Supported flags for every unassigned chore of the schedule."""
+    _require_schedule(schedule)
     if schedule.n_agents != 2 or schedule.m != classification.graph.m:
         raise InputError("the schedule must be a two-agent schedule of the classified chores")
     colors = schedule.assignment
@@ -629,6 +633,8 @@ def select_ef1(sequence: ScheduleSequence, instance: Instance) -> Schedule:
     tried before it, so a swap is valued from its own bundles.
     """
     _require_two_agents(instance)
+    if not isinstance(sequence, ScheduleSequence):
+        raise InputError(f"sequence must be a ScheduleSequence, got {sequence!r}")
     if sequence.initial.m != instance.m:
         raise InputError(f"the sequence covers {sequence.initial.m} chores, the instance {instance.m}")
     graph = instance.graph()

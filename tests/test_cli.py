@@ -12,7 +12,15 @@ import pytest
 from choresched import cli
 from choresched.cli import main
 from choresched.io import load_instance, load_schedule, save_instance, save_schedule
-from choresched.core import AdditiveValuations, Chore, Instance, Schedule, path_instance
+from choresched.core import (
+    AdditiveValuations,
+    Chore,
+    Instance,
+    InternalInvariantError,
+    MonotoneValuations,
+    Schedule,
+    path_instance,
+)
 from choresched.generate import random_interval_instance
 from conftest import independent_additive_failures
 
@@ -39,18 +47,36 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ef1"] and payload["maximal"]
 
-    def test_one_valued_path_needs_the_dichotomous_path_choice(self, tmp_path, capsys):
-        # auto routes by AdditiveValuations.dichotomy(), which needs two
-        # values, so it runs bounded-components and that rejects the path.
+    def test_auto_runs_dichotomous_path_on_a_long_one_valued_path(self, tmp_path, capsys):
+        # One component of 40 chores, which bounded-components would reject.
         path = str(tmp_path / "uniform.json")
         args = ["--kind", "random-path", "--n", "5", "--m", "40", "--vmin", "-3", "--vmax", "-3"]
         assert main(["generate", *args, "--out", path]) == 0
-        assert main(["solve", path]) == 2
-        out = tmp_path / "schedule.json"
         capsys.readouterr()
-        assert main(["solve", path, "--algo", "dichotomous-path", "--out", str(out)]) == 0
+        outputs = []
+        for algo in ("auto", "dichotomous-path"):
+            out = tmp_path / f"{algo}.json"
+            assert main(["solve", path, "--algo", algo, "--out", str(out)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
         for criterion in ("ef1", "maximal", "complete"):
             assert main(["check", path, str(out), "--criterion", criterion]) == 0
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_auto_on_one_valued_paths(self, tmp_path, capsys, value):
+        # The round robin takes every one-valued path with n >= 4; auto gives
+        # those of at most n chores to bounded-components, whose schedules
+        # the n-agent golden digest pins and which differ from the round
+        # robin's on some of them.
+        path = str(tmp_path / "instance.json")
+        for n in range(4, 12):
+            for m in range(1, 3 * n + 1):
+                save_instance(path_instance([[value] * m] * n), path)
+                outputs = []
+                for algo in ("auto", "dichotomous-path" if m > n else "bounded-components"):
+                    assert main(["solve", path, "--algo", algo, "--format", "json"]) == 0, (n, m)
+                    outputs.append(capsys.readouterr().out)
+                assert outputs[0] == outputs[1], (n, m)
 
     def test_bounded_components_dispatch(self, tmp_path, capsys):
         path = write_instance(tmp_path, [[-5, -1, -5]] * 3)
@@ -164,6 +190,20 @@ class TestMalformedInput:
                 },
                 "chore id 0 appears more than once",
             ),
+            ([], "instance file must contain a JSON object"),
+            (
+                {"agents": 2, "path": 2, "valuations": [[-1, -1]]},
+                "field 'valuations' must list one row per agent (2 rows)",
+            ),
+            (
+                {"agents": 2, "path": 2, "valuations": [[-1, -1], [-1]]},
+                "each valuation row must have 'path' = 2 entries",
+            ),
+            ({"agents": 2, "valuations": [[-1], [-1]]}, "missing field 'chores' (or 'path')"),
+            (
+                {"agents": 2, "chores": [CHORES[0], 5], "valuations": [[-1, -1], [-1, -1]]},
+                "chores[1] must be an object",
+            ),
         ],
         ids=[
             "chores-not-a-list",
@@ -172,6 +212,11 @@ class TestMalformedInput:
             "bool-times",
             "int-label",
             "duplicate-ids",
+            "not-an-object",
+            "row-count",
+            "path-row-length",
+            "no-chores",
+            "chore-not-an-object",
         ],
     )
     def test_solve_exits_two(self, tmp_path, capsys, data, message):
@@ -179,6 +224,21 @@ class TestMalformedInput:
         path.write_text(json.dumps(data))
         assert main(["solve", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "schedule file must contain an object with an 'assignment' field"),
+            ({"agents": [0, 1]}, "schedule file must contain an object with an 'assignment' field"),
+            ({"assignment": [0, 1]}, "field 'assignment' must map chore ids to agents (or null)"),
+        ],
+        ids=["not-an-object", "no-assignment", "assignment-not-an-object"],
+    )
+    def test_check_rejects_the_schedule_file(self, tmp_path, capsys, data, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", write_instance(tmp_path, [[-1, -1]] * 2), str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_repeated_instance_key_exits_two(self, tmp_path, capsys):
         # Read as its last value, the key would make a valid two-agent instance.
@@ -217,16 +277,24 @@ class TestMalformedInput:
 
 
 class TestUnexpectedError:
-    def test_any_other_exception_exits_three(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (RuntimeError("solver fell over"), "internal error: RuntimeError: solver fell over"),
+            (InternalInvariantError("step 3 is infeasible"), "internal invariant violation: step 3 is infeasible"),
+        ],
+        ids=["runtime-error", "internal-invariant-error"],
+    )
+    def test_any_other_exception_exits_three(self, tmp_path, capsys, monkeypatch, exc, message):
         # Exit 1 means "criterion fails": a crash must not read as one.
         def broken(instance):
-            raise RuntimeError("solver fell over")
+            raise exc
 
         monkeypatch.setattr(cli, "solve_two_agents", broken)
         assert main(["solve", write_instance(tmp_path, [[-1, -1]] * 2)]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "internal error: RuntimeError: solver fell over\n"
+        assert err == message + "\n"
 
 
 class TestCheck:
@@ -444,6 +512,42 @@ class TestGenerate:
             "--max-component", "5",
         ]) == 2
         assert "exceed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ("random-intervals --n 2 --m 0", "need at least one chore"),
+            (
+                "random-dichotomous-path --n 4 --m 5 --vmin -1",
+                "need vmin <= -2 to fit two distinct non-positive values",
+            ),
+            ("random-dichotomous-path --n 4 --m 1", "need at least two chores for two distinct values"),
+            ("bounded-components --n 3 --m 0", "need at least one chore"),
+            ("bounded-components --n 3 --m 5 --max-component 0", "need max_component >= 1"),
+            ("random-path --n 2 --m 3 --vmax 1", "chore values are non-positive; need vmax <= 0"),
+            ("random-path --n 2 --m 3 --vmin -1 --vmax -2", "need vmin <= vmax"),
+        ],
+        ids=[
+            "intervals-no-chores",
+            "dichotomous-vmin",
+            "dichotomous-one-chore",
+            "components-no-chores",
+            "components-max-zero",
+            "positive-vmax",
+            "vmin-above-vmax",
+        ],
+    )
+    def test_rejected_parameters_exit_two_with_their_message(self, capsys, args, message):
+        assert main(["generate", "--kind", *args.split()]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_a_monotone_instance_exits_two(self, tmp_path, capsys, monkeypatch):
+        chores = path_instance([[-1, -1]] * 2).chores
+        monotone = Instance(2, chores, MonotoneValuations(2, 2, lambda i, b: -len(b)))
+        monkeypatch.setitem(cli._GENERATORS, "random-path", lambda rng, args: monotone)
+        out = tmp_path / "instance.json"
+        assert main(["generate", "--kind", "random-path", "--n", "2", "--m", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: only additive valuation profiles are serializable\n")
 
 
 def assert_canonical_layout(text):

@@ -896,3 +896,52 @@ def test_every_entry_rejects_a_non_instance(call):
     # On a list each of these used to fail with a bare AttributeError.
     with pytest.raises(InputError, match=r"^instance must be an Instance, got \[1, 2\]$"):
         call([1, 2])
+
+
+def _entries_taking_a_schedule_or_graph():
+    """Each public entry that takes a schedule or a graph, by name, as a call
+    on that argument alone, and the type the rejection names."""
+    from choresched import checkers, oracle, two_agent
+
+    good = path_instance([[-1, -1]] * 2)
+    graph = good.graph()
+    schedule = Schedule.from_bundles(2, 2, [{0}, {1}])
+    classification = two_agent.classify_chores(good.chores)
+    calls = {
+        "check_efk": lambda bad: checkers.check_efk(bad, good, 1),
+        "envy_graph": lambda bad: checkers.envy_graph(bad, good),
+        "is_complete": checkers.is_complete,
+        "is_maximal": lambda bad: checkers.is_maximal(bad, graph),
+        "is_feasible": lambda bad: is_feasible(bad, graph),
+        "is_pareto_optimal": lambda bad: oracle.is_pareto_optimal(bad, good),
+        "adjacent": lambda bad: two_agent.adjacent(bad, schedule),
+        "classify_supported": lambda bad: two_agent.classify_supported(bad, classification),
+    }
+    for name in ("check_ef", "check_ef1", "check_efx"):
+        calls[name] = lambda bad, check=getattr(checkers, name): check(bad, good)
+    entries = {name: (call, "schedule must be a Schedule") for name, call in calls.items()}
+    entries["select_ef1"] = (
+        lambda bad: two_agent.select_ef1(bad, good),
+        "sequence must be a ScheduleSequence",
+    )
+    for name, check in (("is_maximal", checkers.is_maximal), ("is_feasible", is_feasible)):
+        entries[f"{name}-graph"] = (
+            lambda bad, check=check: check(schedule, bad),
+            "graph must be a ConflictGraph",
+        )
+    return entries
+
+
+SCHEDULE_ENTRIES = _entries_taking_a_schedule_or_graph()
+
+
+@pytest.mark.parametrize("call, text", SCHEDULE_ENTRIES.values(), ids=SCHEDULE_ENTRIES.keys())
+def test_every_entry_rejects_a_non_schedule_or_non_graph(call, text):
+    # On a list each of these used to fail with a bare AttributeError.
+    with pytest.raises(InputError, match=rf"^{text}, got \[1, 2\]$"):
+        call([1, 2])
+
+
+def test_from_bundles_needs_one_bundle_per_agent():
+    with pytest.raises(InputError, match="^expected 3 bundles, got 2$"):
+        Schedule.from_bundles(3, 2, [{0}, {1}])

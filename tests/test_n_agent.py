@@ -14,6 +14,7 @@ from choresched.core import (
     InputError,
     Instance,
     InternalInvariantError,
+    MonotoneValuations,
     Schedule,
     build_conflict_graph,
     path_instance,
@@ -426,6 +427,20 @@ class TestDichotomousPath:
                 for kind in (0, 1):
                     spread = max(c[kind] for c in counts) - min(c[kind] for c in counts)
                     assert spread <= 1
+
+
+@pytest.mark.parametrize(
+    "solve, name",
+    [
+        (solve_identical_dichotomous_path, "weighted round robin"),
+        (solve_identical_bounded_components, "bounded-component round robin"),
+    ],
+    ids=["dichotomous-path", "bounded-components"],
+)
+def test_solvers_reject_a_monotone_profile(solve, name):
+    inst = Instance(4, path_instance([[-1] * 3] * 4).chores, MonotoneValuations(4, 3, lambda i, b: -len(b)))
+    with pytest.raises(InputError, match=f"^{name} needs an additive profile$"):
+        solve(inst)
 
 
 class TestBoundedComponents:

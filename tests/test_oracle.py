@@ -484,6 +484,18 @@ class TestDemoRoundRobin:
         schedule, _ = demo_round_robin(inst, agent_order=(1, 0))
         assert schedule.bundle(1) == {0}
 
+    @pytest.mark.parametrize("order", [(0,), (0, 0), (1, 2)])
+    def test_order_must_be_a_permutation_of_all_agents(self, order):
+        inst = path_instance([[-1, -2]] * 2)
+        with pytest.raises(InputError, match="^agent_order must be a permutation of all agents$"):
+            demo_round_robin(inst, agent_order=order)
+
+    def test_needs_an_additive_profile(self):
+        chores = path_instance([[-1, -2]] * 2).chores
+        inst = Instance(2, chores, MonotoneValuations(2, 2, lambda i, b: -len(b)))
+        with pytest.raises(InputError, match="^round robin demo needs an additive profile$"):
+            demo_round_robin(inst)
+
 
 class TestDemoTopTradingEnvyCycle:
     def test_published_run(self):

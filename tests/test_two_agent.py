@@ -79,6 +79,10 @@ class TestAdjacent:
         with pytest.raises(InputError):
             adjacent(Schedule(3, (0,)), Schedule(3, (1,)))
 
+    def test_needs_the_same_chores(self):
+        with pytest.raises(InputError, match="^schedules cover different chore sets$"):
+            adjacent(Schedule(2, (0, 1)), Schedule(2, (0,)))
+
 
 class TestPathSequence:
     def test_six_chore_trace(self):
@@ -809,6 +813,18 @@ class TestScheduleSequence:
             ScheduleSequence(steps=(Schedule(3, (2, 0)),), tags=("initial",))
         with pytest.raises(InputError, match="two-agent"):
             ScheduleSequence(steps=(Schedule(2, (0, 1)), Schedule(3, (1, 0))), tags=("a", "b"))
+
+    @pytest.mark.parametrize(
+        "steps, tags, text",
+        [
+            ((Schedule(2, (0, 1)),), (), "one tag per step required"),
+            ((), (), "a sequence has at least one step"),
+        ],
+        ids=["tag-count", "no-steps"],
+    )
+    def test_needs_one_tag_per_step_and_a_first_step(self, steps, tags, text):
+        with pytest.raises(InputError, match=f"^{text}$"):
+            ScheduleSequence(steps, tags)
 
     def test_steps_must_be_schedules(self):
         # An assignment tuple in place of a Schedule raised a bare AttributeError.
