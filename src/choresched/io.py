@@ -41,6 +41,7 @@ from .core import (
     InputError,
     Instance,
     Schedule,
+    _require_schedule,
     path_instance,
 )
 from .two_agent import ScheduleSequence
@@ -217,11 +218,13 @@ def load_instance(path: PathLike) -> Instance:
 
 
 def save_instance(instance: Instance, path: PathLike) -> None:
+    text = _dumps(instance_to_dict(instance)) + "\n"  # before open: a rejection leaves the file
     with open(path, "w") as fh:
-        fh.write(_dumps(instance_to_dict(instance)) + "\n")
+        fh.write(text)
 
 
 def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
+    _require_schedule(schedule)
     return {"assignment": {str(c): a for c, a in enumerate(schedule.assignment)}}
 
 
@@ -249,5 +252,6 @@ def load_schedule(path: PathLike, instance: Instance) -> Schedule:
 
 
 def save_schedule(schedule: Schedule, path: PathLike) -> None:
+    text = _dumps(schedule_to_dict(schedule)) + "\n"  # before open: a rejection leaves the file
     with open(path, "w") as fh:
-        fh.write(_dumps(schedule_to_dict(schedule)) + "\n")
+        fh.write(text)

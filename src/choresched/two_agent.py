@@ -193,9 +193,9 @@ class ChoreClassification:
     unmarked iff it overlaps two or more earlier-finishing marked chores;
     bucket i collects the unmarked chores whose finish falls between marked
     chores number i and i+1 (1-based).  Marked chores alternate red/blue in
-    the source coloring; the target coloring is the swap.  earlier[c] and
-    later[c] split chore c's neighbour mask into the chores before and after
-    it in that finish order.
+    the source coloring; the target coloring is the swap.  It keeps no
+    neighbour masks of its own: a neighbour x of c in graph finishes before
+    c iff rank[x] < rank[c].
     """
 
     order: tuple[int, ...]
@@ -206,8 +206,6 @@ class ChoreClassification:
     buckets: dict[int, tuple[int, ...]]
     source_color: dict[int, int]
     graph: ConflictGraph
-    earlier: tuple[int, ...]
-    later: tuple[int, ...]
 
     def target_color(self, chore: int) -> Optional[int]:
         """The chore's color in the swapped endpoint (None for unmarked chores)."""
@@ -226,18 +224,13 @@ def classify_chores(
         raise InputError(f"the graph has {graph.m} chores, the chore list {len(chores)}")
     order = order_by_finish(chores)
     nbr = graph.neighbor_masks
-    earlier = [0] * graph.m
-    later = [0] * graph.m
-    seen = 0
     marked: list[int] = []
     marked_mask = 0
     bucket_of: dict[int, int] = {}
     buckets: dict[int, list[int]] = {}
     for c in order:
-        earlier[c] = nbr[c] & seen
-        later[c] = nbr[c] ^ earlier[c]
-        seen |= 1 << c
-        if (earlier[c] & marked_mask).bit_count() >= 2:
+        # marked_mask holds only chores scanned before c: its earlier finishers.
+        if (nbr[c] & marked_mask).bit_count() >= 2:
             bucket_of[c] = len(marked)
             buckets.setdefault(len(marked), []).append(c)
         else:
@@ -253,8 +246,6 @@ def classify_chores(
         buckets={i: tuple(v) for i, v in buckets.items()},
         source_color=source,
         graph=graph,
-        earlier=tuple(earlier),
-        later=tuple(later),
     )
 
 
@@ -269,16 +260,32 @@ def _is_supported(
     bundle.  (Inapplicable when marked chore i is unassigned, or for chores
     outside every bucket.)
     Condition 3: two or more assigned overlaps with later finish.
+
+    Four or more assigned overlaps satisfy condition 1 or 3, since at most
+    two earlier and one later finishers make three.  Fewer are split by finish
+    rank one by one.  Condition 2 is then decided by the one later finisher,
+    if there is exactly one, without assuming the schedule feasible.
     """
-    assigned = masks[RED] | masks[BLUE]
-    later = cls.later[chore]
-    if (cls.earlier[chore] & assigned).bit_count() >= 3 or (later & assigned).bit_count() >= 2:
+    near = cls.graph.neighbor_masks[chore] & (masks[RED] | masks[BLUE])
+    count = near.bit_count()
+    if count >= 4:
+        return True
+    rank = cls.rank
+    own = rank[chore]
+    later = 0
+    while near:
+        x = near.bit_length() - 1
+        if rank[x] > own:
+            later += 1
+            after = x
+        near ^= 1 << x
+    if count - later >= 3 or later >= 2:
         return True
     i = cls.bucket_of.get(chore)
-    if i is None:
+    if i is None or not later:
         return False
     anchor_color = colors[cls.marked[i - 1]]
-    return anchor_color is not None and bool(later & masks[1 - anchor_color])
+    return anchor_color is not None and colors[after] != anchor_color
 
 
 def classify_supported(
@@ -530,7 +537,12 @@ def interval_sequence_ef1(instance: Instance) -> ScheduleSequence:
                 builder[c_prev] = builder[c_i]
                 builder.emit("phase2-case-ii")
             else:
-                loose = [u for u in unsupported if not cls.later[u] & (masks[RED] | masks[BLUE])]
+                assigned = masks[RED] | masks[BLUE]
+                loose = [
+                    u
+                    for u in unsupported
+                    if all(cls.rank[x] < cls.rank[u] for x in _mask_bits(nbr[u] & assigned))
+                ]
                 if loose:
                     # (iii a): a fully loose unsupported chore swaps roles with c_i.
                     u_prime = max(loose, key=lambda u: cls.rank[u])
@@ -602,14 +614,17 @@ def _assert_phase2_postconditions(
     for c, color in enumerate(builder):
         if color is None and not _is_supported(c, builder, builder.masks, cls):
             raise InternalInvariantError(f"phase 2 ended with unsupported unassigned chore {c}")
-    following = [*(1 << u for u in untargeted[1:]), 0]
-    for c, next_bit in zip(untargeted, following):
+    nbr, rank = cls.graph.neighbor_masks, cls.rank
+    for c, following in zip(untargeted, [*untargeted[1:], None]):
         if builder[c] is None or target[c] is None:
             continue
-        clash = cls.later[c] & builder.masks[target[c]] & ~next_bit
-        if clash:
-            x = (clash & -clash).bit_length() - 1
-            raise InternalInvariantError(f"phase 2 left chore {c} overlapping {x} of its target color")
+        clash = nbr[c] & builder.masks[target[c]]
+        while clash:
+            low = clash & -clash
+            x = low.bit_length() - 1
+            if rank[x] > rank[c] and x != following:
+                raise InternalInvariantError(f"phase 2 left chore {c} overlapping {x} of its target color")
+            clash ^= low
 
 
 def select_ef1(sequence: ScheduleSequence, instance: Instance) -> Schedule:

@@ -6,7 +6,10 @@ any change to what `solve` prints for the n-agent solvers changes the second;
 any change to what a `demo`, a `generate` kind or a `solve --algo` choice
 prints, or to its exit code, changes the third; and any change to what
 `check`, `exists` or `enumerate` prints, or to its exit code, changes the
-fourth.  A refactor that keeps the output byte-identical leaves them alone.
+fourth.  The fifth covers two-agent outputs the CLI cannot reach: the
+chore classification, the support flags of every sequence step, the EF2
+shift sequence with its completion hints, and the solve under monotone
+profiles.  A refactor that keeps the output byte-identical leaves them alone.
 If the output is meant to change, the change must say so and record the new
 digest.
 """
@@ -15,7 +18,7 @@ import hashlib
 import random
 
 from choresched.cli import _DEMOS, main
-from choresched.core import AdditiveValuations, Chore, Instance, path_instance
+from choresched.core import AdditiveValuations, Chore, Instance, MonotoneValuations, path_instance
 from choresched.generate import (
     random_bounded_components_instance,
     random_dichotomous_path_instance,
@@ -24,11 +27,19 @@ from choresched.generate import (
 )
 from choresched.io import load_instance, save_instance, save_schedule
 from choresched.oracle import CRITERIA, demo_round_robin
+from choresched.two_agent import (
+    classify_chores,
+    classify_supported,
+    interval_sequence_ef1,
+    interval_sequence_ef2,
+    solve_two_agents,
+)
 
 GOLDEN_SHA256 = "1c318f6e517c9e48111d17d4effab97df1a83e4bce5d216bf147bddbfeafc94e"
 N_AGENT_GOLDEN_SHA256 = "2a2df9b2040aeb7377a0f8deab81b34ba66ce0184b8168cd018d6be3ec74f19a"
 CHOICES_GOLDEN_SHA256 = "f675ac0581733828c0b8e92a872bf0ae5ebd2a454f93c51df21df4a6b53bd451"
 QUERIES_GOLDEN_SHA256 = "187edf722c576b0874152c7fad34ccf3006677763846fbf4d966cdb1f1f03b57"
+INTERNALS_GOLDEN_SHA256 = "4697fc4121c383bbed56579dae6628b9ad3d855ebdf19937abb0e4f6d58e2d3f"
 
 DEMOS = ("efx-maximal", "ef1-po", "ef1-complete", "round-robin", "envy-cycle")
 KINDS = ("random-intervals", "random-path", "random-dichotomous-path", "bounded-components")
@@ -203,3 +214,45 @@ def test_cli_queries_output_digest(tmp_path, capsys):
         digest.update(f"{label} exit {code}\n".encode())
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == QUERIES_GOLDEN_SHA256
+
+
+def monotone_profiles(rng: random.Random, m: int) -> list[MonotoneValuations]:
+    """Two monotone families over one random cost table: the costliest chore,
+    and the squared total cost."""
+    w = [[rng.randint(0, 10) for _ in range(m)] for _ in range(2)]
+    return [
+        MonotoneValuations(2, m, lambda i, b: -max((w[i][c] for c in b), default=0)),
+        MonotoneValuations(2, m, lambda i, b: -sum(w[i][c] for c in b) ** 2),
+    ]
+
+
+def test_two_agent_internals_digest():
+    """On the two-agent golden corpus and three instances at m = 150 (random,
+    nested, unmarked-rich): classify_chores' fields, the support flags of
+    every step of both interval sequences, the EF2 steps and hints, and
+    solve_two_agents under both monotone families."""
+    rng = random.Random(6262)
+    corpus = [inst for inst, _ in golden_corpus()]
+    corpus += [
+        random_interval_instance(rng, 2, 150),
+        random_interval_instance(rng, 2, 150, max_len=8, window=150),
+        random_interval_instance(rng, 2, 150, max_len=300, window=75),
+    ]
+    digest = hashlib.sha256()
+
+    def record(label, value):
+        digest.update(f"{label} {value!r}\n".encode())
+
+    for index, inst in enumerate(corpus):
+        cls = classify_chores(inst.chores)
+        record(index, (cls.order, sorted(cls.rank.items()), cls.marked, sorted(cls.unmarked)))
+        record(index, (sorted(cls.bucket_of.items()), sorted(cls.buckets.items()), sorted(cls.source_color.items())))
+        ef2, hints = interval_sequence_ef2(inst)
+        record(f"{index} ef2", (ef2.trace_lines(), hints))
+        for name, seq in (("ef1", interval_sequence_ef1(inst)), ("ef2", ef2)):
+            for t, step in enumerate(seq.steps):
+                record(f"{index} {name} {t} supported", sorted(classify_supported(step, cls).items()))
+        for family, profile in enumerate(monotone_profiles(rng, inst.m)):
+            schedule = solve_two_agents(Instance(2, inst.chores, profile))
+            record(f"{index} monotone {family}", schedule.assignment)
+    assert digest.hexdigest() == INTERNALS_GOLDEN_SHA256

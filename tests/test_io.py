@@ -2,13 +2,14 @@
 
 import enum
 import json
+import re
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from choresched.core import Chore, InputError, Instance, AdditiveValuations, Schedule
+from choresched.core import Chore, InputError, Instance, AdditiveValuations, MonotoneValuations, Schedule
 from choresched.generate import random_interval_instance, random_path_instance
 from choresched.io import (
     _dumps,
@@ -115,6 +116,26 @@ class TestInstanceFiles:
         path = tmp_path / "i.json"
         save_instance(inst, path)
         assert load_instance(path).chores == chores
+
+
+@pytest.mark.parametrize(
+    "save, rejected, text",
+    [
+        (
+            save_instance,
+            Instance(2, (Chore(0, 0, 1),), MonotoneValuations(2, 1, lambda i, b: -len(b))),
+            "only additive valuation profiles are serializable",
+        ),
+        (save_schedule, [0, 1], "schedule must be a Schedule, got [0, 1]"),
+    ],
+    ids=["monotone-instance", "non-schedule"],
+)
+def test_a_rejected_save_leaves_the_file_as_it_was(tmp_path, save, rejected, text):
+    path = tmp_path / "kept.json"
+    path.write_text("previous contents\n")
+    with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+        save(rejected, path)
+    assert path.read_text() == "previous contents\n"
 
 
 class TestScheduleFiles:

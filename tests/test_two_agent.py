@@ -253,38 +253,58 @@ def reference_support(chore, assignment, cls):
     return 0
 
 
+def support_family_instance(rng, m, family):
+    """A two-agent instance of m chores from the random (0), nested (1) or
+    unmarked-rich (2) family."""
+    if family == 0:
+        return random_interval_instance(rng, 2, m)
+    if family == 1:
+        return random_interval_instance(rng, 2, m, max_len=8, window=m)
+    # Long chores packed into a short window.
+    return random_interval_instance(rng, 2, m, max_len=2 * m, window=max(1, m // 2))
+
+
 def test_classify_supported_matches_the_neighbour_walk():
     rng = random.Random(89)
     conditions = Counter()
     infeasible = 0
+
+    def compare(schedule, cls, sample=None):
+        """classify_supported's flags against the walk, on every unassigned
+        chore or on a random sample of at most that many."""
+        unassigned = [c for c, a in enumerate(schedule.assignment) if a is None]
+        flags = classify_supported(schedule, cls)
+        assert sorted(flags) == unassigned
+        if sample is not None:
+            unassigned = rng.sample(unassigned, min(sample, len(unassigned)))
+        for c in unassigned:
+            condition = reference_support(c, schedule.assignment, cls)
+            conditions[condition] += 1
+            assert flags[c] == (condition > 0)
+
+    def drawn(graph):
+        """Two arbitrary assignments, infeasible ones included."""
+        nonlocal infeasible
+        schedules = [Schedule(2, tuple(rng.choice((RED, BLUE, None)) for _ in range(graph.m))) for _ in range(2)]
+        infeasible += sum(not is_feasible(s, graph) for s in schedules)
+        return schedules
+
     for k in range(2400):
-        m = rng.randint(1, 30)
-        if k % 3 == 0:
-            inst = random_interval_instance(rng, 2, m)
-        elif k % 3 == 1:  # nested
-            inst = random_interval_instance(rng, 2, m, max_len=8, window=m)
-        else:  # unmarked-rich: long chores packed into a short window
-            inst = random_interval_instance(rng, 2, m, max_len=2 * m, window=max(1, m // 2))
-        graph = inst.graph()
-        cls = classify_chores(inst.chores, graph)
-        for c in range(m):
-            earlier = {x for x in graph.neighbors(c) if cls.rank[x] < cls.rank[c]}
-            assert cls.earlier[c] == sum(1 << x for x in earlier)
-            assert cls.later[c] == sum(1 << x for x in graph.neighbors(c) - earlier)
+        inst = support_family_instance(rng, rng.randint(1, 30), k % 3)
+        cls = classify_chores(inst.chores, inst.graph())
         schedules = [random_feasible_schedule(rng, inst) for _ in range(3)]
         schedules += interval_sequence_ef1(inst).steps
-        # Any assignment at all, infeasible ones included.
-        drawn = [Schedule(2, tuple(rng.choice((RED, BLUE, None)) for _ in range(m))) for _ in range(2)]
-        infeasible += sum(not is_feasible(s, graph) for s in drawn)
-        schedules += drawn
-        for schedule in schedules:
-            expected = {
-                c: reference_support(c, schedule.assignment, cls)
-                for c in range(m)
-                if schedule.assignment[c] is None
-            }
-            conditions.update(expected.values())
-            assert classify_supported(schedule, cls) == {c: v > 0 for c, v in expected.items()}
+        for schedule in schedules + drawn(cls.graph):
+            compare(schedule, cls)
+    # Larger m: about six steps of each sequence, evenly spaced, and two
+    # drawn assignments, each on at most 150 of its unassigned chores.
+    for m in (500, 2000):
+        for family in range(3):
+            inst = support_family_instance(rng, m, family)
+            cls = classify_chores(inst.chores, inst.graph())
+            steps = interval_sequence_ef1(inst).steps
+            for schedule in [*steps[:: max(1, len(steps) // 6)], *drawn(cls.graph)]:
+                compare(schedule, cls, sample=150)
     # Each condition decides some chore, some chores are unsupported, and
     # some of the assignments are infeasible.
     assert set(conditions) == {0, 1, 2, 3} and infeasible > 0
@@ -420,6 +440,33 @@ class TestRarePhase2Cases:
         i = seq.tags.index("phase2-case-iiib")
         assert seq.tags[i + 1] == "phase2-case-iiic"
         verify_sequence_externally(seq, inst.graph())
+
+
+class TestPhase2Postconditions:
+    """The trap between phases 2 and 3, handed broken states that a builder
+    without the maximality check can hold."""
+
+    def state(self, intervals, colors):
+        chores = tuple(Chore(id=i, start=s, finish=f) for i, (s, f) in enumerate(intervals))
+        cls = classify_chores(chores)
+        return _SequenceBuilder(cls.graph, "probe", colors, require_maximal=False), cls
+
+    def test_an_unsupported_unassigned_chore(self):
+        # Chore 1 finishes first; its one assigned neighbour, chore 0, later.
+        builder, cls = self.state([(1, 3), (0, 2)], [RED, None])
+        target = [BLUE, RED]
+        with pytest.raises(InternalInvariantError, match="^phase 2 ended with unsupported unassigned chore 1$"):
+            two_agent._assert_phase2_postconditions(builder, [1, 0], target, cls)
+
+    def test_a_later_neighbour_of_the_target_color_other_than_the_next(self):
+        # Chore 0 is off target and overlaps chore 1, later and already blue,
+        # but the next chore off target is 2.
+        builder, cls = self.state([(0, 3), (2, 5), (6, 7)], [RED, BLUE, RED])
+        with pytest.raises(InternalInvariantError, match="^phase 2 left chore 0 overlapping 1 of its target color$"):
+            two_agent._assert_phase2_postconditions(builder, [0, 2], [BLUE, BLUE, BLUE], cls)
+        # Allowed: the overlap with the next chore off target (0 with 1), and
+        # with an earlier chore of the target color (1 with 0).
+        two_agent._assert_phase2_postconditions(builder, [0, 1, 2], [BLUE, RED, BLUE], cls)
 
 
 class TestSelectEf1:
