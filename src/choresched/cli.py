@@ -16,7 +16,8 @@ import json
 import os
 import random
 import sys
-from typing import Any, Callable, Optional
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from . import io as fileio
 from .checkers import _require_feasible, is_complete, is_maximal
@@ -61,16 +62,32 @@ ALGORITHMS = tuple(_SOLVERS)
 def _emit(
     fmt: str,
     payload: Callable[[], Any],
-    text: Callable[[], str],
-    dumps: Callable[[Any], str] = fileio._dumps,
+    text: Callable[[], Union[str, Iterable[str]]],
+    dumps: Callable[[Any], Union[str, Iterable[str]]] = fileio._dumps,
 ) -> None:
-    """Print dumps(payload()) for JSON, or text(), building only the form fmt asks for."""
+    """Print dumps(payload()) for JSON, or text(), building only the form fmt asks for.
+
+    Either form is a str or an iterable of str chunks, each written as it is
+    built, so a large output is never held whole; a newline and a flush end it.
+    """
     out = dumps(payload()) if fmt == "json" else text()
     try:
-        print(out, flush=True)
+        write = sys.stdout.write
+        for chunk in (out,) if isinstance(out, str) else out:
+            write(chunk)
+        write("\n")
+        sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout: the rest, and the flush at exit, go to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _line_chunks(lines: Iterable[str]) -> Iterator[str]:
+    """The lines joined by newlines, one chunk per line."""
+    separator = ""
+    for line in lines:
+        yield separator + line
+        separator = "\n"
 
 
 def _schedule_text(schedule: Schedule) -> str:
@@ -148,14 +165,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     schedules = list(enumerate_maximal(instance, guard=args.guard))
     _emit(
         args.format,
-        lambda: {
-            "count": len(schedules),
-            "schedules": [fileio.schedule_to_dict(s) for s in schedules],
-        },
-        lambda: "\n".join(
-            [f"{len(schedules)} maximal schedules"]
-            + [str([sorted(b) for b in s.bundles()]) for s in schedules]
+        lambda: schedules,
+        lambda: _line_chunks(
+            chain(
+                [f"{len(schedules)} maximal schedules"],
+                (str([sorted(b) for b in s.bundles()]) for s in schedules),
+            )
         ),
+        fileio._dumps_schedules,
     )
     return OK
 
@@ -166,7 +183,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
         seq = path_sequence(instance)
     else:
         seq = interval_sequence_ef1(instance)
-    _emit(args.format, lambda: seq, lambda: "\n".join(seq.trace_lines()), fileio._dumps_sequence)
+    _emit(args.format, lambda: seq, lambda: _line_chunks(seq._lines()), fileio._dumps_sequence)
     return OK
 
 

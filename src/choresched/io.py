@@ -23,17 +23,20 @@ agent indices in range), and an instance file's error names the chore entry.
 
 Every JSON text the package writes (files and CLI output) is byte for byte
 what json.dumps returns with an indent of 2 and sort_keys=True.  It comes from
-_dumps, except the `sequence` trace: _dumps_sequence writes that straight from
-the step deltas.  Three checks hold it to _dumps of the step objects: the
-golden digest, a reference test that builds those objects, and CI's
-json.tool round trip of an m = 1000 trace.
+_dumps, except the two outputs that grow large, which come as one chunk per
+list item so that the CLI prints each chunk as it is built: _dumps_sequence
+writes the `sequence` trace straight from the step deltas, and
+_dumps_schedules writes `enumerate` one schedule at a time.  Three checks
+hold the trace to _dumps of the step objects: the golden digest, a reference
+test that builds those objects, and CI's json.tool round trip of an
+m = 1000 trace.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Iterable, Iterator, Sequence, Union
 
 from .core import (
     AdditiveValuations,
@@ -81,13 +84,28 @@ def _dumps(obj: Any, indent: str = "") -> str:
     return f"{left}\n{inner}{body}\n{indent}{right}"
 
 
-def _dumps_sequence(sequence: ScheduleSequence) -> str:
-    """_dumps of {"steps": [...]}, one {"assignment", "colors", "phase"} object per step.
+def _dumps_last_list(head: str, items: Iterable[str]) -> Iterator[str]:
+    """_dumps of an object whose last value is a non-empty list, one chunk per
+    item plus a closing chunk.  head is the object's text from "{" to that
+    list's key and ": ", and each item its element's text at an indent of four.
+    """
+    separator = head + "[\n    "
+    for item in items:
+        yield separator + item
+        separator = ",\n    "
+    yield "\n  ]\n}"
+
+
+def _dumps_sequence(sequence: ScheduleSequence) -> Iterator[str]:
+    """_dumps of {"steps": [...]}, one {"assignment", "colors", "phase"} object
+    per step, written as one chunk per step.
 
     It is written from the sequence's initial schedule and step deltas.  One
     '"<id>": <agent>' fragment per chore is kept in sorted key order, the
     fragments of the chores in a step's delta are rewritten, and each step's
-    assignment is one join of the fragments at the fixed indent.
+    assignment is one join of the fragments at the fixed indent.  The colors
+    hold only the letters R, B and N, so they need no escaping, and each
+    distinct phase tag is encoded once.
     """
     m = sequence.initial.m
     order = sorted(range(m), key=str)
@@ -96,23 +114,28 @@ def _dumps_sequence(sequence: ScheduleSequence) -> str:
     initial = sequence.initial.assignment
     fragments = [key + _AGENT[initial[c]] for key, c in zip(keys, order)]
     sep = ",\n        "
+    # With no chores the fragments join to "", and the assignment reads {}.
+    opening = '{\n      "assignment": {' + ("\n        " if m else "")
+    colors_key = ("\n      }" if m else "}") + ',\n      "colors": "'
+    phases = {tag: '",\n      "phase": ' + json.dumps(tag) + "\n    }" for tag in set(sequence.tags)}
 
-    def step(colors: str, tag: str) -> str:
-        assignment = "{\n        " + sep.join(fragments) + "\n      }" if m else "{}"
-        return (
-            '    {\n      "assignment": ' + assignment
-            + ',\n      "colors": ' + json.dumps(colors)
-            + ',\n      "phase": ' + json.dumps(tag) + "\n    }"
-        )
+    def steps() -> Iterator[str]:
+        for colors, tag, delta in zip(sequence._colors(), sequence.tags, ((),) + sequence.deltas):
+            for c, agent in delta:
+                position = slot[c]
+                fragments[position] = keys[position] + _AGENT[agent]
+            yield "".join((opening, sep.join(fragments), colors_key, colors, phases[tag]))
 
-    colors = sequence._colors()
-    steps = [step(next(colors), sequence.tags[0])]
-    for delta, tag in zip(sequence.deltas, sequence.tags[1:]):
-        for c, agent in delta:
-            position = slot[c]
-            fragments[position] = keys[position] + _AGENT[agent]
-        steps.append(step(next(colors), tag))
-    return '{\n  "steps": [\n' + ",\n".join(steps) + "\n  ]\n}"
+    return _dumps_last_list('{\n  "steps": ', steps())
+
+
+def _dumps_schedules(schedules: Sequence[Schedule]) -> Iterator[str]:
+    """_dumps of {"count": ..., "schedules": [...]} for one or more schedules,
+    one chunk per schedule."""
+    return _dumps_last_list(
+        '{\n  "count": ' + str(len(schedules)) + ',\n  "schedules": ',
+        (_dumps(schedule_to_dict(s), "    ") for s in schedules),
+    )
 
 
 def _key(key: Any) -> str:

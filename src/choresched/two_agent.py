@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NoReturn, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .checkers import _efk_holds, _envy_rows, _value_rows, is_maximal
 from .core import (
@@ -41,8 +41,8 @@ RED, BLUE = 0, 1
 _SIGN = {RED: 1, BLUE: -1, None: 0}
 # One step of a sequence: (chore, new agent) for each chore whose agent changed.
 Delta = tuple[tuple[int, Optional[int]], ...]
-# Each agent spelled as itself, for ScheduleSequence._assignments.
-_AGENTS = {RED: RED, BLUE: BLUE, None: None}
+# Each holder's letter in a trace line, as a byte.
+_LETTERS = {RED: ord("R"), BLUE: ord("B"), None: ord("N")}
 
 
 @dataclass(frozen=True, init=False)
@@ -87,14 +87,13 @@ class ScheduleSequence:
         seq.__dict__.update(initial=initial, deltas=tuple(deltas), tags=tuple(tags))
         return seq
 
-    def _assignments(self, spell=_AGENTS):
-        """Each step's assignment in turn, each agent written as spell[agent],
-        as one list updated in place."""
-        assignment = [spell[a] for a in self.initial.assignment]
+    def _assignments(self):
+        """Each step's assignment in turn, as one list updated in place."""
+        assignment = list(self.initial.assignment)
         yield assignment
         for delta in self.deltas:
             for c, agent in delta:
-                assignment[c] = spell[agent]
+                assignment[c] = agent
             yield assignment
 
     @cached_property
@@ -104,13 +103,23 @@ class ScheduleSequence:
     def __len__(self) -> int:
         return len(self.tags)
 
-    def _colors(self):
-        """Each step's chore colors (R/B/N, in chore id order), one join per step."""
-        return map("".join, self._assignments({RED: "R", BLUE: "B", None: "N"}))
+    def _colors(self) -> Iterator[str]:
+        """Each step's chore colors (R/B/N, in chore id order): one bytearray of
+        letters, updated from each delta and decoded once per step."""
+        letters = bytearray(map(_LETTERS.__getitem__, self.initial.assignment))
+        yield letters.decode()
+        for delta in self.deltas:
+            for c, agent in delta:
+                letters[c] = _LETTERS[agent]
+            yield letters.decode()
+
+    def _lines(self) -> Iterator[str]:
+        """Each step's trace line in turn, built as it is read."""
+        return (colors + " " + tag for colors, tag in zip(self._colors(), self.tags))
 
     def trace_lines(self) -> list[str]:
         """One line per step: chore colors (R/B/N, in chore id order) plus the tag."""
-        return [colors + " " + tag for colors, tag in zip(self._colors(), self.tags)]
+        return list(self._lines())
 
 
 def adjacent(x: Schedule, y: Schedule) -> bool:

@@ -11,7 +11,7 @@ import pytest
 
 from choresched import cli
 from choresched.cli import main
-from choresched.io import load_instance, load_schedule, save_instance, save_schedule
+from choresched.io import _dumps, load_instance, load_schedule, save_instance, save_schedule, schedule_to_dict
 from choresched.core import (
     AdditiveValuations,
     Chore,
@@ -22,7 +22,10 @@ from choresched.core import (
     path_instance,
 )
 from choresched.generate import random_interval_instance
+from choresched.oracle import enumerate_maximal
+from choresched.two_agent import _SequenceBuilder, interval_sequence_ef1
 from conftest import independent_additive_failures
+from test_io import reference_colors, reference_steps
 
 
 def write_instance(tmp_path, rows, name="instance.json"):
@@ -296,6 +299,22 @@ class TestUnexpectedError:
         assert out == ""
         assert err == message + "\n"
 
+    def test_a_trap_mid_sequence_prints_nothing(self, tmp_path, capsys, monkeypatch):
+        # The trace streams, but only once the whole sequence is built and checked.
+        emit, tags = _SequenceBuilder.emit, []
+
+        def trapped(self, tag):
+            tags.append(tag)
+            if len(tags) == 5:
+                raise InternalInvariantError("step 5 broke adjacency")
+            emit(self, tag)
+
+        monkeypatch.setattr(_SequenceBuilder, "emit", trapped)
+        path = tmp_path / "instance.json"
+        save_instance(random_interval_instance(random.Random(1), 2, 50), path)
+        assert main(["sequence", str(path), "--format", "json"]) == 3
+        assert capsys.readouterr() == ("", "internal invariant violation: step 5 broke adjacency\n")
+
 
 class TestCheck:
     def test_failing_schedule_exit_one(self, tmp_path, capsys):
@@ -389,11 +408,40 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
 
+    @staticmethod
+    def read_then_close(argv, size=100):
+        """Read the first size bytes of the command's stdout, then close it:
+        the command meets EPIPE part way through its output."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "choresched.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            head = proc.stdout.read(size)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        return head, proc.returncode, err
+
     def test_sequence_exits_zero(self, tmp_path):
         path = tmp_path / "big.json"
         save_instance(random_interval_instance(random.Random(1), 2, 300), path)
         done = self.run_into_a_closed_pipe(["sequence", str(path), "--format", "json"])
         assert (done.returncode, done.stderr) == (0, b"")
+
+    def test_sequence_closed_mid_stream_exits_zero(self, tmp_path):
+        # About 12 MB of trace: far more than a pipe holds before the close.
+        path = tmp_path / "big.json"
+        save_instance(random_interval_instance(random.Random(1), 2, 1000), path)
+        head, code, err = self.read_then_close(["sequence", str(path), "--format", "json"])
+        assert head.startswith(b'{\n  "steps": [\n')
+        assert (code, err) == (0, b"")
+
+    def test_enumerate_closed_mid_stream_exits_zero(self, tmp_path):
+        # 1,536 maximal schedules of a 3-agent, 10-chore path, about 0.3 MB.
+        path = write_instance(tmp_path, [[-1] * 10] * 3)
+        head, code, err = self.read_then_close(["enumerate", path, "--format", "json"])
+        assert head.startswith(b'{\n  "count": ')
+        assert (code, err) == (0, b"")
 
     def test_exists_without_a_witness_exits_one(self, tmp_path):
         path = write_instance(tmp_path, [[-1, -1, -1, -4]] * 2)
@@ -403,6 +451,67 @@ class TestClosedStdout:
     def test_generate_exits_zero(self):
         done = self.run_into_a_closed_pipe(["generate", "--kind", "random-path", "--n", "2", "--m", "50"])
         assert (done.returncode, done.stderr) == (0, b"")
+
+
+class RecordingStdout:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreamedOutput:
+    """sequence and enumerate write one chunk per step or schedule (plus the
+    text before the first and after the last), and the chunks join to the one
+    text that _dumps writes of the whole payload."""
+
+    @staticmethod
+    def writes(monkeypatch, argv):
+        stdout = RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        return stdout.writes
+
+    @staticmethod
+    def assert_streamed(writes, expected, longest_item):
+        assert "".join(writes) == expected
+        assert len(writes) > 2
+        # No write is longer than the longest item plus the text before the first.
+        header = expected.index("{", 1) if expected.startswith("{") else 0
+        assert max(map(len, writes)) <= header + longest_item
+
+    @pytest.fixture
+    def big(self, tmp_path):
+        path = tmp_path / "big.json"
+        save_instance(random_interval_instance(random.Random(1), 2, 300), path)
+        return str(path), interval_sequence_ef1(load_instance(path))
+
+    def test_sequence_json(self, big, monkeypatch):
+        path, seq = big
+        writes = self.writes(monkeypatch, ["sequence", path, "--format", "json"])
+        steps = reference_steps(seq, 300)
+        longest = max(len(_dumps(step, "    ")) for step in steps["steps"])
+        self.assert_streamed(writes, _dumps(steps) + "\n", longest)
+
+    def test_sequence_text(self, big, monkeypatch):
+        path, seq = big
+        writes = self.writes(monkeypatch, ["sequence", path])
+        lines = [reference_colors(a) + " " + tag for a, tag in zip(seq._assignments(), seq.tags)]
+        self.assert_streamed(writes, "\n".join(lines) + "\n", 1 + max(map(len, lines)))
+
+    def test_enumerate_json(self, tmp_path, monkeypatch):
+        path = write_instance(tmp_path, [[-1] * 8] * 2)
+        writes = self.writes(monkeypatch, ["enumerate", path, "--format", "json"])
+        schedules = [schedule_to_dict(s) for s in enumerate_maximal(load_instance(path))]
+        longest = max(len(_dumps(s, "    ")) for s in schedules)
+        self.assert_streamed(writes, _dumps({"count": len(schedules), "schedules": schedules}) + "\n", longest)
 
 
 class TestParserReuse:

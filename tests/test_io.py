@@ -294,16 +294,16 @@ def repeated_step_sequence():
 @pytest.mark.parametrize("m", [0, 1, 2, 9, 10, 11, 99, 100, 101, 250])
 def test_sequence_writer_matches_the_per_step_dicts(m):
     for seq in solver_sequences(m):
-        assert _dumps_sequence(seq) == _dumps(reference_steps(seq, m))
+        assert "".join(_dumps_sequence(seq)) == _dumps(reference_steps(seq, m))
 
 
 def test_sequence_writer_keeps_empty_deltas_and_empty_assignments():
     seq = repeated_step_sequence()
     assert () in seq.deltas
-    assert _dumps_sequence(seq) == _dumps(reference_steps(seq, 12))
+    assert "".join(_dumps_sequence(seq)) == _dumps(reference_steps(seq, 12))
     empty = ScheduleSequence([Schedule(2, ())] * 2, ["initial", "again"])
-    assert _dumps_sequence(empty) == _dumps(reference_steps(empty, 0))
-    assert '"assignment": {}' in _dumps_sequence(empty)
+    assert "".join(_dumps_sequence(empty)) == _dumps(reference_steps(empty, 0))
+    assert '"assignment": {}' in "".join(_dumps_sequence(empty))
 
 
 @pytest.mark.parametrize("m", [0, 1, 11, 101])
