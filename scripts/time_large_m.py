@@ -24,7 +24,11 @@ the best of --repeats wall-clock times, in seconds, of:
   io.load_instance of those files alone;
 - dichotomous_path_n5_solve_s and _load_s: the same dichotomous-path solve
   and load for n = 5 agents, where the triple meta agent picks 3/5 of the
-  chores and splits them among its three members.
+  chores and splits them among its three members;
+- bounded_components_n1000_solve_s and _load_s: the bounded-components solve
+  and load at n = 1000 agents and m = 1000 chores whatever --m says, where
+  every agent reads the one shared value vector and an O(n^2) envy check
+  would stand out.
 
 It also prints the step count, the SHA-256 of each solve output (so runs on
 two checkouts can be compared for byte identity), and peak_rss_mib: the peak
@@ -35,7 +39,9 @@ the two-agent instance from the seed and run the graph_s stage, the graph_s
 and classify_s stages, or the sequence_s stage (which builds its own graph);
 "cli_process" is one more run of cli_process_s's command.  A peak read in
 this process would also hold whatever the earlier stages left behind, and
-would move with the code's memory layout more than with the work.
+would move with the code's memory layout more than with the work.  Each
+n-agent run adds the peak of one more run of its solve command, under its
+own name.
 """
 
 from __future__ import annotations
@@ -78,10 +84,12 @@ def best_time(repeats: int, fn):
     return best, result
 
 
+# (name, generator kind, agents, chores or None for --m)
 N_AGENT_RUNS = (
-    ("bounded_components", "bounded-components", 50),
-    ("dichotomous_path", "random-dichotomous-path", 50),
-    ("dichotomous_path_n5", "random-dichotomous-path", 5),
+    ("bounded_components", "bounded-components", 50, None),
+    ("dichotomous_path", "random-dichotomous-path", 50, None),
+    ("dichotomous_path_n5", "random-dichotomous-path", 5, None),
+    ("bounded_components_n1000", "bounded-components", 1000, 1000),
 )
 
 
@@ -182,9 +190,9 @@ def main() -> None:
             "cli_process_s": round(cli_process_s, 4),
             "solve_sha256": hashlib.sha256(output.encode()).hexdigest(),
         }
-        for name, kind, n in N_AGENT_RUNS:
+        for name, kind, n, m in N_AGENT_RUNS:
             path = os.path.join(tmp, f"{name}.json")
-            generate = ["generate", "--kind", kind, "--n", str(n), "--m", str(args.m)]
+            generate = ["generate", "--kind", kind, "--n", str(n), "--m", str(m or args.m)]
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(generate + ["--seed", str(args.seed), "--out", path])
             load_s, _ = best_time(args.repeats, lambda: load_instance(path))
@@ -192,6 +200,8 @@ def main() -> None:
             report[f"{name}_load_s"] = round(load_s, 4)
             report[f"{name}_solve_s"] = round(solve_s, 4)
             report[f"{name}_sha256"] = hashlib.sha256(output.encode()).hexdigest()
+            solve = [sys.executable, "-m", "choresched.cli", "solve", path, "--format", "json"]
+            peaks[name] = child_peak_rss_mib(solve, env)
 
     report["peak_rss_mib"] = peaks
     print(json.dumps(report))

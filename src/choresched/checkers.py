@@ -27,6 +27,12 @@ once for each distinct row, and every agent with that row reads its values
 from those sums, so an identical profile costs O(m) and an all-distinct one
 O(n * m).  A monotone profile is valued agent by agent, only as far as the
 caller reads.
+
+Rows that carry one values list are read once per list where that suffices:
+_efk_holds takes the list's max once for a run of such rows, and
+_rows_acyclic, the n-agent acyclicity trap, answers at once when every row
+carries the same list, since envy then follows the strict order < on one
+vector; other rows go through the envy graph and Kahn's algorithm.
 """
 
 from __future__ import annotations
@@ -155,10 +161,13 @@ def _efk_holds(rows: Iterable[_EnvyRow], instance: Instance, k: int) -> bool:
     removals against the bundle it envies most: a removal that cures that
     pair cures every pair of the agent.  The first agent none cures ends the
     decision.  A monotone profile thus answers O(n^2 + n * |X_i|^k) value
-    queries.
+    queries.  Consecutive rows that carry one values list, as every row of
+    an identical additive profile does, take its max once.
     """
+    last = most = None
     for i, bundle, values in rows:
-        most = max(values)
+        if values is not last:
+            last, most = values, max(values)
         if values[i] < most and _removal(instance, i, bundle, values[i], most, k) is None:
             return False
     return True
@@ -299,3 +308,15 @@ def _rows_envy_graph(rows: Iterable[_EnvyRow], n: int) -> EnvyGraph:
     """envy_graph on rows the caller already holds."""
     return EnvyGraph(n=n, edges=frozenset((i, k) for i, k, *_ in _envy_pairs(rows)))
 
+
+def _rows_acyclic(rows: Sequence[_EnvyRow], n: int) -> bool:
+    """_rows_envy_graph(rows, n).is_acyclic(), in O(n) when every row carries
+    one values list v, as _value_rows yields for an identical additive profile.
+
+    Then i envies k exactly when v[i] < v[k], so along any path of the graph
+    v strictly rises and no path returns to its start.  Other rows build the
+    graph and run Kahn's algorithm.
+    """
+    if all(values is rows[0][2] for _, _, values in rows):
+        return True
+    return _rows_envy_graph(rows, n).is_acyclic()

@@ -100,8 +100,18 @@ class AdditiveValuations:
         except TypeError:
             raise InputError(f"valuation table must be a sequence of rows, got {table!r}") from None
         for i, row in rows:
-            if shared and row is given:
-                # The row object passed just before: converted and checked once.
+            # The row passed just before was converted and checked once; the
+            # same object, or an equal plain list or tuple of plain ints,
+            # shares it.  Equality alone would pass False == 0, -1.0 == -1.
+            if shared and (
+                row is given
+                or (
+                    type(row) is type(given) in (list, tuple)
+                    and row == given
+                    and set(map(type, row)) <= {int}
+                )
+            ):
+                given = row
                 shared.append(shared[-1])
                 continue
             try:

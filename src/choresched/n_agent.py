@@ -17,7 +17,11 @@ Two constructions live here:
   agents go first and each takes the most disliked remaining chore, so
   every chore of the component lands on a distinct agent.  That order is a
   reverse topological order of the envy graph, which identical valuations
-  keep acyclic; the graph is checked once, on the final schedule.
+  keep acyclic; acyclicity is checked once, on the final schedule.  The
+  check reads the envy rows of that schedule: when every agent's row
+  carries the one value vector v of the shared valuation row, i envies k
+  exactly when v[i] < v[k], a strict order along which no path closes a
+  cycle, so the check answers in O(n); any other rows build the graph.
 
 envy_graph lives in checkers, beside the envy pass every checker shares.
 Each solver's traps take that pass once, from the bundles the solver already
@@ -34,7 +38,7 @@ from itertools import product
 from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
-from .checkers import _efk_holds, _rows_envy_graph, _value_rows, envy_graph, is_complete
+from .checkers import _efk_holds, _rows_acyclic, _value_rows, envy_graph, is_complete
 from .core import (
     AdditiveValuations,
     Chore,
@@ -495,7 +499,8 @@ def solve_identical_bounded_components(instance: Instance) -> Schedule:
     first (ties by id), each taking its most disliked remaining chore of the
     component.  Under identical valuations agent i envies agent k exactly
     when v(X_i) < v(X_k), so this is a reverse topological order of the
-    always-acyclic envy graph; that graph is checked once, at the end.
+    always-acyclic envy graph; acyclicity is checked once, at the end, in
+    O(n) while every agent reads one value vector (see the module docstring).
     Since a component has at most n chores, every chore lands on a distinct
     agent and all bundles stay independent.  Picks need no overlap test:
     each agent takes at most one chore per component, and no chore outside
@@ -534,7 +539,7 @@ def solve_identical_bounded_components(instance: Instance) -> Schedule:
         utilities[i] = values[i]
     if utilities != burdens:
         raise InternalInvariantError("burdens that ordered the turns differ from the bundle values")
-    if not _rows_envy_graph(rows, n).is_acyclic():
+    if not _rows_acyclic(rows, n):
         raise InternalInvariantError("envy graph has a cycle under identical valuations")
     if not _efk_holds(rows, instance, 1):
         raise InternalInvariantError("component round robin produced a non-EF1 schedule")

@@ -1,5 +1,6 @@
 """Fairness and efficiency predicates against hand-checked and enumerated values."""
 
+import collections
 import math
 import random
 
@@ -13,6 +14,8 @@ from choresched.checkers import (
     _efx_holds,
     _envy_rows,
     _removal,
+    _rows_acyclic,
+    _rows_envy_graph,
     check_ef,
     check_ef1,
     check_efk,
@@ -508,3 +511,32 @@ def test_topological_order_matches_the_resorting_reference():
             assert graph.topological_order() == expected
             assert graph.is_acyclic()
     assert 100 < cyclic < 2000
+
+
+def test_acyclicity_decision_matches_the_envy_graph():
+    # Rows as _value_rows yields them: agents holding nothing are skipped.
+    # "shared": every row carries one list; "copies": equal lists, not one
+    # object; "one-off": one list but for a single row; "distinct": a list
+    # per agent, which may close a cycle.
+    rng = random.Random(33)
+    seen = collections.Counter()
+    for _ in range(4000):
+        n = rng.randint(1, 12)
+        kind = rng.choice(["shared", "copies", "one-off", "distinct"])
+        holders = [i for i in range(n) if rng.random() < 0.8]
+        shared = [rng.randint(-4, 0) for _ in range(n)]
+        odd = rng.choice(holders) if holders else None
+        rows = []
+        for i in holders:
+            if kind == "shared" or kind == "one-off" and i != odd:
+                values = shared
+            elif kind == "copies":
+                values = list(shared)
+            else:
+                values = [rng.randint(-4, 0) for _ in range(n)]
+            rows.append((i, frozenset({i}), values))
+        expected = _rows_envy_graph(rows, n).is_acyclic()
+        assert _rows_acyclic(rows, n) == expected
+        seen[kind, expected] += 1
+    assert seen["shared", False] == seen["copies", False] == 0
+    assert min(seen["one-off", False], seen["distinct", False], seen["distinct", True]) > 50

@@ -3,6 +3,8 @@
 import dataclasses
 import random
 import re
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import Optional
 
@@ -556,6 +558,31 @@ class TestValuations:
     def test_row_equal_to_a_valid_one_still_type_checked(self, bad):
         with pytest.raises(InputError, match="^value for agent 2, chore 1 is not an integer"):
             AdditiveValuations([[-1, 0], [-1, 0], [-1, bad]])
+
+    @pytest.mark.parametrize(
+        "good,bad",
+        [(0, False), (0, 0.0), (-1, Fraction(-1)), (-1, Decimal(-1))],
+        ids=["bool", "float", "fraction", "decimal"],
+    )
+    def test_row_equal_to_the_row_before_still_names_its_bad_value(self, good, bad):
+        # The row before is shared by an equal row only if that row holds
+        # plain ints; any other is checked value by value, as before.
+        table = [[-2, good, -1]] * 2 + [[-2, good, -1], [-2, bad, -1]]
+        assert table[3] == table[2]
+        with pytest.raises(InputError, match="^value for agent 3, chore 1 is not an integer$"):
+            AdditiveValuations(table)
+        with pytest.raises(InputError, match="^value for agent 1, chore 1 is not an integer$"):
+            AdditiveValuations([(-2, good, -1), (-2, bad, -1)])
+
+    def test_equal_rows_of_any_sequence_type_share_one_object(self):
+        class Row(list):
+            pass
+
+        table = [[-2, 0], [-2, 0], (-2, 0), [-2, 0], Row([-2, 0]), Row([-2, 0]), (-2, 0)]
+        vals = AdditiveValuations(table)
+        assert vals.table[0] == (-2, 0)
+        assert all(row is vals.table[0] for row in vals.table)
+        assert AdditiveValuations([[-2, 0], [-1, 0], [-1, 0]]).table == ((-2, 0), (-1, 0), (-1, 0))
 
     @pytest.mark.parametrize(
         "table,text",

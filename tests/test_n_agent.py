@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from choresched import cli
+from choresched import cli, n_agent
 from choresched.checkers import check_ef, check_ef1, is_complete, is_maximal
 from choresched.core import (
     AdditiveValuations,
@@ -509,6 +509,28 @@ class TestBoundedComponents:
             AdditiveValuations([[-1, -2], [-2, -1]]),
         )
         with pytest.raises(InputError, match="identical"):
+            solve_identical_bounded_components(inst)
+
+    def test_envy_cycle_in_the_final_rows_trapped(self, monkeypatch):
+        # Identical valuations never give the trap a cycle, so the rows are
+        # replaced: each agent keeps its own value, which still equals its
+        # burden, but reads every other bundle as 0 in a list of its own, so
+        # the three burdened agents envy one another.
+        value_rows = n_agent._value_rows
+
+        def cyclic_rows(bundles, instance):
+            for i, bundle, values in value_rows(bundles, instance):
+                yield i, bundle, [v if j == i else 0 for j, v in enumerate(values)]
+
+        monkeypatch.setattr(n_agent, "_value_rows", cyclic_rows)
+        inst = Instance(
+            3,
+            tuple(Chore(id=i, start=3 * i, finish=3 * i + 1) for i in range(3)),
+            AdditiveValuations([[-3, -1, -2]] * 3),
+        )
+        with pytest.raises(
+            InternalInvariantError, match="^envy graph has a cycle under identical valuations$"
+        ):
             solve_identical_bounded_components(inst)
 
 
