@@ -13,6 +13,7 @@ the best of --repeats wall-clock times, in seconds, of:
 - select_s: select_ef1 on that sequence;
 - ef2_s: interval_sequence_ef2 with its completion hints on another fresh
   copy;
+- save_s: io.save_instance of that instance to its file;
 - load_s: io.load_instance of that instance's file alone;
 - cli_solve_s: cli.main(["solve", FILE, "--format", "json"]) in-process,
   the load included;
@@ -20,15 +21,17 @@ the best of --repeats wall-clock times, in seconds, of:
 - bounded_components_solve_s and dichotomous_path_solve_s: the in-process
   solve of the file `choresched generate --kind bounded-components` and
   `--kind random-dichotomous-path` write for n = 50 agents, m chores and the
-  same seed, and bounded_components_load_s and dichotomous_path_load_s the
-  io.load_instance of those files alone;
-- dichotomous_path_n5_solve_s and _load_s: the same dichotomous-path solve
-  and load for n = 5 agents, where the triple meta agent picks 3/5 of the
-  chores and splits them among its three members;
-- bounded_components_n1000_solve_s and _load_s: the bounded-components solve
-  and load at n = 1000 agents and m = 1000 chores whatever --m says, where
-  every agent reads the one shared value vector and an O(n^2) envy check
-  would stand out.
+  same seed, bounded_components_load_s and dichotomous_path_load_s the
+  io.load_instance of those files alone, and bounded_components_save_s and
+  dichotomous_path_save_s the io.save_instance of the loaded instances back
+  to their files, where every row of an identical profile is one object;
+- dichotomous_path_n5_solve_s, _load_s and _save_s: the same dichotomous-path
+  solve, load and save for n = 5 agents, where the triple meta agent picks
+  3/5 of the chores and splits them among its three members;
+- bounded_components_n1000_solve_s, _load_s and _save_s: the
+  bounded-components solve, load and save at n = 1000 agents and m = 1000
+  chores whatever --m says, where every agent reads the one shared value
+  vector and an O(n^2) envy check would stand out.
 
 It also prints the step count, the SHA-256 of each solve output (so runs on
 two checkouts can be compared for byte identity), and peak_rss_mib: the peak
@@ -161,7 +164,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "instance.json")
-        save_instance(inst, path)
+        save_s, _ = best_time(args.repeats, lambda: save_instance(inst, path))
         load_s, _ = best_time(args.repeats, lambda: load_instance(path))
         cli_solve_s, output = best_time(args.repeats, lambda: solve_in_process(path))
         command = [sys.executable, "-m", "choresched.cli", "solve", path, "--format", "json"]
@@ -185,6 +188,7 @@ def main() -> None:
             "sequence_s": round(sequence_s, 4),
             "select_s": round(select_s, 4),
             "ef2_s": round(ef2_s, 4),
+            "save_s": round(save_s, 4),
             "load_s": round(load_s, 4),
             "cli_solve_s": round(cli_solve_s, 4),
             "cli_process_s": round(cli_process_s, 4),
@@ -195,9 +199,11 @@ def main() -> None:
             generate = ["generate", "--kind", kind, "--n", str(n), "--m", str(m or args.m)]
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(generate + ["--seed", str(args.seed), "--out", path])
-            load_s, _ = best_time(args.repeats, lambda: load_instance(path))
+            load_s, loaded = best_time(args.repeats, lambda: load_instance(path))
+            save_s, _ = best_time(args.repeats, lambda: save_instance(loaded, path))
             solve_s, output = best_time(args.repeats, lambda: solve_in_process(path))
             report[f"{name}_load_s"] = round(load_s, 4)
+            report[f"{name}_save_s"] = round(save_s, 4)
             report[f"{name}_solve_s"] = round(solve_s, 4)
             report[f"{name}_sha256"] = hashlib.sha256(output.encode()).hexdigest()
             solve = [sys.executable, "-m", "choresched.cli", "solve", path, "--format", "json"]

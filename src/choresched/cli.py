@@ -256,7 +256,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     instance = _GENERATORS[args.kind](random.Random(args.seed), args)
     if args.out:
         fileio.save_instance(instance, args.out)
-    _emit("text" if args.out else "json", lambda: fileio.instance_to_dict(instance), lambda: args.out)
+    _emit("text" if args.out else "json", lambda: instance, lambda: args.out, fileio._dumps_instance)
     return OK
 
 

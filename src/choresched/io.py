@@ -23,13 +23,16 @@ agent indices in range), and an instance file's error names the chore entry.
 
 Every JSON text the package writes (files and CLI output) is byte for byte
 what json.dumps returns with an indent of 2 and sort_keys=True.  It comes from
-_dumps, except the two outputs that grow large, which come as one chunk per
-list item so that the CLI prints each chunk as it is built: _dumps_sequence
-writes the `sequence` trace straight from the step deltas, and
-_dumps_schedules writes `enumerate` one schedule at a time.  Three checks
-hold the trace to _dumps of the step objects: the golden digest, a reference
-test that builds those objects, and CI's json.tool round trip of an
-m = 1000 trace.
+_dumps, except three large outputs written from pieces computed once:
+_dumps_instance writes instance files and `generate` (a format per chore
+entry, an encoding per distinct value row); _dumps_sequence writes the
+`sequence` trace from the step deltas and _dumps_schedules writes
+`enumerate`, one chunk per step or schedule for the CLI to print as it is
+built, both from the one per-chore fragment table.  Each is held to
+json.dumps by a golden digest (the third, first and fourth in
+tests/test_golden.py), a reference test in tests/test_io.py, and CI's
+json.tool round trip of a 50-agent, 10,000-chore instance, of m = 1000
+traces and of the 98,304 schedules at the enumeration guard.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ PathLike = Union[str, Path]
 # Value types sent to the C encoder, which writes them as the indenting
 # (pure-Python) encoder does.
 _FLAT = frozenset((str, int, bool, type(None)))
-# A two-agent schedule's agents as json writes them.
-_AGENT = {0: "0", 1: "1", None: "null"}
+# An instance file's chore label line, given the label as json writes it.
+_LABEL = '      "label": {},\n'.format
 
 
 def _dumps(obj: Any, indent: str = "") -> str:
@@ -96,46 +99,58 @@ def _dumps_last_list(head: str, items: Iterable[str]) -> Iterator[str]:
     yield "\n  ]\n}"
 
 
+def _assignment_fragments(m: int, n_agents: int) -> tuple[list[int], dict[Any, list[str]], str, str]:
+    """An "assignment" object's pieces at the indent of a list item's first
+    key: the chore ids in json's key order (str order), for every agent and
+    None the '"<id>": <agent>' fragments of the chores in that order, and the
+    text before the first fragment and after the last (with no chores, {})."""
+    order = sorted(range(m), key=str)
+    agents = {**{a: str(a) for a in range(n_agents)}, None: "null"}
+    columns = {a: [f'"{c}": {text}' for c in order] for a, text in agents.items()}
+    inner, outer = ("\n        ", "\n      ") if m else ("", "")
+    return order, columns, '{\n      "assignment": {' + inner, outer + "}"
+
+
 def _dumps_sequence(sequence: ScheduleSequence) -> Iterator[str]:
     """_dumps of {"steps": [...]}, one {"assignment", "colors", "phase"} object
     per step, written as one chunk per step.
 
-    It is written from the sequence's initial schedule and step deltas.  One
-    '"<id>": <agent>' fragment per chore is kept in sorted key order, the
-    fragments of the chores in a step's delta are rewritten, and each step's
+    It is written from the sequence's initial schedule and step deltas.  Each
+    chore's current fragment is kept in sorted key order, a step's delta
+    replaces those of its chores from the fragment table, and each step's
     assignment is one join of the fragments at the fixed indent.  The colors
     hold only the letters R, B and N, so they need no escaping, and each
     distinct phase tag is encoded once.
     """
-    m = sequence.initial.m
-    order = sorted(range(m), key=str)
+    initial = sequence.initial
+    order, columns, opening, closing = _assignment_fragments(initial.m, initial.n_agents)
     slot = {c: position for position, c in enumerate(order)}
-    keys = [json.dumps(str(c)) + ": " for c in order]
-    initial = sequence.initial.assignment
-    fragments = [key + _AGENT[initial[c]] for key, c in zip(keys, order)]
+    fragments = [columns[initial.assignment[c]][position] for position, c in enumerate(order)]
     sep = ",\n        "
-    # With no chores the fragments join to "", and the assignment reads {}.
-    opening = '{\n      "assignment": {' + ("\n        " if m else "")
-    colors_key = ("\n      }" if m else "}") + ',\n      "colors": "'
+    colors_key = closing + ',\n      "colors": "'
     phases = {tag: '",\n      "phase": ' + json.dumps(tag) + "\n    }" for tag in set(sequence.tags)}
 
     def steps() -> Iterator[str]:
         for colors, tag, delta in zip(sequence._colors(), sequence.tags, ((),) + sequence.deltas):
             for c, agent in delta:
                 position = slot[c]
-                fragments[position] = keys[position] + _AGENT[agent]
+                fragments[position] = columns[agent][position]
             yield "".join((opening, sep.join(fragments), colors_key, colors, phases[tag]))
 
     return _dumps_last_list('{\n  "steps": ', steps())
 
 
 def _dumps_schedules(schedules: Sequence[Schedule]) -> Iterator[str]:
-    """_dumps of {"count": ..., "schedules": [...]} for one or more schedules,
-    one chunk per schedule."""
-    return _dumps_last_list(
-        '{\n  "count": ' + str(len(schedules)) + ',\n  "schedules": ',
-        (_dumps(schedule_to_dict(s), "    ") for s in schedules),
+    """_dumps of {"count": ..., "schedules": [...]} for one or more schedules of
+    one instance, one chunk per schedule: each assignment joins its chores'
+    fragments from the fragment table."""
+    order, columns, opening, closing = _assignment_fragments(schedules[0].m, schedules[0].n_agents)
+    sep, closing, positions = ",\n        ", closing + "\n    }", list(enumerate(order))
+    items = (
+        opening + sep.join([columns[s.assignment[c]][position] for position, c in positions]) + closing
+        for s in schedules
     )
+    return _dumps_last_list('{\n  "count": ' + str(len(schedules)) + ',\n  "schedules": ', items)
 
 
 def _key(key: Any) -> str:
@@ -147,9 +162,31 @@ def _key(key: Any) -> str:
     return json.dumps(key)
 
 
-def instance_to_dict(instance: Instance) -> dict[str, Any]:
+def _require_additive(instance: Instance) -> None:
     if not instance.valuations.is_additive:
         raise InputError("only additive valuation profiles are serializable")
+
+
+def _dumps_instance(instance: Instance) -> str:
+    """_dumps(instance_to_dict(instance)) from precomputed pieces: each chore
+    entry is one format of its fields in sorted key order, and each distinct
+    row object of the valuation table is encoded once (the n rows of an
+    identical profile are one object)."""
+    _require_additive(instance)
+    chores = ",\n    ".join([
+        f'{{\n      "finish": {c.finish},\n      "id": {c.id},\n'
+        f'{"" if c.label is None else _LABEL(json.dumps(c.label))}      "start": {c.start}\n    }}'
+        for c in instance.chores
+    ])
+    chores = f"[\n    {chores}\n  ]" if chores else "[]"
+    table = instance.valuations.table
+    encoded = {id(row): _dumps(row, "    ") for row in {id(row): row for row in table}.values()}
+    valuations = "[\n    " + ",\n    ".join([encoded[id(row)] for row in table]) + "\n  ]"
+    return f'{{\n  "agents": {instance.n},\n  "chores": {chores},\n  "valuations": {valuations}\n}}'
+
+
+def instance_to_dict(instance: Instance) -> dict[str, Any]:
+    _require_additive(instance)
     chores = []
     for c in instance.chores:
         entry: dict[str, Any] = {"id": c.id, "start": c.start, "finish": c.finish}
@@ -241,7 +278,7 @@ def load_instance(path: PathLike) -> Instance:
 
 
 def save_instance(instance: Instance, path: PathLike) -> None:
-    text = _dumps(instance_to_dict(instance)) + "\n"  # before open: a rejection leaves the file
+    text = _dumps_instance(instance) + "\n"  # before open: a rejection leaves the file
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -26,6 +26,7 @@ from .core import (
     Instance,
     InternalInvariantError,
     Schedule,
+    _bundles,
     _mask_bits,
     _require_instance,
     _require_positional_ids,
@@ -706,6 +707,18 @@ def select_ef1(sequence: ScheduleSequence, instance: Instance) -> Schedule:
             if not is_maximal(candidate, graph):
                 raise InternalInvariantError("selected EF1 schedule is not maximal")
             return candidate
+    if not additive:
+        # A profile that is not monotone breaks the theorem behind the search:
+        # name a one-removal witness among the steps' distinct bundles.
+        for bundle in dict.fromkeys(b for step in sequence._assignments() for b in _bundles(2, step)):
+            for agent in (RED, BLUE):
+                whole = instance.value(agent, bundle)
+                for c in sorted(bundle):
+                    if (part := instance.value(agent, bundle - {c})) < whole:
+                        raise InputError(
+                            f"valuation profile is not monotone: agent {agent} values bundle "
+                            f"{sorted(bundle)} at {whole} but without chore {c} at {part}"
+                        )
     raise InternalInvariantError("none of the four flip candidates is EF1")
 
 

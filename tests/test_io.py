@@ -1,4 +1,5 @@
-"""Instance and schedule file round-trips, the one JSON writer and the sequence writer."""
+"""Instance and schedule file round-trips, the one JSON writer and the dedicated
+writers of instances, sequences and enumerated schedules."""
 
 import enum
 import json
@@ -9,10 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from choresched.core import Chore, InputError, Instance, AdditiveValuations, MonotoneValuations, Schedule
+from choresched import cli
+from choresched.core import Chore, InputError, Instance, AdditiveValuations, MonotoneValuations, Schedule, path_instance
 from choresched.generate import random_interval_instance, random_path_instance
 from choresched.io import (
     _dumps,
+    _dumps_instance,
+    _dumps_schedules,
     _dumps_sequence,
     instance_from_dict,
     instance_to_dict,
@@ -23,6 +27,7 @@ from choresched.io import (
     schedule_from_dict,
     schedule_to_dict,
 )
+from choresched.oracle import enumerate_maximal
 from choresched.two_agent import ScheduleSequence, interval_sequence_ef1, path_sequence
 
 
@@ -313,3 +318,100 @@ def test_trace_lines_match_a_rendering_of_each_step(m):
             reference_colors(assignment) + " " + tag
             for assignment, tag in zip(seq._assignments(), seq.tags)
         ]
+
+
+def reference_instance(instance):
+    return reference(instance_to_dict(instance))
+
+
+def generated(kind, n, m, seed):
+    """The instance `choresched generate` writes for these arguments."""
+    args = cli.build_parser().parse_args(["generate", "--kind", kind, "--n", str(n), "--m", str(m)])
+    return cli._GENERATORS[kind](Random(seed), args)
+
+
+KINDS = tuple(cli._GENERATORS)
+# Each json escape class in a label: quote, backslash, controls, non-ASCII
+# (written as \u escapes, a surrogate pair above the BMP).
+LABELS = ('say "hi"', "back\\slash", "two\nlines\ttab\x00", "café 😀 \u2028", "", None)
+
+
+class TestInstanceWriter:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n, m", [(1, 2), (2, 9), (3, 12), (5, 30)])
+    def test_every_generator_kind(self, kind, n, m):
+        instance = generated(kind, n, m, seed=n + m)
+        assert _dumps_instance(instance) == reference_instance(instance)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_chores(self, n):
+        instance = Instance(n, (), AdditiveValuations([[]] * n))
+        assert _dumps_instance(instance) == reference_instance(instance)
+        assert '"chores": []' in _dumps_instance(instance)
+
+    def test_labels_that_json_escapes(self):
+        chores = tuple(Chore(c, c, c + 2, label) for c, label in enumerate(LABELS))
+        instance = Instance(2, chores, AdditiveValuations([[-1] * len(chores), [0] * len(chores)]))
+        assert _dumps_instance(instance) == reference_instance(instance)
+
+    def test_int_enum_values(self):
+        # str() of an IntEnum member is its name up to Python 3.10; json writes the number.
+        chores = (Chore(0, 0, 2), Chore(1, 1, 3))
+        instance = Instance(3, chores, AdditiveValuations([[Level.LOW, -1], [Level.LOW, -1], [0, Level.LOW]]))
+        text = _dumps_instance(instance)
+        assert text == reference_instance(instance)
+        assert "LOW" not in text
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-rows", "distinct-rows"])
+    def test_shared_and_distinct_row_objects(self, shared):
+        rows = [[-2, 0, -7, -(2**70)]] * 4 if shared else [[-2, 0, -7, -c] for c in range(4)]
+        instance = path_instance(rows)
+        table = instance.valuations.table
+        assert len({id(row) for row in table}) == (1 if shared else 4)
+        assert _dumps_instance(instance) == reference_instance(instance)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_arbitrary_instances(self, data):
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(0, 6))
+        chores = []
+        for c in range(m):
+            start = data.draw(st.integers(0, 2**40))
+            finish = start + data.draw(st.integers(1, 5))
+            chores.append(Chore(c, start, finish, data.draw(st.none() | TEXTS)))
+        values = st.lists(st.sampled_from([0, -1, -13, Level.LOW, -(2**70)]), min_size=m, max_size=m)
+        rows = data.draw(values.map(lambda row: [row] * n) | st.lists(values, min_size=n, max_size=n))
+        instance = Instance(n, tuple(chores), AdditiveValuations(rows))
+        assert _dumps_instance(instance) == reference_instance(instance)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_generate_stdout_is_its_out_file(self, kind, tmp_path, capsys):
+        argv = ["generate", "--kind", kind, "--n", "4", "--m", "25", "--seed", "7"]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "generated.json"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out}\n"
+        assert out.read_text() == printed == reference_instance(load_instance(out)) + "\n"
+
+
+def reference_schedules(schedules):
+    return reference({"count": len(schedules), "schedules": [schedule_to_dict(s) for s in schedules]})
+
+
+class TestSchedulesWriter:
+    # From m = 11 on, chore "10" sorts before "2"; four agents on 11 random
+    # intervals have too many maximal schedules for a quick test.
+    @pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3, 4) for m in (0, 1, 6)] + [(1, 11), (2, 11), (3, 11)])
+    def test_matches_json_dumps(self, n, m):
+        if m == 0:
+            instance = Instance(n, (), AdditiveValuations([[]] * n))
+        else:
+            instance = random_interval_instance(Random(n * 100 + m), n, m)
+        schedules = list(enumerate_maximal(instance))
+        assert "".join(_dumps_schedules(schedules)) == reference_schedules(schedules)
+
+    def test_hand_built_schedules(self):
+        schedules = [Schedule(4, (3, None, 0, 2, 1, None, 3, 0, 2, 1, None, 3)), Schedule(4, (None,) * 12)]
+        assert "".join(_dumps_schedules(schedules)) == reference_schedules(schedules)

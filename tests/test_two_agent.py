@@ -529,7 +529,9 @@ def reference_ef1_holds(schedule, instance):
 def reference_select_ef1(sequence, instance):
     """select_ef1 as it was before the delta walk: agent 0's envy is read off
     every fully materialized step, each bundle valued as a whole, and each
-    candidate is judged by reference_ef1_holds."""
+    candidate is judged by reference_ef1_holds.  When no candidate is EF1
+    under a profile that is not additive, the steps' bundles are searched for
+    a witness that the profile is not monotone before the trap is raised."""
     steps = sequence.steps
 
     def envies(step):
@@ -551,6 +553,19 @@ def reference_select_ef1(sequence, instance):
             if not is_maximal(candidate, instance.graph()):
                 raise InternalInvariantError("selected EF1 schedule is not maximal")
             return candidate
+    if not instance.valuations.is_additive:
+        # Distinct bundles in the order the steps first hold them, agent 0
+        # before agent 1, chores ascending: the first one-removal witness.
+        for bundle in dict.fromkeys(b for step in steps for b in step.bundles()):
+            for agent in (0, 1):
+                whole = instance.value(agent, bundle)
+                for c in sorted(bundle):
+                    part = instance.value(agent, bundle - {c})
+                    if part < whole:
+                        raise InputError(
+                            f"valuation profile is not monotone: agent {agent} values bundle "
+                            f"{sorted(bundle)} at {whole} but without chore {c} at {part}"
+                        )
     raise InternalInvariantError("none of the four flip candidates is EF1")
 
 
@@ -562,7 +577,7 @@ def compare_selections(sequence, instance, counter):
         counter.queries = 0
         try:
             outcomes.append(select(sequence, instance))
-        except InternalInvariantError as exc:
+        except (InternalInvariantError, InputError) as exc:
             outcomes.append(str(exc))
         outcomes.append(counter.queries)
     got, got_queries, want, want_queries = outcomes
@@ -746,6 +761,59 @@ def test_worst_chore_solve_stays_within_the_query_bound(m):
         inst = random_interval_instance(random.Random(seed), 2, m)
         fn = counter.wrap(worst_chore_times_count(inst.valuations.table))
         queries_within_bound(Instance(2, inst.chores, MonotoneValuations(2, m, fn)), counter)
+
+
+# Two profiles that are not monotone, each pinned as the table of every
+# bundle value the solve asks for (the empty bundle is 0): a random one-draw
+# memo per (agent, bundle) on random_interval_instance(Random(seed), 2, m),
+# m = Random(seed).randint(2, 10), seeds 554 and 2000.  As a memo its values
+# would depend on the query order.  No flip candidate is EF1 under either.
+NON_MONOTONE = {
+    "seed-554": (
+        [(10, 12), (11, 13), (12, 14), (0, 3), (9, 12), (2, 4), (1, 4), (1, 3), (18, 22), (2, 4)],
+        [
+            {(0, 3): -3, (0, 8): -9, (2, 3): -3, (3, 8): -10, (4, 7): -5, (4, 8): -7, (7, 8): -4,
+             (0, 2, 3): 0, (0, 2, 7): -1, (0, 2, 9): 0, (0, 3, 8): -1, (2, 4, 7): 0, (3, 4, 8): -3,
+             (4, 7, 8): -3},
+            {(0, 3): -3, (0, 8): -4, (3, 8): -10, (4, 7): -3, (4, 8): -10, (7, 8): -6, (0, 2, 3): -1,
+             (0, 3, 8): -1, (2, 4, 7): 0, (4, 7, 8): -6},
+        ],
+        "agent 0 values bundle [0, 2, 3] at 0 but without chore 0 at -3",
+    ),
+    "seed-2000": (
+        [(1, 5), (8, 10), (18, 20), (12, 14), (4, 7), (11, 15), (0, 2), (0, 4), (6, 7)],
+        [
+            {(1, 4, 5): -9, (1, 4, 7): -9, (1, 5, 6): -8, (1, 5, 7): -10, (2, 3, 7): -7, (2, 3, 8): -7,
+             (2, 7, 8): -4, (3, 7, 8): -2, (4, 5, 6): 0, (4, 5, 7): -9, (1, 4, 5, 6): -1,
+             (1, 4, 5, 7): -10, (2, 3, 6, 8): -6, (2, 3, 7, 8): -10},
+            {(1, 4, 5): -8, (1, 4, 7): -9, (1, 5, 7): -10, (2, 3, 7): -10, (2, 3, 8): -1, (2, 7, 8): -1,
+             (3, 7, 8): -6, (4, 5, 7): -10, (1, 4, 5, 6): 0, (1, 4, 5, 7): -7, (2, 3, 6, 8): -2,
+             (2, 3, 7, 8): -9},
+        ],
+        "agent 0 values bundle [1, 4, 5, 6] at -1 but without chore 4 at -8",
+    ),
+}
+
+
+@pytest.mark.parametrize("intervals, tables, witness", NON_MONOTONE.values(), ids=list(NON_MONOTONE))
+def test_a_non_monotone_profile_is_an_input_error(intervals, tables, witness):
+    chores = tuple(Chore(c, start, finish) for c, (start, finish) in enumerate(intervals))
+    table = [{frozenset(bundle): v for bundle, v in rows.items()} | {frozenset(): 0} for rows in tables]
+    opaque = Instance(2, chores, MonotoneValuations(2, len(chores), lambda i, b: table[i][b]))
+    message = f"valuation profile is not monotone: {witness}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        solve_two_agents(opaque)
+
+
+@pytest.mark.parametrize("monotone", [False, True], ids=["additive", "monotone"])
+def test_the_flip_trap_stands_when_no_bundle_shows_non_monotonicity(monkeypatch, monotone):
+    # With every EF1 check failing, the one remaining cause is the library.
+    inst = random_interval_instance(random.Random(3), 2, 12)
+    if monotone:
+        inst = Instance(2, inst.chores, MonotoneValuations(2, inst.m, lambda i, b: -(len(b) ** 2)))
+    monkeypatch.setattr(two_agent, "_efk_holds", lambda rows, instance, k: False)
+    with pytest.raises(InternalInvariantError, match="^none of the four flip candidates is EF1$"):
+        solve_two_agents(inst)
 
 
 def test_worst_chore_seed_8_solves_in_a_tenth_of_a_second():
